@@ -8,6 +8,7 @@ gzip-compressed. All sampling is a pure function of (seed, policy, step).
 
 from __future__ import annotations
 
+import functools
 import gzip
 import struct
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
-from .models import MlpSpec, mlp_oracle
+from .models import MlpSpec, mlp_builder, mlp_oracle
 from .oracle import CallCounter
 from .rng import STREAM_BATCH, STREAM_DATA_TEST, STREAM_DATA_TRAIN, stream
 
@@ -26,6 +27,11 @@ POLICY_SHUFFLE = "shuffle-each-epoch"
 POLICY_REPLACEMENT = "with-replacement"
 POLICY_ENUMERATION = "full-enumeration"
 POLICIES = (POLICY_SHUFFLE, POLICY_REPLACEMENT, POLICY_ENUMERATION)
+
+# Per-coefficient size of a stacked tape, in float64 elements of the leaf and
+# the activations: B * (dim + rows * sum(layer widths)) stays under this, so a
+# stack takes as many batches as fit and a large model runs one per tape.
+STACK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,16 +154,23 @@ class OracleFamily:
 
     Expectations weight each batch by its share of the dataset, so linear
     per-batch statistics average exactly to the full-dataset statistic.
+
+    ``stacks``, if given, is a callable that yields ``(batch indices,
+    builder)`` pairs covering every batch exactly once; each builder takes
+    a ``(len(indices), dim)`` leaf and returns the sum of those batches'
+    losses (see :func:`samlab.oracle.jet_pass`). Its counts go to
+    ``counter``, the oracles' counter.
     """
 
     def __init__(self, oracles: list, weights: np.ndarray,
-                 counter: CallCounter | None = None):
+                 counter: CallCounter | None = None, stacks=None):
         if len(oracles) != len(weights):
             raise ValueError("one weight per oracle required")
         self.oracles = list(oracles)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.weights = self.weights / self.weights.sum()
         self.counter = counter
+        self.stacks = stacks
         self.dim = oracles[0].dim
 
     def __len__(self) -> int:
@@ -172,11 +185,29 @@ class OracleFamily:
 
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int,
                mode: str = "exact", counter: CallCounter | None = None) -> OracleFamily:
+    """Oracles over the enumeration partition; exact mode also stacks them."""
     parts = enumeration_batches(dataset.n, batch_size)
     oracles = [mlp_oracle(spec, *dataset.take(idx), mode=mode, counter=counter)
                for idx in parts]
+    stacks = None
+    if mode == "exact":
+        stacks = functools.partial(_mlp_stacks, spec, dataset, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
-                        counter=counter)
+                        counter=counter, stacks=stacks)
+
+
+def _mlp_stacks(spec: MlpSpec, dataset: Dataset, parts: list):
+    """Yield (batch indices, stacked builder): batches of one row count, at
+    most STACK_ELEMENTS worth per stack. Builders are made on demand, so a
+    family holds no second copy of its data."""
+    sizes = np.array([len(p) for p in parts])
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        ids = np.flatnonzero(sizes == size)
+        per_stack = max(1, STACK_ELEMENTS // (spec.dim + size * sum(spec.layers)))
+        for start in range(0, len(ids), per_stack):
+            chunk = ids[start:start + per_stack]
+            rows = np.stack([parts[i] for i in chunk])
+            yield chunk, mlp_builder(spec, *dataset.take(rows))
 
 
 def analytic_family(oracles: list, counter: CallCounter | None = None) -> OracleFamily:

@@ -11,6 +11,16 @@ extra derivative formulas per op.
 
 Shapes are static per tape, reductions run in numpy's fixed index order, and
 no randomness is involved, so repeated evaluation is bit-identical.
+
+A leading stack axis evaluates several independent graphs on one tape, in
+the manner of vmap: a leaf of shape ``(B, d)`` holds B parameter vectors,
+and a scalar output that sums B per-row losses has row b of its adjoint jet
+equal to row b's own jet. The elementwise ops, ``add``/``sub``/``mul``
+(numpy broadcasting, reduced back in the VJP), ``scale``, ``reshape``,
+``sum_all`` and ``sum_axis`` accept any leading axes. ``matmul`` multiplies
+the last two axes of operands with equal leading axes, ``slice1d`` slices
+the last axis, and ``pick_rows`` picks along the last axis. ``matvec``,
+``dot`` and ``mean_all`` have no stack axis.
 """
 
 from __future__ import annotations
@@ -246,10 +256,10 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D @ 2-D matrix product."""
+    """Matrix product over the last two axes; leading axes must be equal."""
     aj, bj = a.jet, b.jet
-    ajT = tuple(c.T for c in aj)
-    bjT = tuple(c.T for c in bj)
+    ajT = tuple(c.swapaxes(-1, -2) for c in aj)
+    bjT = tuple(c.swapaxes(-1, -2) for c in bj)
     return _make(a.tape, "matmul", jmatmul(aj, bj), (a, b),
                  (lambda g: jmatmul(g, bjT), lambda g: jmatmul(ajT, g)))
 
@@ -345,35 +355,39 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def pick_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select one column per row: out[i] = a[i, idx[i]]."""
+    """Select along the last axis: out[..., i] = a[..., i, idx[..., i]].
+
+    ``idx`` has the shape of ``a`` without its last axis.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    n = a.shape[0]
-    rows = np.arange(n)
+    where = (*np.indices(idx.shape, sparse=True), idx)
     shape = a.shape
 
     def vjp(g):
         out = []
         for c in g:
             z = np.zeros(shape)
-            z[rows, idx] = c
+            z[where] = c
             out.append(z)
         return tuple(out)
 
-    return _make(a.tape, "pick", tuple(c[rows, idx] for c in a.jet), (a,), (vjp,))
+    return _make(a.tape, "pick", tuple(c[where] for c in a.jet), (a,), (vjp,))
 
 
 def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    size = a.shape[0]
+    """Slice [start, stop) of the last axis."""
+    shape = a.shape
 
     def vjp(g):
         out = []
         for c in g:
-            z = np.zeros(size)
-            z[start:stop] = c
+            z = np.zeros(shape)
+            z[..., start:stop] = c
             out.append(z)
         return tuple(out)
 
-    return _make(a.tape, "slice", tuple(c[start:stop] for c in a.jet), (a,), (vjp,))
+    return _make(a.tape, "slice", tuple(c[..., start:stop] for c in a.jet), (a,),
+                 (vjp,))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -400,8 +414,10 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
     adj[output.idx] = jet_const(1.0, tape.degree)
     for node in reversed(tape.nodes):
         g = adj[node.idx]
-        if g is None or not node.requires_grad:
+        if g is None or not node.requires_grad or not node.parents:
             continue
+        # Consumed once passed to the parents; leaves keep theirs.
+        adj[node.idx] = None
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.requires_grad:
                 continue

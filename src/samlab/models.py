@@ -7,6 +7,11 @@ differentiable and is meant for optimizer-level runs only.
 Loss heads: softmax cross-entropy over integer labels, and mean squared
 error ``sum((pred - target)^2) / (2 n)`` over vector targets (integer labels
 are one-hot encoded for the MSE head).
+
+A builder over stacked batches, inputs ``(B, n, in)`` with labels ``(B, n)``
+or targets ``(B, n, out)``, takes a ``(B, d)`` parameter leaf and returns
+the sum of the B per-batch losses, so one tape evaluates every batch (see
+the stack axis in :mod:`samlab.engine`).
 """
 
 from __future__ import annotations
@@ -83,12 +88,16 @@ def gelu(x: eng.Tensor) -> eng.Tensor:
 def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
                     inputs: np.ndarray) -> eng.Tensor:
     h = tape.const(inputs)
+    lead = x.shape[:-1]
     n_layers = len(spec.layers) - 1
     for i, (name_w, shape, offset) in enumerate(spec.layout[::2]):
         fan_in, fan_out = shape
-        w = eng.reshape(eng.slice1d(x, offset, offset + fan_in * fan_out), shape)
+        w = eng.reshape(eng.slice1d(x, offset, offset + fan_in * fan_out),
+                        lead + shape)
         b_off = offset + fan_in * fan_out
         b = eng.slice1d(x, b_off, b_off + fan_out)
+        if lead:
+            b = eng.reshape(b, lead + (1, fan_out))
         h = eng.add(eng.matmul(h, w), b)
         if i < n_layers - 1:
             h = gelu(h) if spec.activation == "gelu" else eng.relu(h)
@@ -97,21 +106,28 @@ def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
 
 def _ce_loss(tape: eng.Tape, logits: eng.Tensor, labels: np.ndarray) -> eng.Tensor:
     # Stable log-sum-exp with a constant row shift taken from the primal.
-    m = logits.value.max(axis=1, keepdims=True)
+    m = logits.value.max(axis=-1, keepdims=True)
     shifted = eng.sub(logits, tape.const(m))
-    lse = eng.add(eng.log(eng.sum_axis(eng.exp(shifted), 1)), tape.const(m[:, 0]))
-    return eng.mean_all(eng.sub(lse, eng.pick_rows(logits, labels)))
+    lse = eng.add(eng.log(eng.sum_axis(eng.exp(shifted), -1)),
+                  tape.const(m[..., 0]))
+    per_row = eng.sub(lse, eng.pick_rows(logits, labels))
+    if labels.ndim == 1:
+        return eng.mean_all(per_row)
+    # Stacked batches share one row count, so the sum of their means is the
+    # total over n; the adjoint of each row is 1/n, as for a single batch.
+    return eng.scale(eng.sum_all(per_row), 1.0 / labels.shape[-1])
 
 
 def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Tensor:
     diff = eng.sub(logits, tape.const(targets))
-    return eng.scale(eng.sum_all(eng.mul(diff, diff)), 0.5 / targets.shape[0])
+    return eng.scale(eng.sum_all(eng.mul(diff, diff)), 0.5 / targets.shape[-2])
 
 
 def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
-    """Loss-graph builder over a data batch, for use in a LossOracle."""
+    """Loss-graph builder over a data batch, for use in a LossOracle, or
+    over stacked batches (see the module docstring)."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[1] != spec.layers[0]:
+    if inputs.shape[-1] != spec.layers[0]:
         raise ValueError("input width does not match the model spec")
     if spec.head == "ce":
         labels = np.asarray(labels, dtype=np.int64)
@@ -122,7 +138,7 @@ def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
             return _ce_loss(tape, _forward_logits(tape, x, spec, inputs), labels)
     else:
         targets = np.asarray(labels, dtype=np.float64)
-        if targets.ndim == 1:
+        if targets.ndim == inputs.ndim - 1:
             targets = np.eye(spec.layers[-1])[targets.astype(np.int64)]
 
         def build(tape, x):

@@ -144,14 +144,14 @@ def eigen_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
                    state: OptimizerState):
     """SAM with the perturbation steered toward the top Hessian eigenvector.
 
-    The eigenvector estimate refreshes when t1 mod p == 1 (and at t1 == 1),
-    via q rounds of power iteration on the current mini-batch Hessian, which
-    costs q + 2 HVPs.
+    The eigenvector estimate refreshes at steps t1 = 1, p + 1, 2p + 1, ...
+    (every step when p == 1), via q rounds of power iteration on the current
+    mini-batch Hessian, which costs q + 2 HVPs.
     """
     t1 = state.step + 1
     v = state.eigvec
     hvp_used = 0
-    if v is None or t1 == 1 or t1 % cfg.refresh_every == 1:
+    if v is None or (t1 - 1) % cfg.refresh_every == 0:
         est = power_iteration(oracle, x, cfg.power_iters, seed=state.seed,
                               substream=t1)
         v = est.vector

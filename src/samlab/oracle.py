@@ -82,6 +82,36 @@ def _check_finite(*arrays) -> None:
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 
+def check_dense_third(dim: int) -> None:
+    """Dense third-order vectors are limited to d <= DENSE_THIRD_LIMIT."""
+    if dim > DENSE_THIRD_LIMIT:
+        raise DimensionTooLarge(
+            f"dense third-order output needs d <= {DENSE_THIRD_LIMIT}, got {dim}")
+
+
+def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
+             release: bool = False) -> eng.Jet:
+    """Adjoint jet of ``builder(tape, leaf)`` at the leaf x, from one tape pass.
+
+    Degree 0 gives (grad,), degree 1 along the tangent u gives (grad, H u),
+    degree 2 gives (grad, H u, third(u, u) / 2); see :func:`engine.backward`.
+    Raises NonFiniteLoss if the loss or any coefficient is not finite. With
+    a stacked leaf ``(B, d)`` and a builder that sums B per-batch losses,
+    row b of every coefficient is batch b's own. ``release`` empties the
+    tape once the sweep is done: its Tape<->Tensor reference cycles then
+    free the arrays at once instead of at the next cyclic collection.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tape = eng.Tape(degree=degree)
+        leaf = tape.leaf(x, tangent=tangent)
+        out = builder(tape, leaf)
+        adj = eng.backward(out, [leaf])[0]
+    if release:
+        tape.nodes.clear()
+    _check_finite(out.value, *adj)
+    return adj
+
+
 class LossOracle:
     """Scalar loss over a flat parameter vector, with derivative queries.
 
@@ -111,28 +141,18 @@ class LossOracle:
             raise ValueError(f"parameter vector has size {v.size}, expected {self.dim}")
         return v
 
-    def _run(self, x: np.ndarray, degree: int, tangent=None):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape = eng.Tape(degree=degree)
-            leaf = tape.leaf(x, tangent=tangent)
-            out = self.builder(tape, leaf)
-            return tape, leaf, out
-
     # -- queries ------------------------------------------------------------
 
     def loss(self, x) -> float:
         x = self._as_array(x)
-        _, _, out = self._run(x, 0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tape = eng.Tape(degree=0)
+            out = self.builder(tape, tape.leaf(x))
         _check_finite(out.value)
         return float(out.value)
 
     def grad(self, x) -> np.ndarray:
-        x = self._as_array(x)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape, leaf, out = self._run(x, 0)
-            g = eng.backward(out, [leaf])[0][0]
-        _check_finite(out.value, g)
-        return g
+        return jet_pass(self.builder, self._as_array(x))[0]
 
     def hvp(self, x, v) -> np.ndarray:
         x = self._as_array(x)
@@ -148,31 +168,38 @@ class LossOracle:
             out = (self.grad(x + h * vbar) - self.grad(x - h * vbar)) / (2.0 * h) * nv
             _check_finite(out)
             return out
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape, leaf, out = self._run(x, 1, tangent=v)
-            g = eng.backward(out, [leaf])[0]
-        _check_finite(out.value, g[1])
-        return g[1]
+        return jet_pass(self.builder, x, 1, v)[1]
+
+    def jet(self, x, u, degree: int) -> tuple:
+        """Adjoint jet along u from one exact-mode tape pass: (grad, H u) at
+        degree 1, and at degree 2 (grad, H u, third(u, u) / 2), whose last
+        entry is dense (d <= 512). Counts one HVP, and at degree 2 one
+        third-order query, as hvp and third_directional would."""
+        x = self._as_array(x)
+        u = self._as_array(u)
+        if self.mode != "exact":
+            raise ValueError("jet needs exact mode")
+        if degree not in (1, 2):
+            raise ValueError("jet degree must be 1 or 2")
+        if degree == 2:
+            check_dense_third(self.dim)
+        if self.counter is not None:
+            self.counter.hvp += 1
+            self.counter.third += degree == 2
+        return jet_pass(self.builder, x, degree, u)
 
     def third_directional(self, x, u) -> np.ndarray:
         """Full vector w with w_i = d/dx_i (u^T H(x) u), dense mode (d <= 512)."""
         x = self._as_array(x)
         u = self._as_array(u)
-        if self.dim > DENSE_THIRD_LIMIT:
-            raise DimensionTooLarge(
-                f"dense third-order output needs d <= {DENSE_THIRD_LIMIT}, got {self.dim}")
+        check_dense_third(self.dim)
         if np.linalg.norm(u) == 0.0:
             raise ZeroDirection("third_directional needs a nonzero direction")
         if self.counter is not None:
             self.counter.third += 1
         if self.mode == "fd":
             return self._third_fd_dense(x, u)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape, leaf, out = self._run(x, 2, tangent=u)
-            g = eng.backward(out, [leaf])[0]
-        w = 2.0 * g[2]
-        _check_finite(out.value, w)
-        return w
+        return 2.0 * jet_pass(self.builder, x, 2, u)[2]
 
     def third_directional_along(self, x, u, w) -> float:
         """w^T third(u, u) without materializing the dense vector (any d)."""
@@ -194,12 +221,7 @@ class LossOracle:
             out = (s_plus - s_minus) / (2.0 * h) * nw
             _check_finite(np.asarray(out))
             return out
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape, leaf, out = self._run(x, 2, tangent=u)
-            g = eng.backward(out, [leaf])[0]
-        vec = 2.0 * g[2]
-        _check_finite(vec)
-        return float(w @ vec)
+        return float(w @ (2.0 * jet_pass(self.builder, x, 2, u)[2]))
 
     def _third_fd_dense(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         # Central difference of s(x) = u^T hvp(x, u) along every coordinate.

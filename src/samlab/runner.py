@@ -21,7 +21,7 @@ from .bounds import (PINNED_CONSTANT, BoundInputs, ConvergenceInputs,
 from .config import render
 from .data import (BatchSampler, Dataset, OracleFamily, gen_synthetic,
                    load_idx, mlp_family, sample_batch)
-from .errors import ConfigError, NonFiniteLoss, SamlabError
+from .errors import ConfigError, SamlabError
 from .hessian import align, power_iteration, spectrum_deflated
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import MlpSpec, accuracy, init_params, mlp_oracle
@@ -159,8 +159,9 @@ def run_train(config: dict, out_name: str = "train.csv") -> Path:
     try:
         for seed in config["seeds"]:
             _train_one(config, seed, rows)
-    except NonFiniteLoss as exc:
-        write_csv(out, render(config), sort_rows(rows), error=f"NonFiniteLoss: {exc}")
+    except SamlabError as exc:
+        write_csv(out, render(config), sort_rows(rows),
+                  error=f"{type(exc).__name__}: {exc}")
         raise
     write_csv(out, render(config), sort_rows(rows))
     return out
@@ -278,7 +279,7 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
                 else:
                     _simulate_sde_process(config, spec, train, test, seed,
                                           process, rows)
-    except (NonFiniteLoss, SamlabError) as exc:
+    except SamlabError as exc:
         write_csv(out, config_lines, sort_rows(rows),
                   error=f"{type(exc).__name__}: {exc}")
         raise

@@ -15,6 +15,15 @@ A second-order model zeroes term3 and drops the rho^2 blocks. Expectations
 run over a fixed enumeration of batches, so they are exact and every probe
 here is deterministic. Batches whose gradient norm falls below the floor
 contribute zero to terms 2-3 and to their centered covariance vectors.
+
+The per-batch vectors come from two tape passes per batch: a gradient, then
+one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for
+order 3) whose adjoint jet is (g, H_g u_g, third_g(u_g, u_g) / 2). A family
+with stacks (every exact-mode ``mlp_family``) runs each of the two passes
+once per stack, on a ``(B, d)`` leaf holding x in every row, instead of once
+per batch; a stack holds as many batches of one row count as fit in
+``data.STACK_ELEMENTS``. Other families loop over their oracles, and fd-mode
+oracles take their HVPs and third-order vectors by finite differences.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .data import OracleFamily
 from .errors import DimensionTooLarge, GapViolated, NonFiniteState
 from .hessian import align, power_iteration, spectrum_deflated
 from .optim import GRAD_FLOOR, sam_perturbation
+from .oracle import check_dense_third, jet_pass
 from .rng import STREAM_SDE_NOISE, stream
 
 SIGMA_EXACT_LIMIT = 512
@@ -89,21 +99,52 @@ class SdeConfig:
 
 def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                      tau: float) -> tuple:
-    t1s, t2s, t3s = [], [], []
-    zero = np.zeros(family.dim)
-    for oracle in family.oracles:
-        g = oracle.grad(x)
-        t1s.append(g)
+    """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
+    unless need_third), with t2_b = t3_b = 0 where ||t1_b|| < tau."""
+    if family.stacks is not None:
+        return _stacked_terms(family, x, need_third, tau)
+    degree = 2 if need_third else 1
+    t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
+    for b, oracle in enumerate(family.oracles):
+        g = t1s[b] = oracle.grad(x)
         norm = np.linalg.norm(g)
         if norm < tau:
-            t2s.append(zero)
-            t3s.append(zero)
             continue
-        t2s.append(oracle.hvp(x, g) / norm)
+        if oracle.mode == "fd":
+            t2s[b] = oracle.hvp(x, g) / norm
+            if need_third:
+                t3s[b] = oracle.third_directional(x, g / norm)
+            continue
+        jet = oracle.jet(x, g / norm, degree)
+        t2s[b] = jet[1]
         if need_third:
-            t3s.append(oracle.third_directional(x, g / norm))
-        else:
-            t3s.append(zero)
+            t3s[b] = 2.0 * jet[2]
+    return t1s, t2s, t3s
+
+
+def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
+                   tau: float) -> tuple:
+    """_per_batch_terms from two passes per stack; counts what the loop would."""
+    n, d, degree = len(family), family.dim, 2 if need_third else 1
+    t1s, t2s, t3s = (np.zeros((n, d)) for _ in range(3))
+    for ids, builder in family.stacks():
+        xs = np.tile(x, (len(ids), 1))
+        g = t1s[ids] = jet_pass(builder, xs, release=True)[0]
+        norms = np.array([np.linalg.norm(row) for row in g])
+        live = norms >= tau
+        if not live.any():
+            continue
+        if need_third:
+            check_dense_third(d)
+        units = np.zeros_like(g)
+        units[live] = g[live] / norms[live, None]
+        jet = jet_pass(builder, xs, degree, tangent=units, release=True)
+        t2s[ids[live]] = jet[1][live]
+        if need_third:
+            t3s[ids[live]] = 2.0 * jet[2][live]
+        if family.counter is not None:
+            family.counter.hvp += int(live.sum())
+            family.counter.third += int(live.sum()) if need_third else 0
     return t1s, t2s, t3s
 
 
@@ -141,7 +182,13 @@ def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
 
 def sde_coefficients(family: OracleFamily, x, rho: float, order: int,
                      diffusion: str, tau: float = GRAD_FLOOR) -> tuple:
-    """Drift and diffusion at x from a single pass over the batch family.
+    """Drift and diffusion at x from one evaluation of the per-batch terms.
+
+    On a stacked family that evaluation is two tape passes per stack: a
+    degree-0 pass whose adjoint rows are the batch gradients, then one pass
+    along the unit gradients (degree 1 for order 2, degree 2 for order 3)
+    whose adjoint rows give H_b u_b and third_b(u_b, u_b). Order 3 needs
+    d <= 512, as the dense third-order vectors do.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
@@ -171,7 +218,8 @@ def _centered(family, vectors, mean, degenerate):
 
 def _assemble_sigma(family, t1s, t2s, t3s, rho, order, tau):
     degenerate = [np.linalg.norm(g) < tau for g in t1s]
-    c1 = [g - family.mean(t1s) for g in t1s]
+    mean1 = family.mean(t1s)
+    c1 = [g - mean1 for g in t1s]
     c2 = _centered(family, t2s, family.mean(t2s), degenerate)
     w = family.weights
     s11 = sum(wi * np.outer(a, a) for wi, a in zip(w, c1))

@@ -184,6 +184,16 @@ class TestTrajectoryIdentities:
         # Refreshes at t1 = 1, 11, 21: three refreshes, q + 2 HVPs each.
         assert state.hvp_count == 3 * 6
 
+    @pytest.mark.parametrize("p,refreshes", [(1, 6), (2, 3), (3, 2)])
+    def test_eigensam_refreshes_every_p_steps(self, p, refreshes):
+        # Refreshes at t1 = 1, p + 1, 2p + 1, ...: p = 1 refreshes every step.
+        oracle = quadratic_oracle(np.diag([3.0, 1.0]))
+        c = cfg("eigensam", rho=0.05, alpha=0.1, refresh_every=p, power_iters=2)
+        x, state = np.array([1.0, -0.5]), init_state(2)
+        for _ in range(6):
+            x, state = eigen_sam_step(x, oracle, c, state)
+        assert state.hvp_count == refreshes * (2 + 2)
+
     def test_step_dispatch(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
         x, _ = step(np.array([1.0]), oracle, cfg("sgd"), init_state(1))

@@ -7,7 +7,8 @@ import pytest
 
 from samlab.cli import main
 from samlab.config import SCHEMAS, parse_config_file, render, resolve
-from samlab.errors import ConfigError, NonFiniteLoss
+from samlab import runner
+from samlab.errors import ConfigError, NonFiniteLoss, ZeroIterate
 from samlab.metrics import COLUMNS, canonical_bytes, read_csv
 from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
@@ -154,6 +155,30 @@ class TestRunTrain:
         _, rows, error = read_csv(tmp_path / "train.csv")
         assert error is not None and "NonFiniteLoss" in error
         assert len(rows) >= 1
+
+
+    def test_probe_error_flushes_partial_csv(self, tmp_path, monkeypatch):
+        # Any SamlabError, not only NonFiniteLoss, leaves the rows so far
+        # and an error line behind; the CLI maps it to exit code 3.
+        real = runner.power_iteration
+        calls = []
+
+        def fail_on_second_probe(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ZeroIterate("forced in the second probe row")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "power_iteration", fail_on_second_probe)
+        code = main(["train", "--out", str(tmp_path), "--seed", "0",
+                     "--set", "steps=4", "--set", "eval_every=2",
+                     "--set", "model_layers=2,4,2", "--set", "data_n=16",
+                     "--set", "test_n=16", "--set", "batch_size=8",
+                     "--set", "method=sam", "--set", "probe_q=3"])
+        assert code == 3
+        _, rows, error = read_csv(tmp_path / "train.csv")
+        assert [r.step for r in rows] == [0]
+        assert error is not None and "ZeroIterate" in error
 
 
 class TestRunSimulateSde:
