@@ -176,6 +176,13 @@ class OracleFamily:
     def __len__(self) -> int:
         return len(self.oracles)
 
+    def pick(self, seed: int, stream_id: int, step: int) -> int:
+        """Batch index drawn with probability equal to its weight, from the
+        uniform draw of the (seed, stream_id, step) stream."""
+        u = stream(seed, stream_id, step).random()
+        idx = int(np.searchsorted(np.cumsum(self.weights), u, side="right"))
+        return min(idx, len(self.weights) - 1)
+
     def mean(self, per_batch: list) -> np.ndarray:
         acc = self.weights[0] * np.asarray(per_batch[0], dtype=np.float64)
         for w, v in zip(self.weights[1:], per_batch[1:]):

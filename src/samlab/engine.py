@@ -237,10 +237,6 @@ def sub(a: Tensor, b) -> Tensor:
                   lambda g: jreduce_to(jneg(g), sb)))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(a.tape, "neg", jneg(a.jet), (a,), (jneg,))
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(a.tape, b)
     sa, sb = a.shape, b.shape

@@ -238,26 +238,6 @@ class LossOracle:
 
 
 # ---------------------------------------------------------------------------
-# module-level op surface over ParamVector
-# ---------------------------------------------------------------------------
-
-def loss(oracle: LossOracle, x: ParamVector) -> float:
-    return oracle.loss(x)
-
-
-def grad(oracle: LossOracle, x: ParamVector) -> ParamVector:
-    return ParamVector(oracle.grad(x), oracle.layout)
-
-
-def hvp(oracle: LossOracle, x: ParamVector, v: ParamVector) -> ParamVector:
-    return ParamVector(oracle.hvp(x, v), oracle.layout)
-
-
-def third_directional(oracle: LossOracle, x: ParamVector, u: ParamVector) -> ParamVector:
-    return ParamVector(oracle.third_directional(x, u), oracle.layout)
-
-
-# ---------------------------------------------------------------------------
 # analytic oracles used by probes and tests
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,13 @@ a deterministic artifact (CSV for trajectories, JSON for probe reports), and
 returns the output path. Replicate seeds produce separate rows merged by
 (process, seed, step); identical configs reproduce identical bytes except
 for the wall-clock column.
+
+Every trajectory (a training run, discrete SAM, or an SDE process) goes
+through :func:`_trajectory`, the one loop that takes the metric rows and
+stops at the last step. A process only supplies ``advance(x, t) -> x`` and
+the :class:`CallCounter` its oracles count HVPs into; ``hvp_count`` is read
+from that counter. An error stops the run and the rows so far are written
+with an ``# error=`` line.
 """
 
 from __future__ import annotations
@@ -16,19 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from . import sde as sde_mod
-from .bounds import (PINNED_CONSTANT, BoundInputs, ConvergenceInputs,
-                     alpha_admissible_range, convergence_bound, pac_bayes_bound)
+from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
+                     pac_bayes_bound)
 from .config import render
-from .data import (BatchSampler, Dataset, OracleFamily, gen_synthetic,
-                   load_idx, mlp_family, sample_batch)
+from .data import (BatchSampler, Dataset, gen_synthetic, load_idx, mlp_family,
+                   sample_batch)
 from .errors import ConfigError, SamlabError
 from .hessian import align, power_iteration, spectrum_deflated
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import MlpSpec, accuracy, init_params, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
 from .oracle import CallCounter, ParamVector
-from .rng import (STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE,
-                  STREAM_SDE_NOISE, stream)
+from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
 EVAL_BATCH_MAX = 128
@@ -71,11 +77,11 @@ def _datasets(config: dict) -> tuple:
     return spec, train, test
 
 
-def _probe_row(spec: MlpSpec, x: np.ndarray, layout, t: int, process: str,
-               seed: int, train: Dataset, test: Dataset, hvp_count: int,
-               probe_q: int, started: float) -> MetricRow:
+def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
+               train: Dataset, test: Dataset, hvp_count: int, probe_q: int,
+               started: float) -> MetricRow:
     """One full metric row; spectral quantities use the evaluation batch."""
-    pv = ParamVector(x, layout)
+    pv = ParamVector(x, spec.layout)
     train_oracle = mlp_oracle(spec, train.inputs, train.labels)
     test_oracle = mlp_oracle(spec, test.inputs, test.labels)
     g_full = train_oracle.grad(x)
@@ -106,10 +112,48 @@ def _probe_row(spec: MlpSpec, x: np.ndarray, layout, t: int, process: str,
     )
 
 
-def _probe_steps(steps: int, eval_every: int):
-    marks = set(range(0, steps + 1, eval_every))
-    marks.add(steps)
-    return marks
+def _trajectory(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
+                seed: int, process: str, steps: int, advance,
+                counter: CallCounter, rows: list) -> np.ndarray:
+    """Advance from the seed's initialization for ``steps`` steps, appending
+    a metric row every ``eval_every`` steps and at the last; returns x."""
+    x = init_params(spec, seed).values
+    probe_at = set(range(0, steps + 1, config["eval_every"])) | {steps}
+    started = time.perf_counter()
+    for t in range(steps + 1):
+        if t in probe_at:
+            rows.append(_probe_row(spec, x, t, process, seed, train, test,
+                                   counter.hvp, config["probe_q"], started))
+        if t == steps:
+            break
+        x = advance(x, t)
+    return x
+
+
+def _write_rows(config_lines: list, out: Path, fill) -> Path:
+    """CSV of the rows ``fill(rows)`` appends; on a SamlabError the rows so
+    far are written with an ``# error=`` line and the error is re-raised."""
+    rows: list = []
+    try:
+        fill(rows)
+    except SamlabError as exc:
+        write_csv(out, config_lines, sort_rows(rows),
+                  error=f"{type(exc).__name__}: {exc}")
+        raise
+    write_csv(out, config_lines, sort_rows(rows))
+    return out
+
+
+def _optimizer_process(opt_cfg: OptimizerConfig, dim: int, seed: int,
+                       batch_oracle):
+    """advance(x, t): one optimizer step on ``batch_oracle(t)``."""
+    state = init_state(dim, seed)
+
+    def advance(x, t):
+        nonlocal state
+        x, state = optimizer_step(x, batch_oracle(t), opt_cfg, state)
+        return x
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -128,43 +172,33 @@ def _optimizer_config(config: dict, total_steps: int) -> OptimizerConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _train_one(config: dict, seed: int, rows: list) -> np.ndarray:
-    spec, train, test = _datasets(config)
+def _train(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
+           seed: int, rows: list) -> np.ndarray:
+    """One training trajectory on sampled mini-batches; returns the end x."""
     steps = config["steps"]
     if config["fair_compute"] and config["method"] == "sgd":
         steps *= 2
     opt_cfg = _optimizer_config(config, total_steps=max(steps, 1))
     sampler = BatchSampler(config["batch_size"], seed, config["sampler"])
-    x = init_params(spec, seed).values
-    state = init_state(spec.dim, seed)
-    probe_at = _probe_steps(steps, config["eval_every"])
-    started = time.perf_counter()
-    for t in range(steps + 1):
-        if t in probe_at:
-            rows.append(_probe_row(spec, x, spec.layout, t, config["method"],
-                                   seed, train, test, state.hvp_count,
-                                   config["probe_q"], started))
-        if t == steps:
-            break
+    counter = CallCounter()
+
+    def batch_oracle(t):
         idx = sample_batch(sampler, train, t)
-        oracle = mlp_oracle(spec, *train.take(idx))
-        x, state = optimizer_step(x, oracle, opt_cfg, state)
-    return x
+        return mlp_oracle(spec, *train.take(idx), counter=counter)
+
+    advance = _optimizer_process(opt_cfg, spec.dim, seed, batch_oracle)
+    return _trajectory(config, spec, train, test, seed, config["method"],
+                       steps, advance, counter, rows)
 
 
 def run_train(config: dict, out_name: str = "train.csv") -> Path:
     """Train under the configured optimizer, one trajectory per seed."""
-    out = Path(config["out"]) / out_name
-    rows: list = []
-    try:
+    def fill(rows):
+        spec, train, test = _datasets(config)
         for seed in config["seeds"]:
-            _train_one(config, seed, rows)
-    except SamlabError as exc:
-        write_csv(out, render(config), sort_rows(rows),
-                  error=f"{type(exc).__name__}: {exc}")
-        raise
-    write_csv(out, render(config), sort_rows(rows))
-    return out
+            _train(config, spec, train, test, seed, rows)
+
+    return _write_rows(render(config), Path(config["out"]) / out_name, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -176,83 +210,36 @@ _PROCESS_ORDER = {"sde2": 2, "sde3": 3,
                   "sde-aligned-rho2": sde_mod.VARIANT_ALIGNED_RHO2}
 
 
-def _weighted_batch_index(family: OracleFamily, seed: int, t: int) -> int:
-    u = stream(seed, STREAM_BATCH, t).random()
-    idx = int(np.searchsorted(np.cumsum(family.weights), u, side="right"))
-    return min(idx, len(family.oracles) - 1)
-
-
-def _simulate_discrete_sam(config, spec, train, test, seed, rows) -> None:
-    sde_cfg = _sde_config(config)
-    opt_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
+def _sam_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, seed: int):
+    """advance(x, t): one SAM step on a batch drawn with probability equal to
+    its weight, the discrete process the SDE models approximate."""
+    sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
                               schedule="constant", total_steps=sde_cfg.steps,
                               grad_floor=config["grad_floor"])
-    counter = CallCounter()
-    family = mlp_family(spec, train, config["batch_size"], counter=counter)
-    x = init_params(spec, seed).values
-    state = init_state(spec.dim, seed)
-    probe_at = _probe_steps(sde_cfg.steps, config["eval_every"])
-    started = time.perf_counter()
-    for t in range(sde_cfg.steps + 1):
-        if t in probe_at:
-            rows.append(_probe_row(spec, x, spec.layout, t, "discrete-sam",
-                                   seed, train, test, counter.hvp,
-                                   config["probe_q"], started))
-        if t == sde_cfg.steps:
-            break
-        oracle = family.oracles[_weighted_batch_index(family, seed, t)]
-        x, state = optimizer_step(x, oracle, opt_cfg, state)
+    return _optimizer_process(
+        sam_cfg, family.dim, seed,
+        lambda t: family.oracles[family.pick(seed, STREAM_BATCH, t)])
 
 
-def _simulate_sde_process(config, spec, train, test, seed, process, rows) -> None:
-    sde_cfg = _sde_config(config)
-    order = _PROCESS_ORDER[process]
-    aligned = isinstance(order, str)
-    counter = CallCounter()
-    family = mlp_family(spec, train, config["batch_size"], counter=counter)
-    x = init_params(spec, seed).values
-    probe_at = _probe_steps(sde_cfg.steps, config["eval_every"])
-    started = time.perf_counter()
-    for t in range(sde_cfg.steps + 1):
-        if t in probe_at:
-            rows.append(_probe_row(spec, x, spec.layout, t, process, seed,
-                                   train, test, counter.hvp,
-                                   config["probe_q"], started))
-        if t == sde_cfg.steps:
-            break
+def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
+                 seed: int):
+    """advance(x, t): ``substeps`` Euler-Maruyama steps of the SDE model."""
+    def advance(x, t):
         for j in range(sde_cfg.substeps):
-            substep = t * sde_cfg.substeps + j
-            tau = config["grad_floor"]
-            if aligned:
-                # Aligned drifts always pair with the full diffusion.
-                dd = sde_mod.drift_aligned(family, x, order, sde_cfg.rho,
-                                           q=config["aligned_q"], seed=seed,
-                                           tau=tau,
-                                           check_gap=config["aligned_check_gap"])
-                if sde_cfg.diffusion == "exact":
-                    diff = sde_mod.sigma_exact(family, x, sde_cfg.rho,
-                                               order=3, tau=tau)
-                elif sde_cfg.diffusion == "sampled":
-                    diff = sde_mod.SampledNoise(family, x, sde_cfg.rho,
-                                                order=3, tau=tau)
-                else:
-                    diff = None
-            else:
-                dd, diff = sde_mod.sde_coefficients(family, x, sde_cfg.rho,
-                                                    order, sde_cfg.diffusion,
-                                                    tau=tau)
-            noise = None
-            if isinstance(diff, sde_mod.DiffusionModel):
-                z = stream(seed, STREAM_SDE_NOISE, substep).standard_normal(spec.dim)
-                noise = diff.sqrt @ z
-            elif isinstance(diff, sde_mod.SampledNoise):
-                noise = diff.draw(seed, substep)
+            dd, diff = sde_mod.sde_coefficients(
+                family, x, sde_cfg.rho, order, sde_cfg.diffusion,
+                tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
+                check_gap=config["aligned_check_gap"])
+            noise = None if diff is None else diff.draw(
+                seed, t * sde_cfg.substeps + j)
             x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
+        return x
+    return advance
 
 
 def _sde_config(config: dict) -> sde_mod.SdeConfig:
     try:
-        return sde_mod.SdeConfig(order=3, eta=config["eta"], rho=config["rho"],
+        return sde_mod.SdeConfig(eta=config["eta"], rho=config["rho"],
                                  steps=config["steps"],
                                  substeps=config["substeps"],
                                  diffusion=config["diffusion"])
@@ -269,22 +256,22 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
         raise ConfigError(f"unknown processes: {', '.join(unknown)}")
     config_lines = render(config)
     config_lines.append(f"rho_warning={'true' if sde_cfg.rho_warning else 'false'}")
-    out = Path(config["out"]) / out_name
-    rows: list = []
-    try:
+
+    def fill(rows):
         for seed in config["seeds"]:
             for process in config["processes"]:
+                counter = CallCounter()
+                family = mlp_family(spec, train, config["batch_size"],
+                                    counter=counter)
                 if process == "discrete-sam":
-                    _simulate_discrete_sam(config, spec, train, test, seed, rows)
+                    advance = _sam_process(config, sde_cfg, family, seed)
                 else:
-                    _simulate_sde_process(config, spec, train, test, seed,
-                                          process, rows)
-    except SamlabError as exc:
-        write_csv(out, config_lines, sort_rows(rows),
-                  error=f"{type(exc).__name__}: {exc}")
-        raise
-    write_csv(out, config_lines, sort_rows(rows))
-    return out
+                    advance = _sde_process(config, sde_cfg, family,
+                                           _PROCESS_ORDER[process], seed)
+                _trajectory(config, spec, train, test, seed, process,
+                            sde_cfg.steps, advance, counter, rows)
+
+    return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +326,9 @@ def _trained_point(config: dict, seed: int) -> tuple:
     """Model, datasets, and parameters after the configured training prefix."""
     spec, train, test = _datasets(config)
     if config["steps"] > 0:
-        local = dict(config)
-        local["eval_every"] = max(config["steps"], 1)
-        local["probe_q"] = 1
-        local["fair_compute"] = False
-        x = _train_one(local, seed, rows=[])
+        local = dict(config, eval_every=config["steps"], probe_q=1,
+                     fair_compute=False)
+        x = _train(local, spec, train, test, seed, rows=[])
     else:
         x = init_params(spec, seed).values
     return spec, train, test, x
@@ -414,7 +399,3 @@ def run_align_range(config: dict, out_name: str = "align_range.json") -> Path:
                                 "upper": hi if hi != float("inf") else "inf"},
                        Path(config["out"]) / out_name)
 
-
-def evaluate_convergence(inputs: ConvergenceInputs) -> dict:
-    eta, bound = convergence_bound(inputs)
-    return {"eta": eta, "bound": bound}

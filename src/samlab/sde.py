@@ -11,10 +11,15 @@ vectors t1 = grad f_g, t2 = H_g g / ||g||, t3 = third_g(g, g) / ||g||^2:
 
   Sigma = S11 + rho (S12 + S12^T) + rho^2 (S22 + (S13 + S13^T) / 2)
 
-A second-order model zeroes term3 and drops the rho^2 blocks. Expectations
-run over a fixed enumeration of batches, so they are exact and every probe
-here is deterministic. Batches whose gradient norm falls below the floor
-contribute zero to terms 2-3 and to their centered covariance vectors.
+A second-order model zeroes term3 and drops the rho^2 blocks. The aligned
+orders ("aligned-rho", "aligned-rho2") keep term1, replace term3 with the
+expected gradient of the top batch eigenvalue (and, for "aligned-rho2",
+term2 with E[s* lam1 v1]), and pair with the third-order diffusion.
+:func:`sde_coefficients` gives drift and diffusion for all four orders from
+one evaluation of the per-batch vectors. Expectations run over a fixed
+enumeration of batches, so they are exact and every probe here is
+deterministic. Batches whose gradient norm falls below the floor contribute
+zero to terms 2-3 and to their centered covariance vectors.
 
 The per-batch vectors come from two tape passes per batch: a gradient, then
 one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for
@@ -44,6 +49,7 @@ SECOND_MOMENT_LIMIT = 64
 
 VARIANT_ALIGNED_RHO = "aligned-rho"
 VARIANT_ALIGNED_RHO2 = "aligned-rho2"
+ALIGNED = (VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2)
 
 
 @dataclass(frozen=True)
@@ -66,20 +72,21 @@ class DiffusionModel:
     rho: float
     order: int
 
+    def draw(self, seed: int, step: int) -> np.ndarray:
+        """sqrt(Sigma) z for the standard normal z of the (seed, step) stream."""
+        return self.sqrt @ stream(seed, STREAM_SDE_NOISE, step).standard_normal(
+            len(self.sqrt))
+
 
 @dataclass(frozen=True)
 class SdeConfig:
-    order: int | str = 3          # 2, 3, "aligned-rho", "aligned-rho2"
     eta: float = 0.01
     rho: float = 0.0
     steps: int = 0                # horizon in eta-sized units (T = steps * eta)
     substeps: int = 1             # integrator steps per unit (dt = eta / substeps)
     diffusion: str = "exact"      # exact | sampled | none
-    seed: int = 0
 
     def __post_init__(self):
-        if self.order not in (2, 3, VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2):
-            raise ValueError(f"unknown SDE order {self.order!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.substeps < 1:
@@ -149,14 +156,16 @@ def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
 
 
 def drift(family: OracleFamily, x, order: int, rho: float,
-          tau: float = GRAD_FLOOR) -> DriftDecomposition:
+          tau: float = GRAD_FLOOR, terms: tuple | None = None) -> DriftDecomposition:
     """Three-term drift at x; order 2 zeroes the cubic term."""
     x = np.asarray(x, dtype=np.float64)
     if order not in (2, 3):
         raise ValueError("drift order must be 2 or 3")
-    t1s, t2s, t3s = _per_batch_terms(family, x, need_third=(order == 3), tau=tau)
+    t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
+        family, x, need_third=(order == 3), tau=tau)
+    term3 = family.mean(t3s) if order == 3 else np.zeros(family.dim)
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(t2s),
-                              term3=family.mean(t3s), rho=rho)
+                              term3=term3, rho=rho)
 
 
 def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
@@ -180,56 +189,60 @@ def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
                           clipped_mass=clipped, rho=rho, order=order)
 
 
-def sde_coefficients(family: OracleFamily, x, rho: float, order: int,
-                     diffusion: str, tau: float = GRAD_FLOOR) -> tuple:
+def sde_coefficients(family: OracleFamily, x, rho: float, order,
+                     diffusion: str, tau: float = GRAD_FLOOR, q: int = 50,
+                     seed: int = 0, check_gap: bool = True) -> tuple:
     """Drift and diffusion at x from one evaluation of the per-batch terms.
 
-    On a stacked family that evaluation is two tape passes per stack: a
+    ``order`` is 2, 3, "aligned-rho" or "aligned-rho2". The aligned orders
+    take their drift from :func:`drift_aligned` (``q``, ``seed`` and
+    ``check_gap`` go there) and always pair with the third-order diffusion.
+    On a stacked family the evaluation is two tape passes per stack: a
     degree-0 pass whose adjoint rows are the batch gradients, then one pass
-    along the unit gradients (degree 1 for order 2, degree 2 for order 3)
-    whose adjoint rows give H_b u_b and third_b(u_b, u_b). Order 3 needs
-    d <= 512, as the dense third-order vectors do.
+    along the unit gradients (degree 1 for order 2 and for aligned orders
+    without diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b
+    and third_b(u_b, u_b). A degree-2 pass needs d <= 512, as the dense
+    third-order vectors do.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
     """
     x = np.asarray(x, dtype=np.float64)
-    if order not in (2, 3):
-        raise ValueError("sde_coefficients expects order 2 or 3")
-    terms = _per_batch_terms(family, x, need_third=(order == 3), tau=tau)
-    dd = DriftDecomposition(term1=family.mean(terms[0]),
-                            term2=family.mean(terms[1]),
-                            term3=family.mean(terms[2]), rho=rho)
-    if diffusion == "none":
-        return dd, None
+    if order not in (2, 3) + ALIGNED:
+        raise ValueError(f"unknown SDE order {order!r}")
+    if diffusion not in ("exact", "sampled", "none"):
+        raise ValueError(f"unknown diffusion mode {diffusion!r}")
+    aligned = order in ALIGNED
+    need_third = order == 3 or (aligned and diffusion != "none")
+    terms = _per_batch_terms(family, x, need_third=need_third, tau=tau)
+    if aligned:
+        dd = drift_aligned(family, x, order, rho, q=q, seed=seed, tau=tau,
+                           check_gap=check_gap, terms=terms)
+    else:
+        dd = drift(family, x, order, rho, tau=tau, terms=terms)
+    diffusion_order = 3 if aligned else order
     if diffusion == "exact":
-        return dd, sigma_exact(family, x, rho, order=order, tau=tau, terms=terms)
+        return dd, sigma_exact(family, x, rho, order=diffusion_order, tau=tau,
+                               terms=terms)
     if diffusion == "sampled":
-        return dd, SampledNoise(family, x, rho, order=order, tau=tau, terms=terms)
-    raise ValueError(f"unknown diffusion mode {diffusion!r}")
-
-
-def _centered(family, vectors, mean, degenerate):
-    out = []
-    for vec, dg in zip(vectors, degenerate):
-        out.append(np.zeros_like(mean) if dg else vec - mean)
-    return out
+        return dd, SampledNoise(family, x, rho, order=diffusion_order, tau=tau,
+                                terms=terms)
+    return dd, None
 
 
 def _assemble_sigma(family, t1s, t2s, t3s, rho, order, tau):
-    degenerate = [np.linalg.norm(g) < tau for g in t1s]
-    mean1 = family.mean(t1s)
-    c1 = [g - mean1 for g in t1s]
-    c2 = _centered(family, t2s, family.mean(t2s), degenerate)
-    w = family.weights
-    s11 = sum(wi * np.outer(a, a) for wi, a in zip(w, c1))
-    s12 = sum(wi * np.outer(a, b) for wi, a, b in zip(w, c1, c2))
-    sigma = s11 + rho * (s12 + s12.T)
+    """Sigma from weighted products of the centered per-batch rows; the t2
+    and t3 rows of batches under the gradient floor are zero."""
+    w = family.weights[:, None]
+    live = (np.linalg.norm(t1s, axis=1) >= tau)[:, None]
+    c1 = t1s - family.mean(t1s)
+    c2 = np.where(live, t2s - family.mean(t2s), 0.0)
+    s12 = c1.T @ (w * c2)
+    sigma = c1.T @ (w * c1) + rho * (s12 + s12.T)
     if order == 3:
-        c3 = _centered(family, t3s, family.mean(t3s), degenerate)
-        s22 = sum(wi * np.outer(b, b) for wi, b in zip(w, c2))
-        s13 = sum(wi * np.outer(a, c) for wi, a, c in zip(w, c1, c3))
-        sigma = sigma + rho ** 2 * (s22 + 0.5 * (s13 + s13.T))
+        c3 = np.where(live, t3s - family.mean(t3s), 0.0)
+        s13 = c1.T @ (w * c3)
+        sigma = sigma + rho ** 2 * (c2.T @ (w * c2) + 0.5 * (s13 + s13.T))
     return sigma
 
 
@@ -248,21 +261,11 @@ class SampledNoise:
             family, x, need_third=(order == 3), tau=tau)
         self.table = np.asarray([t1 + rho * t2 + 0.5 * rho ** 2 * t3
                                  for t1, t2, t3 in zip(t1s, t2s, t3s)])
-        self.weights = family.weights
-        self.mean = self.weights @ self.table
-        self.cum = np.cumsum(self.weights)
+        self.family = family
+        self.mean = family.weights @ self.table
 
     def draw(self, seed: int, step: int) -> np.ndarray:
-        u = stream(seed, STREAM_SDE_NOISE, step).random()
-        idx = int(np.searchsorted(self.cum, u, side="right"))
-        idx = min(idx, len(self.table) - 1)
-        return self.table[idx] - self.mean
-
-
-def noise_sampled(family: OracleFamily, x, rho: float, seed: int,
-                  step: int = 0, order: int = 3) -> np.ndarray:
-    """One draw of the sampled diffusion noise (see SampledNoise)."""
-    return SampledNoise(family, x, rho, order=order).draw(seed, step)
+        return self.table[self.family.pick(seed, STREAM_SDE_NOISE, step)] - self.mean
 
 
 def euler_maruyama_step(x: np.ndarray, cfg: SdeConfig, drift_vec: np.ndarray,
@@ -278,7 +281,8 @@ def euler_maruyama_step(x: np.ndarray, cfg: SdeConfig, drift_vec: np.ndarray,
 
 def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
                   q: int = 50, seed: int = 0, tau: float = GRAD_FLOOR,
-                  check_gap: bool = True) -> DriftDecomposition:
+                  check_gap: bool = True,
+                  terms: tuple | None = None) -> DriftDecomposition:
     """Aligned-regime drifts: the cubic term becomes the expected gradient of
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
@@ -287,9 +291,10 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     of the batch gradient. A vanishing eigenvalue gap raises GapViolated.
     """
     x = np.asarray(x, dtype=np.float64)
-    if variant not in (VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2):
+    if variant not in ALIGNED:
         raise ValueError(f"unknown aligned variant {variant!r}")
-    t1s, t2s_raw, _ = _per_batch_terms(family, x, need_third=False, tau=tau)
+    t1s, t2s_raw, _ = terms if terms is not None else _per_batch_terms(
+        family, x, need_third=False, tau=tau)
     term2s, term3s = [], []
     zero = np.zeros(family.dim)
     for b, oracle in enumerate(family.oracles):
@@ -361,21 +366,25 @@ def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
     rho_grid = [float(r) for r in rho_grid]
     rows = []
     grads = [o.grad(x) for o in family.oracles]
+    # The per-batch terms do not depend on rho, and order 2 reads only t1, t2.
+    terms = _per_batch_terms(family, x, need_third=True, tau=tau)
     for rho in rho_grid:
         deltas = []
         for oracle, g in zip(family.oracles, grads):
             eps = sam_perturbation(g, tau)
             deltas.append(-eta * oracle.grad(x + rho * eps))
         mean_delta = family.mean(deltas)
+        if with_second:
+            second = sum(w * np.outer(dl, dl)
+                         for w, dl in zip(family.weights, deltas))
         e1 = {}
         e2 = {}
         for order in (3, 2):
-            d = drift(family, x, order, rho, tau=tau).combined()
+            d = drift(family, x, order, rho, tau=tau, terms=terms).combined()
             e1[order] = float(np.linalg.norm(mean_delta + eta * d))
             if with_second:
-                second = sum(w * np.outer(dl, dl)
-                             for w, dl in zip(family.weights, deltas))
-                sig = sigma_exact(family, x, rho, order=order, tau=tau).sigma
+                sig = sigma_exact(family, x, rho, order=order, tau=tau,
+                                  terms=terms).sigma
                 target = eta ** 2 * (np.outer(d, d) + sig)
                 e2[order] = float(np.linalg.norm(second - target))
             else:

@@ -8,9 +8,8 @@ from samlab import engine as eng
 from samlab.data import gen_synthetic
 from samlab.errors import DimensionTooLarge, NonFiniteLoss, ZeroDirection
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.oracle import (ParamVector, analytic_oracle, grad, hvp, loss,
-                           polynomial_oracle_1d, quadratic_oracle,
-                           third_directional)
+from samlab.oracle import (ParamVector, analytic_oracle, polynomial_oracle_1d,
+                           quadratic_oracle)
 
 
 def mlp_282():
@@ -28,7 +27,7 @@ class TestLoss:
         spec = MlpSpec((3, 4))
         x = ParamVector(np.zeros(spec.dim), spec.layout)  # zero weights: equal logits
         oracle = mlp_oracle(spec, np.ones((5, 3)), np.zeros(5, dtype=int))
-        assert loss(oracle, x) == pytest.approx(np.log(4.0), rel=1e-12)
+        assert oracle.loss(x) == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_mlp_matches_straightline_forward(self):
         spec, ds, oracle, x = mlp_282()
@@ -50,7 +49,7 @@ class TestLoss:
 class TestGrad:
     def test_quadratic(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
-        assert grad(oracle, ParamVector(np.array([3.0]))).values[0] == pytest.approx(3.0)
+        assert oracle.grad(ParamVector(np.array([3.0])))[0] == pytest.approx(3.0)
 
     def test_zero_at_interpolating_minimum(self):
         # Linear map that reproduces the targets exactly: MSE gradient is 0.
@@ -69,7 +68,8 @@ class TestGrad:
 
     def test_layout_preserved(self):
         spec, _, oracle, x = mlp_282()
-        assert grad(oracle, x).layout == x.layout
+        # ParamVector refuses a layout that does not cover the gradient.
+        assert ParamVector(oracle.grad(x), oracle.layout).layout == x.layout
 
 
 class TestHvp:

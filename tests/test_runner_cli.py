@@ -108,6 +108,17 @@ class TestRunTrain:
         assert counts == sorted(counts)
         assert counts[-1] > 0
 
+    def test_hvp_count_is_the_optimizer_budget(self, tmp_path):
+        # Eigen-SAM refreshes at steps 1, 6, 11, ... with q + 2 HVPs each;
+        # EGR spends one per step; SAM none.
+        expected = {"eigensam": [0, 5, 10, 15], "egr": [0, 5, 10, 15],
+                    "sam": [0, 0, 0, 0]}
+        for method, counts in expected.items():
+            run_train(train_cfg(tmp_path / method, method=method, p=5, q=3,
+                                steps=15, eval_every=5))
+            _, rows, _ = read_csv(tmp_path / method / "train.csv")
+            assert [r.hvp_count for r in rows] == counts, method
+
     def test_eigensam_alpha0_matches_sam_rows(self, tmp_path):
         run_train(train_cfg(tmp_path / "sam", method="sam"))
         run_train(train_cfg(tmp_path / "eig", method="eigensam", alpha=0.0))
@@ -129,18 +140,13 @@ class TestRunTrain:
         assert rows[-1].step == 40
 
     def test_separable_data_reaches_full_accuracy(self, tmp_path):
-        from samlab.data import gen_synthetic
-        from samlab.models import MlpSpec, accuracy
+        from samlab.models import accuracy
         from samlab.oracle import ParamVector
-        from samlab.runner import _train_one
+        from samlab.runner import _trained_point
 
         cfg = train_cfg(tmp_path, steps=500, eval_every=500, data_margin=8.0,
                         lr=0.2, data_n=64, test_n=64)
-        x = _train_one(cfg, seed=0, rows=[])
-        spec = MlpSpec(cfg["model_layers"])
-        train = gen_synthetic(cfg["data_n"], cfg["data_dim"],
-                              cfg["data_classes"], cfg["data_margin"],
-                              cfg["data_seed"], "train")
+        spec, train, _test, x = _trained_point(cfg, seed=0)
         pv = ParamVector(x, spec.layout)
         assert accuracy(spec, pv, train.inputs, train.labels) == 1.0
         run_train(cfg)
@@ -226,6 +232,54 @@ class TestRunSimulateSde:
         procs = {r.process for r in rows}
         assert procs == {"sde-aligned-rho", "sde-aligned-rho2"}
         assert all(np.isfinite(r.train_loss) for r in rows)
+
+    def test_aligned_exact_diffusion_evaluates_terms_once(self, tmp_path,
+                                                         monkeypatch):
+        # An aligned process takes drift and diffusion from one evaluation of
+        # the per-batch terms per substep, with the values of two.
+        from samlab import sde
+        from samlab.data import mlp_family
+
+        cfg = sde_cfg(tmp_path, steps=2, substeps=2, eval_every=2,
+                      diffusion="exact", aligned_q=10,
+                      processes="sde-aligned-rho,sde-aligned-rho2")
+        calls, sigmas, states = [], [], []
+        terms, sigma_exact, em_step = (sde._per_batch_terms, sde.sigma_exact,
+                                       sde.euler_maruyama_step)
+
+        def counted_terms(*args, **kwargs):
+            calls.append(1)
+            return terms(*args, **kwargs)
+
+        def kept_sigma(*args, **kwargs):
+            model = sigma_exact(*args, **kwargs)
+            sigmas.append(model.sigma)
+            return model
+
+        def kept_step(x, sde_config, drift_vec, noise):
+            states.append((x, drift_vec))
+            return em_step(x, sde_config, drift_vec, noise)
+
+        monkeypatch.setattr(sde, "_per_batch_terms", counted_terms)
+        monkeypatch.setattr(sde, "sigma_exact", kept_sigma)
+        monkeypatch.setattr(sde, "euler_maruyama_step", kept_step)
+        run_simulate_sde(cfg)
+        monkeypatch.undo()
+        substeps = 2 * 2 * 2  # processes x steps x substeps
+        assert len(states) == len(sigmas) == substeps
+        assert len(calls) == substeps
+
+        spec, train, _ = runner._datasets(cfg)
+        family = mlp_family(spec, train, cfg["batch_size"])
+        tau = cfg["grad_floor"]
+        variants = [sde.VARIANT_ALIGNED_RHO2 if i >= 4 else sde.VARIANT_ALIGNED_RHO
+                    for i in range(substeps)]
+        for variant, (x, drift_vec), sigma in zip(variants, states, sigmas):
+            dd = sde.drift_aligned(family, x, variant, cfg["rho"], q=10,
+                                   seed=0, tau=tau)
+            np.testing.assert_array_equal(drift_vec, dd.combined())
+            want = sde.sigma_exact(family, x, cfg["rho"], order=3, tau=tau)
+            np.testing.assert_array_equal(sigma, want.sigma)
 
     def test_byte_identical_reproduction(self, tmp_path):
         pa = run_simulate_sde(sde_cfg(tmp_path / "a", diffusion="sampled"))

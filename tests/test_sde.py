@@ -9,7 +9,7 @@ from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
 from samlab.oracle import analytic_oracle, polynomial_oracle_1d, quadratic_oracle
 from samlab.sde import (SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
                         VARIANT_ALIGNED_RHO2, DriftDecomposition, drift,
-                        drift_aligned, euler_maruyama_step, noise_sampled,
+                        drift_aligned, euler_maruyama_step,
                         one_step_moment_probe, sde_coefficients, sigma_exact)
 from samlab.toys import TOYS
 
@@ -113,7 +113,7 @@ class TestSampledNoise:
     def test_single_batch_always_zero(self):
         fam = analytic_family([quadratic_oracle(np.diag([2.0, 1.0]))])
         for k in range(5):
-            out = noise_sampled(fam, np.array([1.0, -1.0]), 0.2, seed=3, step=k)
+            out = SampledNoise(fam, np.array([1.0, -1.0]), 0.2).draw(3, k)
             np.testing.assert_array_equal(out, 0.0)
 
     def test_mean_and_covariance(self):
@@ -130,22 +130,22 @@ class TestSampledNoise:
 
     def test_deterministic_per_step(self):
         fam, x0 = TOYS["twobatch2d"]()
-        a = noise_sampled(fam, x0, 0.1, seed=2, step=7)
-        b = noise_sampled(fam, x0, 0.1, seed=2, step=7)
+        a = SampledNoise(fam, x0, 0.1).draw(2, 7)
+        b = SampledNoise(fam, x0, 0.1).draw(2, 7)
         np.testing.assert_array_equal(a, b)
 
 
 class TestEulerMaruyama:
     def test_gradient_flow_step(self):
         fam = analytic_family([quadratic_oracle(np.array([[1.0]]))])
-        cfg = SdeConfig(order=3, eta=0.1, rho=0.0, steps=1)
+        cfg = SdeConfig(eta=0.1, rho=0.0, steps=1)
         dd = drift(fam, np.array([1.0]), 3, 0.0)
         out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
         assert out[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_noise_increment_variance(self):
         # Zero drift, identity covariance: per-coordinate variance eta * dt.
-        cfg = SdeConfig(order=3, eta=0.01, rho=0.0, steps=1)
+        cfg = SdeConfig(eta=0.01, rho=0.0, steps=1)
         rng = np.random.default_rng(0)
         incs = np.array([euler_maruyama_step(np.zeros(2), cfg, np.zeros(2),
                                              rng.standard_normal(2))
@@ -156,29 +156,29 @@ class TestEulerMaruyama:
 
     def test_third_order_drift_cubic(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
-        cfg = SdeConfig(order=3, eta=0.01, rho=0.1, steps=1)
+        cfg = SdeConfig(eta=0.01, rho=0.1, steps=1)
         dd = drift(fam, np.array([1.0]), 3, 0.1)
         out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
         assert out[0] == pytest.approx(0.9637, abs=1e-12)
 
     def test_nonfinite_state(self):
-        cfg = SdeConfig(order=3, eta=0.1, rho=0.0, steps=1)
+        cfg = SdeConfig(eta=0.1, rho=0.0, steps=1)
         with pytest.raises(NonFiniteState):
             euler_maruyama_step(np.array([1.0]), cfg, np.array([np.inf]), None)
 
     def test_substep_guard(self):
         with pytest.raises(ValueError):
-            SdeConfig(order=3, eta=0.1, rho=0.0, steps=1, substeps=0)
+            SdeConfig(eta=0.1, rho=0.0, steps=1, substeps=0)
 
     def test_rho_warning_flag(self):
-        assert SdeConfig(order=3, eta=0.01, rho=0.3, steps=1).rho_warning
-        assert not SdeConfig(order=3, eta=0.01, rho=0.2, steps=1).rho_warning
+        assert SdeConfig(eta=0.01, rho=0.3, steps=1).rho_warning
+        assert not SdeConfig(eta=0.01, rho=0.2, steps=1).rho_warning
 
     def test_richardson_halving(self):
         fam, x0 = TOYS["twobatch2d"]()
 
         def endpoint(substeps):
-            cfg = SdeConfig(order=3, eta=0.05, rho=0.1, steps=20,
+            cfg = SdeConfig(eta=0.05, rho=0.1, steps=20,
                             substeps=substeps, diffusion="none")
             x = x0.copy()
             for _ in range(cfg.steps):
