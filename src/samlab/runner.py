@@ -114,11 +114,13 @@ def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
 
 def _trajectory(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
                 seed: int, process: str, steps: int, advance,
-                counter: CallCounter, rows: list) -> np.ndarray:
+                counter: CallCounter, rows: list | None) -> np.ndarray:
     """Advance from the seed's initialization for ``steps`` steps, appending
-    a metric row every ``eval_every`` steps and at the last; returns x."""
+    a metric row every ``eval_every`` steps and at the last; returns x.
+    With ``rows=None`` no row is computed."""
     x = init_params(spec, seed).values
-    probe_at = set(range(0, steps + 1, config["eval_every"])) | {steps}
+    probe_at = (set() if rows is None else
+                set(range(0, steps + 1, config["eval_every"])) | {steps})
     started = time.perf_counter()
     for t in range(steps + 1):
         if t in probe_at:
@@ -173,7 +175,7 @@ def _optimizer_config(config: dict, total_steps: int) -> OptimizerConfig:
 
 
 def _train(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-           seed: int, rows: list) -> np.ndarray:
+           seed: int, rows: list | None) -> np.ndarray:
     """One training trajectory on sampled mini-batches; returns the end x."""
     steps = config["steps"]
     if config["fair_compute"] and config["method"] == "sgd":
@@ -326,15 +328,20 @@ def _trained_point(config: dict, seed: int) -> tuple:
     """Model, datasets, and parameters after the configured training prefix."""
     spec, train, test = _datasets(config)
     if config["steps"] > 0:
-        local = dict(config, eval_every=config["steps"], probe_q=1,
-                     fair_compute=False)
-        x = _train(local, spec, train, test, seed, rows=[])
+        x = _train(dict(config, fair_compute=False), spec, train, test, seed,
+                   rows=None)
     else:
         x = init_params(spec, seed).values
     return spec, train, test, x
 
 
 def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
+    dim = _model_spec(config).dim
+    if not 1 <= config["k"] <= min(64, dim):
+        raise ConfigError(f"k must be in [1, {min(64, dim)}] for a model "
+                          f"with {dim} parameters")
+    if config["spectrum_q"] < 1:
+        raise ConfigError("spectrum_q must be >= 1")
     per_seed = []
     for seed in config["seeds"]:
         spec, train, _test, x = _trained_point(config, seed)

@@ -287,8 +287,10 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
 
-    Per batch, v1 comes from power iteration and s* from the alignment sign
-    of the batch gradient. A vanishing eigenvalue gap raises GapViolated.
+    Per batch, v1 comes from the top-2 Lanczos spectrum (with ``check_gap``;
+    a vanishing eigenvalue gap raises GapViolated) or from q rounds of power
+    iteration (without), and s* from the alignment sign of the batch
+    gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:

@@ -6,9 +6,9 @@ import pytest
 from helpers import matrix_with_spectrum, random_symmetric
 from samlab.data import gen_synthetic
 from samlab.errors import DegenerateVector, ZeroIterate
-from samlab.hessian import (AlignmentReport, EigenEstimate, align,
-                            hutchinson_trace, power_iteration, sharpness_proxy,
-                            spectrum_deflated)
+from samlab.hessian import (CONVERGED_RTOL, AlignmentReport, EigenEstimate,
+                            align, hutchinson_trace, power_iteration,
+                            sharpness_proxy, spectrum_deflated)
 from samlab.models import MlpSpec, init_params, mlp_oracle
 from samlab.optim import OptimizerConfig, init_state, sam_step
 from samlab.oracle import quadratic_oracle
@@ -136,13 +136,18 @@ class TestSpectrumDeflated:
         np.testing.assert_allclose(rep.values, [5.0, 2.0, 1.0], atol=1e-5)
         assert np.all(rep.converged)
 
-    def test_k1_equals_power_iteration(self):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_k1_and_k3_match_dense(self, k):
+        # Spectrum from -3.731 to 3.801; by magnitude the top three are
+        # 3.801, -3.731, -2.820, of mixed sign.
         a = random_symmetric(8, seed=9)
-        oracle = quadratic_oracle(a)
-        est = power_iteration(oracle, np.zeros(8), q=40, seed=4)
-        rep = spectrum_deflated(oracle, np.zeros(8), k=1, q=40, seed=4, m_trace=0)
-        assert rep.values[0] == pytest.approx(est.value, abs=1e-12)
-        np.testing.assert_allclose(rep.vectors[0], est.vector, atol=1e-12)
+        rep = spectrum_deflated(quadratic_oracle(a), np.zeros(8), k=k, q=40,
+                                seed=4, m_trace=0)
+        dense = sorted(np.linalg.eigvalsh(a), key=abs, reverse=True)[:k]
+        np.testing.assert_allclose(rep.values, dense, atol=1e-10)
+        assert np.all(rep.converged)
+        for lam, v in zip(rep.values, rep.vectors):
+            np.testing.assert_allclose(a @ v, lam * v, atol=1e-8)
 
     def test_matches_dense_eigensolver_64(self):
         # Geometric spectrum: every consecutive-pair gap is 10%, so the
@@ -153,11 +158,48 @@ class TestSpectrumDeflated:
         dense = np.sort(np.linalg.eigvalsh(a))[::-1][:5]
         np.testing.assert_allclose(rep.values, dense, atol=1e-5)
 
-    def test_opposite_sign_pair_flagged(self):
+    def test_opposite_sign_pair_resolved(self):
         oracle = quadratic_oracle(np.diag([3.0, -3.0, 1.0]))
-        rep = spectrum_deflated(oracle, np.zeros(3), k=1, q=60, seed=0, m_trace=0)
-        assert not rep.converged[0]
-        assert rep.residuals[0] > 1e-3
+        rep = spectrum_deflated(oracle, np.zeros(3), k=2, q=60, seed=0, m_trace=0)
+        np.testing.assert_allclose(sorted(rep.values), [-3.0, 3.0], atol=1e-10)
+        assert np.all(rep.converged)
+
+    def test_small_budget_reports_unconverged_honestly(self):
+        # Two Krylov vectors per pair cannot resolve a 50x50 spectrum.
+        a = random_symmetric(50, seed=3)
+        rep = spectrum_deflated(quadratic_oracle(a), np.zeros(50), k=3, q=2,
+                                seed=0, m_trace=0)
+        assert not np.any(rep.converged)
+        for lam, v, res, flag in zip(rep.values, rep.vectors, rep.residuals,
+                                     rep.converged):
+            assert res == pytest.approx(np.linalg.norm(a @ v - lam * v),
+                                        rel=1e-9)
+            assert flag == (res <= CONVERGED_RTOL * max(1.0, abs(lam)))
+
+    @pytest.mark.parametrize("diag, k", [([1.0] * 4, 2),
+                                         ([2.0, 2.0, 2.0, 1.0, 1.0], 3)])
+    def test_breakdown_restarts_find_repeated_eigenvalues(self, diag, k):
+        # A Krylov block holds one vector per distinct eigenvalue, so every
+        # repeated copy needs a restart after the block breaks down.
+        oracle = quadratic_oracle(np.diag(diag))
+        rep = spectrum_deflated(oracle, np.zeros(len(diag)), k=k, q=20,
+                                seed=0, m_trace=0)
+        np.testing.assert_allclose(rep.values, [max(diag)] * k, atol=1e-12)
+        assert np.all(rep.converged)
+        np.testing.assert_allclose(rep.vectors @ rep.vectors.T, np.eye(k),
+                                   atol=1e-12)
+
+    def test_hvp_calls_counted_and_capped(self):
+        from samlab.oracle import CallCounter
+
+        a = matrix_with_spectrum(10.0 * 0.9 ** np.arange(64), seed=10)
+        for k, q, m_trace in ((5, 300, 0), (4, 3, 8), (2, 40, 16)):
+            counter = CallCounter()
+            rep = spectrum_deflated(quadratic_oracle(a, counter=counter),
+                                    np.zeros(64), k=k, q=q, seed=1,
+                                    m_trace=m_trace)
+            assert rep.hvp_calls == counter.hvp
+            assert rep.hvp_calls <= k * (q + 1) + m_trace
 
     def test_k_validation(self):
         oracle = quadratic_oracle(np.eye(2))
@@ -165,6 +207,10 @@ class TestSpectrumDeflated:
             spectrum_deflated(oracle, np.zeros(2), k=0, q=5, seed=0)
         with pytest.raises(ValueError):
             spectrum_deflated(oracle, np.zeros(2), k=65, q=5, seed=0)
+        with pytest.raises(ValueError):
+            spectrum_deflated(oracle, np.zeros(2), k=3, q=5, seed=0)
+        with pytest.raises(ValueError):
+            spectrum_deflated(oracle, np.zeros(2), k=1, q=0, seed=0)
 
 
 class TestHutchinson:

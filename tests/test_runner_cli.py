@@ -315,6 +315,34 @@ class TestProbeRunners:
         assert len(spec0["eigenvalues"]) == 3
         assert spec0["hvp_calls"] > 0
 
+    def test_spectrum_repeat_runs_byte_identical(self, tmp_path):
+        cfg = resolve("spectrum", {"out": str(tmp_path), "model_layers": "2,4,2",
+                                   "data_n": "32", "test_n": "16", "steps": "5",
+                                   "batch_size": "8", "k": "3",
+                                   "spectrum_q": "30", "m_trace": "8",
+                                   "seeds": "0,1"})
+        first = run_spectrum(cfg)
+        second = run_spectrum(cfg, out_name="again.json")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_trained_point_computes_no_probe_rows(self, tmp_path, monkeypatch):
+        cfg = resolve("spectrum", {"out": str(tmp_path), "model_layers": "2,4,2",
+                                   "data_n": "32", "test_n": "16",
+                                   "batch_size": "8", "steps": "12"})
+        spec, train, test, _ = runner._trained_point(dict(cfg, steps=0), seed=0)
+        rows = []
+        probed = runner._train(dict(cfg, eval_every=4, probe_q=3,
+                                    fair_compute=False),
+                               spec, train, test, 0, rows)
+        assert len(rows) == 4
+
+        def no_probes(*args, **kwargs):
+            raise AssertionError("_trained_point computed a probe row")
+
+        monkeypatch.setattr(runner, "_probe_row", no_probes)
+        _spec, _train, _test, x = runner._trained_point(cfg, seed=0)
+        assert x.tobytes() == probed.tobytes()
+
     def test_power_curve_json(self, tmp_path):
         from samlab.runner import run_probe_power
 
@@ -350,6 +378,15 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         assert main(["train", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
         assert main(["bound", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("sets", [["k=0"], ["model_layers=2,2,2", "k=20"]])
+    def test_spectrum_k_outside_the_dimension_exit_two(self, tmp_path, capsys,
+                                                       sets):
+        # A 2,2,2 model has 12 parameters, so it has no 20 eigenvalues.
+        args = [item for kv in sets for item in ("--set", kv)]
+        assert main(["spectrum", "--out", str(tmp_path), *args]) == 2
+        assert "k must be in [1, " in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.json").exists()
 
     def test_numeric_error_exit_three(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--set", "lr=1e155",
