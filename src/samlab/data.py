@@ -128,7 +128,8 @@ def enumeration_batches(n: int, batch_size: int) -> list:
 
 
 def sample_batch(sampler: BatchSampler, dataset: Dataset, step: int) -> np.ndarray:
-    """Index set for the given step, fully determined by (seed, policy, step)."""
+    """Index set for the given step, fully determined by (seed, policy, step).
+    Shuffled batches are read-only views of their epoch's permutation."""
     n = dataset.n
     if n == 0:
         raise EmptyDataset("dataset has no rows")
@@ -145,8 +146,17 @@ def sample_batch(sampler: BatchSampler, dataset: Dataset, step: int) -> np.ndarr
     if per_epoch == 0:
         raise EmptyDataset(f"batch size {b} exceeds dataset size {n}")
     epoch, slot = divmod(step, per_epoch)
-    perm = stream(sampler.seed, STREAM_BATCH, epoch).permutation(n)
+    perm = _epoch_permutation(sampler.seed, epoch, n)
     return perm[slot * b:(slot + 1) * b]
+
+
+@functools.lru_cache(maxsize=32)
+def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
+    """The shuffle of one epoch, drawn once and shared by its steps; it is
+    read-only, so a caller cannot change the batches of later steps."""
+    perm = stream(seed, STREAM_BATCH, epoch).permutation(n)
+    perm.flags.writeable = False
+    return perm
 
 
 class OracleFamily:

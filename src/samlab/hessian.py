@@ -34,18 +34,29 @@ BREAKDOWN_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class EigenEstimate:
-    """Rayleigh-quotient estimate: value, unit vector, residual ||Hv - lam v||."""
+    """Rayleigh-quotient estimate: value, unit vector, residual ||Hv - lam v||.
 
-    value: float
+    A stacked estimate holds one row per seed: ``value`` and ``residual``
+    of shape (S,), ``vector`` of shape (S, d). ``hvp_calls`` is per row.
+    """
+
+    value: float | np.ndarray
     vector: np.ndarray
-    residual: float
+    residual: float | np.ndarray
     iterations: int
     hvp_calls: int
     shift: float = 0.0
 
     @property
-    def converged(self) -> bool:
-        return self.residual <= CONVERGED_RTOL * max(1.0, abs(self.value))
+    def values(self) -> np.ndarray:
+        """The value of each row, as in :class:`SpectrumReport`."""
+        return np.atleast_1d(self.value)
+
+    @property
+    def converged(self) -> np.ndarray:
+        """One flag per row: residual <= CONVERGED_RTOL max(1, |value|)."""
+        return np.atleast_1d(self.residual <= CONVERGED_RTOL
+                             * np.maximum(1.0, np.abs(self.value)))
 
 
 @dataclass(frozen=True)
@@ -72,24 +83,38 @@ def _as_array(x) -> np.ndarray:
     return x.values if isinstance(x, ParamVector) else np.asarray(x, dtype=np.float64)
 
 
-def _unit_start(dim: int, seed: int, substream: int, v0) -> np.ndarray:
+def _unit_start(dim: int, seed, substream: int, v0) -> np.ndarray:
+    """v0 normalized, else the seeded unit start; a sequence of seeds gives
+    one row per seed."""
     if v0 is not None:
         v0 = _as_array(v0)
         n = np.linalg.norm(v0)
         if n == 0.0:
             raise DegenerateVector("start vector must be nonzero")
         return v0 / n
+    if np.ndim(seed):
+        return np.stack([_unit_start(dim, s, substream, None) for s in seed])
     v = stream(seed, STREAM_POWER, substream).standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def power_iteration(oracle: LossOracle, x, q: int, seed: int,
+def power_iteration(oracle: LossOracle, x, q: int, seed,
                     v0: np.ndarray | None = None, shift: float = 0.0,
-                    substream: int = 0) -> EigenEstimate:
+                    substream: int = 0, release: bool = False) -> EigenEstimate:
     """q rounds of v <- Hv/||Hv|| from a seeded random unit start.
 
     Uses exactly q + 2 HVPs: q iterations, one for the Rayleigh quotient,
-    and one more for the residual.
+    and one more for the residual. With ``release`` each HVP's tape is
+    freed as soon as its result is out instead of waiting for the cyclic
+    garbage collector (see :func:`samlab.oracle.jet_pass`). That lowers the
+    peak where tapes of several iterations would pile up, but memory freed
+    at once can go back to the operating system and be page-faulted in
+    again by the next passes, so it is not the default.
+
+    A stacked x of shape (S, d), on an oracle whose builder sums S per-row
+    losses, with a sequence of S seeds, iterates every row at once: row s
+    starts from seed s's stream and each round is one stacked HVP. Any row
+    whose iterate vanishes raises ZeroIterate for all.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -97,18 +122,20 @@ def power_iteration(oracle: LossOracle, x, q: int, seed: int,
     v = _unit_start(oracle.dim, seed, substream, v0)
 
     def apply(vec):
-        hv = oracle.hvp(x, vec)
+        hv = oracle.hvp(x, vec, release=release)
         return hv + shift * vec if shift != 0.0 else hv
 
     for _ in range(q):
         w = apply(v)
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
+        norm = np.linalg.norm(w, axis=-1, keepdims=True)
+        if norm.min() < 1e-300:
             raise ZeroIterate("numerically zero curvature along the iterate")
         v = w / norm
-    lam_shifted = float(v @ apply(v))
+    lam_shifted = np.sum(v * apply(v), axis=-1)
     lam = lam_shifted - shift
-    residual = float(np.linalg.norm(apply(v) - lam_shifted * v))
+    residual = np.linalg.norm(apply(v) - lam_shifted[..., None] * v, axis=-1)
+    if x.ndim == 1:
+        lam, residual = float(lam), float(residual)
     return EigenEstimate(lam, v, residual, iterations=q, hvp_calls=q + 2,
                          shift=shift)
 

@@ -6,6 +6,12 @@ decay joins only in the final update, and momentum applies to the composite
 direction (perturbed gradient plus decay). Gradients with norm below the
 floor tau produce a zero perturbation, so every method degrades to plain SGD
 at near-stationary points instead of dividing by zero.
+
+Every step works row-wise over the last axis, so x may be one parameter
+vector or an ``(S, d)`` stack of S independent ones (the replicate seeds of
+a training run, advanced in lockstep on one stacked oracle). Norms, the
+gradient floor, the Eigen-SAM sign, momentum and decay then act per row,
+and ``hvp_count`` holds one count per row.
 """
 
 from __future__ import annotations
@@ -58,12 +64,16 @@ class OptimizerState:
     step: int                     # t1: completed step count
     momentum_buf: np.ndarray
     eigvec: np.ndarray | None = None
-    hvp_count: int = 0
-    seed: int = 0                 # stream seed for power-iteration starts
+    hvp_count: np.ndarray = 0     # HVPs spent, one count per row
+    seed: int | tuple = 0         # power-iteration stream seed, one per row
 
 
-def init_state(dim: int, seed: int = 0) -> OptimizerState:
-    return OptimizerState(step=0, momentum_buf=np.zeros(dim), seed=seed)
+def init_state(dim: int, seed: int | tuple = 0) -> OptimizerState:
+    """Fresh state for one parameter vector, or for an ``(S, d)`` stack when
+    ``seed`` is a sequence of S seeds (one row per seed)."""
+    rows = np.shape(seed)
+    return OptimizerState(step=0, momentum_buf=np.zeros(rows + (dim,)),
+                          hvp_count=np.zeros(rows, dtype=np.int64), seed=seed)
 
 
 def schedule_lr(cfg: OptimizerConfig, t1: int) -> float:
@@ -73,25 +83,32 @@ def schedule_lr(cfg: OptimizerConfig, t1: int) -> float:
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * t1 / cfg.total_steps))
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
+def _unit_rows(g: np.ndarray, tau: float) -> tuple:
+    """(g / ||g||, live, ||g||) per row. Rows with ||g|| < tau are not live
+    and their unit vector is zero; ``live`` and the norm keep a trailing
+    axis of length 1, so they broadcast against g."""
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    live = norm >= tau
+    return np.where(live, g / np.where(live, norm, 1.0), 0.0), live, norm
+
+
 def sam_perturbation(g: np.ndarray, tau: float = GRAD_FLOOR) -> np.ndarray:
     """Normalized gradient, or zero when the gradient norm is below tau."""
-    norm = np.linalg.norm(g)
-    if norm < tau:
-        return np.zeros_like(g)
-    return g / norm
+    return _unit_rows(g, tau)[0]
 
 
 def eigen_sam_perturbation(g: np.ndarray, v: np.ndarray, alpha: float,
                            tau: float = GRAD_FLOOR) -> np.ndarray:
     """Normalized gradient plus alpha times the sign-resolved orthogonal
     component of the unit eigenvector; zero below the gradient floor."""
-    norm = np.linalg.norm(g)
-    if norm < tau:
-        return np.zeros_like(g)
-    ghat = g / norm
-    vperp = v - (v @ ghat) * ghat
-    s = 1.0 if (g @ v) >= 0.0 else -1.0
-    return ghat + alpha * s * vperp
+    ghat, live, _ = _unit_rows(g, tau)
+    vperp = v - _row_dot(v, ghat) * ghat
+    s = np.where(_row_dot(g, v) >= 0.0, 1.0, -1.0)
+    return np.where(live, ghat + alpha * s * vperp, 0.0)
 
 
 _KEEP = object()
@@ -128,16 +145,22 @@ def reverse_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
 
 def egr_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
              state: OptimizerState):
-    """Descend f + rho ||grad f||; the exact gradient adds rho H g / ||g||."""
+    """Descend f + rho ||grad f||; the exact gradient adds rho H g / ||g||.
+
+    The HVP is taken once for all rows if any row's gradient is above the
+    floor, and only those rows add rho H g / ||g|| and count the HVP.
+    """
     t1 = state.step + 1
     g = oracle.grad(x)
-    norm = np.linalg.norm(g)
-    hvp_used = 0
+    _, live, norm = _unit_rows(g, cfg.grad_floor)
+    live &= cfg.rho != 0.0
     direction = g
-    if cfg.rho != 0.0 and norm >= cfg.grad_floor:
-        direction = g + cfg.rho * oracle.hvp(x, g) / norm
-        hvp_used = 1
-    return _descend(x, direction, cfg, state, t1, hvp_used=hvp_used)
+    if live.any():
+        hg = oracle.hvp(x, g)
+        direction = np.where(live, g + cfg.rho * hg / np.where(live, norm, 1.0),
+                             g)
+    return _descend(x, direction, cfg, state, t1,
+                    hvp_used=live.sum(axis=-1))
 
 
 def eigen_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
@@ -146,14 +169,14 @@ def eigen_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
 
     The eigenvector estimate refreshes at steps t1 = 1, p + 1, 2p + 1, ...
     (every step when p == 1), via q rounds of power iteration on the current
-    mini-batch Hessian, which costs q + 2 HVPs.
+    mini-batch Hessian, which costs q + 2 HVPs per row.
     """
     t1 = state.step + 1
     v = state.eigvec
     hvp_used = 0
     if v is None or (t1 - 1) % cfg.refresh_every == 0:
         est = power_iteration(oracle, x, cfg.power_iters, seed=state.seed,
-                              substream=t1)
+                              substream=t1, release=True)
         v = est.vector
         hvp_used = est.hvp_calls
     eps = eigen_sam_perturbation(oracle.grad(x), v, cfg.alpha, cfg.grad_floor)

@@ -55,18 +55,6 @@ class ParamVector:
     def like(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.layout)
 
-    def unflatten(self) -> dict:
-        out = {}
-        for name, shape, offset in self.layout:
-            n = int(np.prod(shape))
-            out[name] = self.values[offset:offset + n].reshape(shape)
-        return out
-
-    @staticmethod
-    def flatten(named: dict, layout: tuple) -> "ParamVector":
-        parts = [np.asarray(named[name]).ravel() for name, _, _ in layout]
-        return ParamVector(np.concatenate(parts), layout)
-
 
 class CallCounter:
     """Mutable counters shared across the oracles of one experiment run."""
@@ -136,7 +124,13 @@ class LossOracle:
     # -- helpers ------------------------------------------------------------
 
     def _as_array(self, x) -> np.ndarray:
+        """x as float64; exact mode also takes stacked ``(..., d)`` rows."""
         v = x.values if isinstance(x, ParamVector) else np.asarray(x, dtype=np.float64)
+        if v.ndim > 1 and self.mode == "exact":
+            if v.shape[-1] != self.dim:
+                raise ValueError(f"parameter rows have size {v.shape[-1]}, "
+                                 f"expected {self.dim}")
+            return v
         if v.size != self.dim:
             raise ValueError(f"parameter vector has size {v.size}, expected {self.dim}")
         return v
@@ -154,9 +148,13 @@ class LossOracle:
     def grad(self, x) -> np.ndarray:
         return jet_pass(self.builder, self._as_array(x))[0]
 
-    def hvp(self, x, v) -> np.ndarray:
+    def hvp(self, x, v, release: bool = False) -> np.ndarray:
+        """H v, row by row for stacked x and v. ``release`` frees the exact
+        tape at once (see :func:`jet_pass`)."""
         x = self._as_array(x)
         v = self._as_array(v)
+        if v.shape != x.shape:
+            raise ValueError(f"direction shape {v.shape} != point shape {x.shape}")
         if self.counter is not None:
             self.counter.hvp += 1
         if self.mode == "fd":
@@ -168,7 +166,7 @@ class LossOracle:
             out = (self.grad(x + h * vbar) - self.grad(x - h * vbar)) / (2.0 * h) * nv
             _check_finite(out)
             return out
-        return jet_pass(self.builder, x, 1, v)[1]
+        return jet_pass(self.builder, x, 1, v, release)[1]
 
     def jet(self, x, u, degree: int) -> tuple:
         """Adjoint jet along u from one exact-mode tape pass: (grad, H u) at

@@ -8,10 +8,15 @@ for the wall-clock column.
 
 Every trajectory (a training run, discrete SAM, or an SDE process) goes
 through :func:`_trajectory`, the one loop that takes the metric rows and
-stops at the last step. A process only supplies ``advance(x, t) -> x`` and
-the :class:`CallCounter` its oracles count HVPs into; ``hvp_count`` is read
-from that counter. An error stops the run and the rows so far are written
-with an ``# error=`` line.
+stops at the last step. It advances an ``(S, d)`` array whose row s belongs
+to seed s: a process only supplies ``advance(x, t) -> x`` and a function
+that gives each row's ``hvp_count`` so far. Training advances all seeds of
+a run in lockstep: each step samples every seed's batch, stacks them, and
+takes one optimizer step on one stacked oracle, so a tape pass serves every
+seed. SDE processes run one seed at a time (S = 1). Metric rows are taken
+per seed from its row, with ``wall_ms`` counted from the shared start. An
+error in any seed stops every seed, and the rows so far are written with
+an ``# error=`` line.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ def _datasets(config: dict) -> tuple:
 
 def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
                train: Dataset, test: Dataset, hvp_count: int, probe_q: int,
-               started: float) -> MetricRow:
-    """One full metric row; spectral quantities use the evaluation batch."""
+               started: float, release: bool = False) -> MetricRow:
+    """One full metric row; spectral quantities use the evaluation batch.
+    ``release`` frees the power iteration's tapes as it goes."""
     pv = ParamVector(x, spec.layout)
     train_oracle = mlp_oracle(spec, train.inputs, train.labels)
     test_oracle = mlp_oracle(spec, test.inputs, test.labels)
@@ -91,7 +97,8 @@ def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
                                                     replace=False)
     eval_oracle = mlp_oracle(spec, *train.take(idx))
     v0 = stream(seed, STREAM_PROBE, t).standard_normal(spec.dim)
-    est = power_iteration(eval_oracle, x, q=probe_q, seed=seed, v0=v0)
+    est = power_iteration(eval_oracle, x, q=probe_q, seed=seed, v0=v0,
+                          release=release)
     g_eval = eval_oracle.grad(x)
     if np.linalg.norm(g_eval) >= 1e-12:
         alignment = align(g_eval, est.vector).value
@@ -113,19 +120,26 @@ def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
 
 
 def _trajectory(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-                seed: int, process: str, steps: int, advance,
-                counter: CallCounter, rows: list | None) -> np.ndarray:
-    """Advance from the seed's initialization for ``steps`` steps, appending
-    a metric row every ``eval_every`` steps and at the last; returns x.
-    With ``rows=None`` no row is computed."""
-    x = init_params(spec, seed).values
+                seeds: tuple, process: str, steps: int, advance, hvp_counts,
+                rows: list | None) -> np.ndarray:
+    """Advance the rows of ``seeds``, row s from seed s's initialization, for
+    ``steps`` steps; append one metric row per seed every ``eval_every``
+    steps and at the last, with ``hvp_counts()[s]`` as seed s's count.
+    Returns the ``(S, d)`` end point. With ``rows=None`` no row is computed."""
+    x = np.stack([init_params(spec, seed).values for seed in seeds])
     probe_at = (set() if rows is None else
                 set(range(0, steps + 1, config["eval_every"])) | {steps})
     started = time.perf_counter()
     for t in range(steps + 1):
         if t in probe_at:
-            rows.append(_probe_row(spec, x, t, process, seed, train, test,
-                                   counter.hvp, config["probe_q"], started))
+            counts = hvp_counts()
+            for s, seed in enumerate(seeds):
+                # The rows of several seeds run back to back; unreleased,
+                # all their power-iteration tapes would wait for the cyclic
+                # collector at once and raise the peak memory.
+                rows.append(_probe_row(spec, x[s], t, process, seed, train,
+                                       test, int(counts[s]), config["probe_q"],
+                                       started, release=len(seeds) > 1))
         if t == steps:
             break
         x = advance(x, t)
@@ -146,18 +160,6 @@ def _write_rows(config_lines: list, out: Path, fill) -> Path:
     return out
 
 
-def _optimizer_process(opt_cfg: OptimizerConfig, dim: int, seed: int,
-                       batch_oracle):
-    """advance(x, t): one optimizer step on ``batch_oracle(t)``."""
-    state = init_state(dim, seed)
-
-    def advance(x, t):
-        nonlocal state
-        x, state = optimizer_step(x, batch_oracle(t), opt_cfg, state)
-        return x
-    return advance
-
-
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -175,30 +177,33 @@ def _optimizer_config(config: dict, total_steps: int) -> OptimizerConfig:
 
 
 def _train(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-           seed: int, rows: list | None) -> np.ndarray:
-    """One training trajectory on sampled mini-batches; returns the end x."""
+           seeds: tuple, rows: list | None) -> np.ndarray:
+    """The training trajectories of ``seeds`` on sampled mini-batches, in
+    lockstep; returns the ``(S, d)`` end points, row s for seed s."""
     steps = config["steps"]
     if config["fair_compute"] and config["method"] == "sgd":
         steps *= 2
     opt_cfg = _optimizer_config(config, total_steps=max(steps, 1))
-    sampler = BatchSampler(config["batch_size"], seed, config["sampler"])
-    counter = CallCounter()
+    samplers = [BatchSampler(config["batch_size"], seed, config["sampler"])
+                for seed in seeds]
+    state = init_state(spec.dim, tuple(seeds))
 
-    def batch_oracle(t):
-        idx = sample_batch(sampler, train, t)
-        return mlp_oracle(spec, *train.take(idx), counter=counter)
+    def advance(x, t):
+        nonlocal state
+        idx = np.stack([sample_batch(sampler, train, t) for sampler in samplers])
+        oracle = mlp_oracle(spec, *train.take(idx))
+        x, state = optimizer_step(x, oracle, opt_cfg, state)
+        return x
 
-    advance = _optimizer_process(opt_cfg, spec.dim, seed, batch_oracle)
-    return _trajectory(config, spec, train, test, seed, config["method"],
-                       steps, advance, counter, rows)
+    return _trajectory(config, spec, train, test, seeds, config["method"],
+                       steps, advance, lambda: state.hvp_count, rows)
 
 
 def run_train(config: dict, out_name: str = "train.csv") -> Path:
-    """Train under the configured optimizer, one trajectory per seed."""
+    """Train under the configured optimizer, every seed in lockstep."""
     def fill(rows):
         spec, train, test = _datasets(config)
-        for seed in config["seeds"]:
-            _train(config, spec, train, test, seed, rows)
+        _train(config, spec, train, test, config["seeds"], rows)
 
     return _write_rows(render(config), Path(config["out"]) / out_name, fill)
 
@@ -218,9 +223,14 @@ def _sam_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, seed: int):
     sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
                               schedule="constant", total_steps=sde_cfg.steps,
                               grad_floor=config["grad_floor"])
-    return _optimizer_process(
-        sam_cfg, family.dim, seed,
-        lambda t: family.oracles[family.pick(seed, STREAM_BATCH, t)])
+    state = init_state(family.dim, seed)
+
+    def advance(x, t):
+        nonlocal state
+        oracle = family.oracles[family.pick(seed, STREAM_BATCH, t)]
+        x, state = optimizer_step(x, oracle, sam_cfg, state)
+        return x
+    return advance
 
 
 def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
@@ -270,8 +280,10 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
                 else:
                     advance = _sde_process(config, sde_cfg, family,
                                            _PROCESS_ORDER[process], seed)
-                _trajectory(config, spec, train, test, seed, process,
-                            sde_cfg.steps, advance, counter, rows)
+                _trajectory(config, spec, train, test, (seed,), process,
+                            sde_cfg.steps,
+                            lambda x, t: advance(x[0], t)[None],
+                            lambda: (counter.hvp,), rows)
 
     return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 
@@ -328,8 +340,8 @@ def _trained_point(config: dict, seed: int) -> tuple:
     """Model, datasets, and parameters after the configured training prefix."""
     spec, train, test = _datasets(config)
     if config["steps"] > 0:
-        x = _train(dict(config, fair_compute=False), spec, train, test, seed,
-                   rows=None)
+        x = _train(dict(config, fair_compute=False), spec, train, test,
+                   (seed,), rows=None)[0]
     else:
         x = init_params(spec, seed).values
     return spec, train, test, x

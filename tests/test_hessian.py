@@ -14,6 +14,18 @@ from samlab.optim import OptimizerConfig, init_state, sam_step
 from samlab.oracle import quadratic_oracle
 
 
+def diagonal_oracle(curv, counter=None):
+    """f(x) = sum of curv * x^2 / 2 over the last axis, summed over rows: a
+    stacked oracle whose row s has the Hessian diag(curv[s])."""
+    from samlab import engine as eng
+    from samlab.oracle import analytic_oracle
+
+    def build(tape, x):
+        sq = eng.mul(eng.mul(x, x), tape.const(curv))
+        return eng.scale(eng.sum_all(sq), 0.5)
+    return analytic_oracle(build, np.shape(curv)[-1], counter=counter)
+
+
 class TestPowerIteration:
     def test_diag_closed_form(self):
         # Start (1,1)/sqrt(2) on diag(3,1): after 5 rounds v ~ (3^5, 1).
@@ -89,6 +101,32 @@ class TestPowerIteration:
     def test_q_validation(self):
         with pytest.raises(ValueError):
             power_iteration(quadratic_oracle(np.eye(2)), np.zeros(2), q=0, seed=0)
+
+    def test_stacked_rows_match_single_runs(self):
+        # Row s of a stacked run starts from seed s's stream and ends where
+        # that seed's single run ends; the two rows cost q + 2 HVPs together.
+        from samlab.oracle import CallCounter
+
+        curv = np.array([[3.0, -1.0, 0.5, 2.0], [0.2, 1.0, -4.0, 0.1]])
+        counter = CallCounter()
+        est = power_iteration(diagonal_oracle(curv, counter), np.zeros((2, 4)),
+                              q=6, seed=(5, 9), substream=3)
+        assert counter.hvp == 6 + 2 == est.hvp_calls
+        assert est.values.shape == est.converged.shape == (2,)
+        for s, seed in enumerate((5, 9)):
+            one = power_iteration(diagonal_oracle(curv[s]), np.zeros(4), q=6,
+                                  seed=seed, substream=3)
+            np.testing.assert_allclose(est.value[s], one.value, rtol=1e-12)
+            np.testing.assert_allclose(est.residual[s], one.residual,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(est.vector[s], one.vector, rtol=1e-12)
+            assert est.converged[s] == one.converged[0]
+
+    def test_stacked_zero_row_raises(self):
+        curv = np.array([[3.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ZeroIterate):
+            power_iteration(diagonal_oracle(curv), np.zeros((2, 2)), q=3,
+                            seed=(0, 1))
 
 
 class TestAlign:

@@ -11,14 +11,19 @@ from samlab.data import (POLICY_ENUMERATION, POLICY_REPLACEMENT, POLICY_SHUFFLE,
                          gen_synthetic, load_idx, mlp_family, sample_batch)
 from samlab.errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.rng import stream
+from samlab.rng import STREAM_BATCH, stream
+
+
+def by_layout(spec, values):
+    """Named parameter blocks, sliced from the flat vector by spec.layout."""
+    return {name: values[offset:offset + int(np.prod(shape))].reshape(shape)
+            for name, shape, offset in spec.layout}
 
 
 class TestInitParams:
     def test_biases_zero(self):
         spec = MlpSpec((3, 5, 2))
-        x = init_params(spec, 9)
-        named = x.unflatten()
+        named = by_layout(spec, init_params(spec, 9).values)
         assert np.all(named["b0"] == 0.0)
         assert np.all(named["b1"] == 0.0)
 
@@ -34,7 +39,7 @@ class TestInitParams:
 
     def test_weight_range(self):
         spec = MlpSpec((10, 20, 5))
-        named = init_params(spec, 0).unflatten()
+        named = by_layout(spec, init_params(spec, 0).values)
         for i, (fan_in, fan_out) in enumerate(((10, 20), (20, 5))):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             w = named[f"w{i}"]
@@ -170,6 +175,23 @@ class TestSampler:
         # Step 2 starts epoch 1 with a fresh permutation.
         epoch1_first = sample_batch(sampler, ds, 2)
         assert len(epoch1_first) == 4
+
+    def test_shuffle_is_a_pure_function_of_the_step(self):
+        # The epoch permutation is drawn once and shared, read-only; the
+        # order of the queries does not change any batch.
+        ds = gen_synthetic(12, 2, 2, 3.0, seed=0)
+        sampler = BatchSampler(4, seed=2, policy=POLICY_SHUFFLE)
+        forward = [sample_batch(sampler, ds, t).copy() for t in range(7)]
+        backward = [sample_batch(sampler, ds, t) for t in reversed(range(7))]
+        for a, b in zip(forward, reversed(backward)):
+            np.testing.assert_array_equal(a, b)
+        for t in range(7):
+            epoch, slot = divmod(t, 3)
+            perm = stream(2, STREAM_BATCH, epoch).permutation(12)
+            np.testing.assert_array_equal(forward[t], perm[4 * slot:4 * slot + 4])
+        batch = sample_batch(sampler, ds, 0)
+        with pytest.raises(ValueError):
+            batch[0] = 99
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))

@@ -147,6 +147,35 @@ class TestStepExamples:
         np.testing.assert_array_equal(x, 0.0)
         assert state.hvp_count == 0
 
+    def test_stacked_egr_counts_only_rows_above_the_floor(self):
+        # Row 0 sits at its stationary point, row 1 does not: the stacked
+        # HVP is taken once, and only row 1 uses and counts it.
+        from test_hessian import diagonal_oracle
+
+        curv = np.array([[2.0, 1.0, 0.5], [3.0, 0.5, 1.0]])
+        x0 = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+        c = cfg("egr", rho=0.3, momentum=0.9, weight_decay=0.01)
+        x, state = egr_step(x0, diagonal_oracle(curv), c, init_state(3, (0, 1)))
+        np.testing.assert_array_equal(state.hvp_count, [0, 1])
+        for s in range(2):
+            xs, ss = egr_step(x0[s], diagonal_oracle(curv[s]), c, init_state(3, s))
+            np.testing.assert_allclose(x[s], xs, rtol=1e-12, atol=0)
+            assert state.hvp_count[s] == ss.hvp_count
+
+    def test_stacked_perturbations_are_row_wise(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 5))
+        g[1] = 1e-14
+        v = rng.standard_normal((3, 5))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        eps = eigen_sam_perturbation(g, v, 0.4, tau=1e-12)
+        np.testing.assert_array_equal(eps[1], 0.0)
+        for s in (0, 2):
+            np.testing.assert_allclose(eps[s], eigen_sam_perturbation(g[s], v[s], 0.4),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(sam_perturbation(g)[s], sam_perturbation(g[s]),
+                                       rtol=1e-12)
+
 
 def run_trajectory(method, steps=100, seed=0, **kw):
     spec = MlpSpec((2, 8, 2))

@@ -197,13 +197,6 @@ class TestDeterminism:
 
 
 class TestParamVector:
-    def test_flatten_unflatten_identity(self):
-        spec = MlpSpec((2, 3, 2))
-        x = init_params(spec, 4)
-        named = x.unflatten()
-        back = ParamVector.flatten(named, spec.layout)
-        assert back.values.tobytes() == x.values.tobytes()
-
     def test_layout_must_partition(self):
         with pytest.raises(ValueError):
             ParamVector(np.zeros(3), (("w", (2,), 0), ("b", (2,), 1)))

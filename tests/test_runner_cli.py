@@ -187,6 +187,81 @@ class TestRunTrain:
         assert error is not None and "ZeroIterate" in error
 
 
+class TestLockstepSeeds:
+    """Replicate seeds train in lockstep on one stacked oracle; each seed's
+    rows must be those of its own single-seed run."""
+
+    LOCKSTEP = dict(steps=12, eval_every=4, momentum=0.9, weight_decay=5e-4,
+                    schedule="cosine", rho=0.1, alpha=0.3, q=3)
+
+    @pytest.mark.parametrize("method,extra", [
+        ("sgd", {}), ("sgd", {"fair_compute": True}), ("sam", {}),
+        ("eigensam", {"p": 1}), ("eigensam", {"p": 5}), ("reversesam", {}),
+        ("egr", {})])
+    def test_three_seeds_match_three_single_seed_runs(self, tmp_path, method,
+                                                       extra):
+        opts = dict(self.LOCKSTEP, method=method, **extra)
+        run_train(train_cfg(tmp_path / "all", seeds="0,1,2", **opts))
+        _, rows, error = read_csv(tmp_path / "all" / "train.csv")
+        assert error is None
+        for seed in (0, 1, 2):
+            run_train(train_cfg(tmp_path / str(seed), seeds=str(seed), **opts))
+            _, single, _ = read_csv(tmp_path / str(seed) / "train.csv")
+            mine = [r for r in rows if r.seed == seed]
+            assert len(mine) == len(single) > 1
+            for a, b in zip(mine, single):
+                for col in COLUMNS:
+                    if col == "wall_ms":
+                        continue
+                    va, vb = getattr(a, col), getattr(b, col)
+                    if isinstance(vb, float):
+                        np.testing.assert_allclose(va, vb, rtol=1e-12, atol=0,
+                                                   err_msg=col)
+                    else:
+                        assert va == vb, col
+
+    @pytest.mark.parametrize("row_scale,method,error", [
+        (np.nan, "sam", NonFiniteLoss), (0.0, "eigensam", ZeroIterate)])
+    def test_error_in_one_seed_stops_every_seed(self, tmp_path, monkeypatch,
+                                                row_scale, method, error):
+        # From the fourth step on, seed 1's row of the stacked training
+        # oracle sees its parameters scaled by row_scale: NaN makes its loss
+        # non-finite, 0 makes its Hessian vanish, so the Eigen-SAM refresh
+        # at t1 = 4 (p = 3) meets a zero iterate. Seed 0 is unaffected.
+        from samlab import engine as eng
+        from samlab.oracle import LossOracle
+
+        real = runner.mlp_oracle
+        stacked_calls = []
+
+        def faulty_oracle(spec, inputs, labels, **kwargs):
+            oracle = real(spec, inputs, labels, **kwargs)
+            if np.ndim(inputs) != 3:
+                return oracle
+            stacked_calls.append(1)
+            if len(stacked_calls) < 4:
+                return oracle
+            scale = np.ones((len(inputs), 1))
+            scale[1] = row_scale
+
+            def build(tape, x):
+                return oracle.builder(tape, eng.mul(x, tape.const(scale)))
+            return LossOracle(build, oracle.dim, oracle.layout)
+
+        monkeypatch.setattr(runner, "mlp_oracle", faulty_oracle)
+        code = main(["train", "--out", str(tmp_path), "--seed", "0,1",
+                     "--set", "steps=10", "--set", "eval_every=2",
+                     "--set", "model_layers=2,4,2", "--set", "data_n=16",
+                     "--set", "test_n=16", "--set", "batch_size=8",
+                     "--set", f"method={method}", "--set", "p=3",
+                     "--set", "q=3", "--set", "probe_q=3"])
+        assert code == 3
+        _, rows, err = read_csv(tmp_path / "train.csv")
+        assert [(r.seed, r.step) for r in rows] == [(0, 0), (0, 2),
+                                                   (1, 0), (1, 2)]
+        assert err is not None and error.__name__ in err
+
+
 class TestRunSimulateSde:
     def test_rho0_without_noise_sde2_equals_sde3(self, tmp_path):
         cfg = sde_cfg(tmp_path, rho=0.0, diffusion="none",
@@ -333,7 +408,7 @@ class TestProbeRunners:
         rows = []
         probed = runner._train(dict(cfg, eval_every=4, probe_q=3,
                                     fair_compute=False),
-                               spec, train, test, 0, rows)
+                               spec, train, test, (0,), rows)
         assert len(rows) == 4
 
         def no_probes(*args, **kwargs):
@@ -341,7 +416,7 @@ class TestProbeRunners:
 
         monkeypatch.setattr(runner, "_probe_row", no_probes)
         _spec, _train, _test, x = runner._trained_point(cfg, seed=0)
-        assert x.tobytes() == probed.tobytes()
+        assert x.tobytes() == probed[0].tobytes()
 
     def test_power_curve_json(self, tmp_path):
         from samlab.runner import run_probe_power
