@@ -21,42 +21,51 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p.strip() != "")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
 
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(",") if p.strip() != "")
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
 
 
-def _str_list(text: str) -> tuple:
-    return tuple(p.strip() for p in text.split(",") if p.strip() != "")
+def _list_of(conv):
+    """Converter of comma-separated items, each through ``conv``."""
+    def convert(text: str) -> tuple:
+        return tuple(conv(p) for p in text.split(",") if p.strip() != "")
+    return convert
 
 
 REQUIRED = object()
 
 # key -> (converter, default); REQUIRED means the key must be supplied.
 _MODEL_DATA = {
-    "model_layers": (_int_list, (2, 8, 2)),
+    "model_layers": (_list_of(int), (2, 8, 2)),
     "activation": (str, "gelu"),
     "loss_head": (str, "ce"),
     "data": (str, "synthetic"),
-    "data_n": (int, 256),
-    "data_dim": (int, 2),
-    "data_classes": (int, 2),
+    "data_n": (_positive_int, 256),
+    "data_dim": (_positive_int, 2),
+    "data_classes": (_positive_int, 2),
     "data_margin": (float, 4.0),
-    "data_seed": (int, 0),
-    "test_n": (int, 256),
+    "data_seed": (_nonnegative_int, 0),
+    "test_n": (_positive_int, 256),
     "idx_images": (str, ""),
     "idx_labels": (str, ""),
     "idx_test_images": (str, ""),
     "idx_test_labels": (str, ""),
-    "batch_size": (int, 32),
+    "batch_size": (_positive_int, 32),
 }
 
 _COMMON = {
     "out": (str, "runs"),
-    "seeds": (_int_list, (0,)),
+    "seeds": (_list_of(_nonnegative_int), (0,)),
 }
 
 _OPTIMIZER = {
@@ -75,40 +84,41 @@ _OPTIMIZER = {
 SCHEMAS = {
     "train": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
               "sampler": (str, "shuffle-each-epoch"),
-              "steps": (int, 500),
-              "eval_every": (int, 50),
-              "probe_q": (int, 20),
+              "steps": (_nonnegative_int, 500),
+              "eval_every": (_positive_int, 50),
+              "probe_q": (_positive_int, 20),
               "fair_compute": (_bool, False)},
     "simulate-sde": {**_COMMON, **_MODEL_DATA,
-                     "processes": (_str_list, ("discrete-sam", "sde2", "sde3")),
+                     "processes": (_list_of(str.strip),
+                                   ("discrete-sam", "sde2", "sde3")),
                      "eta": (float, 0.01),
                      "rho": (float, 0.2),
-                     "steps": (int, 2000),
+                     "steps": (_nonnegative_int, 2000),
                      "substeps": (int, 1),
                      "diffusion": (str, "exact"),
-                     "eval_every": (int, 100),
-                     "probe_q": (int, 20),
-                     "aligned_q": (int, 50),
+                     "eval_every": (_positive_int, 100),
+                     "probe_q": (_positive_int, 20),
+                     "aligned_q": (_positive_int, 50),
                      "aligned_check_gap": (_bool, True),
                      "grad_floor": (float, 1e-12)},
     "spectrum": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
                  "sampler": (str, "shuffle-each-epoch"),
-                 "steps": (int, 0),
+                 "steps": (_nonnegative_int, 0),
                  "k": (int, 8),
-                 "spectrum_q": (int, 100),
-                 "m_trace": (int, 64)},
+                 "spectrum_q": (_positive_int, 100),
+                 "m_trace": (_nonnegative_int, 64)},
     "probe-moments": {**_COMMON,
                       "toy": (str, "quartic1d"),
-                      "x0": (_float_list, ()),
+                      "x0": (_list_of(float), ()),
                       "eta": (float, 0.01),
-                      "rho_grid": (_float_list, (0.02, 0.04, 0.08, 0.16)),
+                      "rho_grid": (_list_of(float), (0.02, 0.04, 0.08, 0.16)),
                       "with_second": (_bool, True)},
     "probe-power": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
                     "sampler": (str, "shuffle-each-epoch"),
-                    "steps": (int, 0),
-                    "q_grid": (_int_list, (1, 2, 3, 5, 8, 13, 21)),
-                    "n_starts": (int, 5),
-                    "q_ref": (int, 500)},
+                    "steps": (_nonnegative_int, 0),
+                    "q_grid": (_list_of(_positive_int), (1, 2, 3, 5, 8, 13, 21)),
+                    "n_starts": (_positive_int, 5),
+                    "q_ref": (_positive_int, 500)},
     "bound": {"out": (str, "runs"),
               "f_s": (float, REQUIRED),
               "lambda1": (float, REQUIRED),

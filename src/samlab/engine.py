@@ -187,11 +187,12 @@ class Tape:
         self.degree = degree
         self.nodes: list[Tensor] = []
 
-    def leaf(self, value, tangent=None, tangent2=None) -> Tensor:
-        """Differentiable input. Tangents seed the jet's higher coefficients."""
+    def leaf(self, value, tangent=None) -> Tensor:
+        """Differentiable input. The tangent seeds the jet's first-order
+        coefficient; the second-order one is zero."""
         v = np.asarray(value, dtype=np.float64)
         coeffs = [v]
-        for t in (tangent, tangent2)[: self.degree]:
+        for t in (tangent, None)[: self.degree]:
             coeffs.append(np.zeros_like(v) if t is None
                           else np.asarray(t, dtype=np.float64))
         return Tensor(self, "leaf", tuple(coeffs), (), (), True)

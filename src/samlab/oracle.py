@@ -4,8 +4,9 @@ A :class:`LossOracle` bundles a loss graph builder with a derivative mode.
 Exact mode differentiates the recorded tape (tangent-carrying forward pass,
 then a backward sweep). Finite-difference mode computes second- and
 third-order quantities by central differences of exact gradients with step
-``eps0 * (1 + ||x||)``. Repeated queries at the same point are bit-identical
-in both modes.
+``eps0 * (1 + ||x||)``. A dense third-order vector is one tape pass in exact
+mode at any d, and 2d HVPs in fd mode, which needs d <= DENSE_THIRD_LIMIT.
+Repeated queries at the same point are bit-identical in both modes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from . import engine as eng
 from .errors import DimensionTooLarge, NonFiniteLoss, ZeroDirection
 
-# Dense third-order output is restricted to small parameter counts; larger
-# problems must use the directional form.
+# Dense third-order output in fd mode takes 2d HVPs, so it is restricted to
+# small parameter counts; exact mode and the directional form are not.
 DENSE_THIRD_LIMIT = 512
 
 EPS0_FIRST = 1e-5   # FD step scale for first differences (HVP mode)
@@ -52,29 +53,18 @@ class ParamVector:
     def dim(self) -> int:
         return self.values.size
 
-    def like(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values, self.layout)
-
 
 class CallCounter:
-    """Mutable counters shared across the oracles of one experiment run."""
+    """Mutable HVP counter shared across the oracles of one experiment run."""
 
     def __init__(self):
         self.hvp = 0
-        self.third = 0
 
 
 def _check_finite(*arrays) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise NonFiniteLoss("non-finite value in loss or derivative")
-
-
-def check_dense_third(dim: int) -> None:
-    """Dense third-order vectors are limited to d <= DENSE_THIRD_LIMIT."""
-    if dim > DENSE_THIRD_LIMIT:
-        raise DimensionTooLarge(
-            f"dense third-order output needs d <= {DENSE_THIRD_LIMIT}, got {dim}")
 
 
 def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
@@ -171,43 +161,39 @@ class LossOracle:
     def jet(self, x, u, degree: int) -> tuple:
         """Adjoint jet along u from one exact-mode tape pass: (grad, H u) at
         degree 1, and at degree 2 (grad, H u, third(u, u) / 2), whose last
-        entry is dense (d <= 512). Counts one HVP, and at degree 2 one
-        third-order query, as hvp and third_directional would."""
+        entry is dense at any d. Counts one HVP, as hvp would."""
         x = self._as_array(x)
         u = self._as_array(u)
         if self.mode != "exact":
             raise ValueError("jet needs exact mode")
         if degree not in (1, 2):
             raise ValueError("jet degree must be 1 or 2")
-        if degree == 2:
-            check_dense_third(self.dim)
         if self.counter is not None:
             self.counter.hvp += 1
-            self.counter.third += degree == 2
         return jet_pass(self.builder, x, degree, u)
 
     def third_directional(self, x, u) -> np.ndarray:
-        """Full vector w with w_i = d/dx_i (u^T H(x) u), dense mode (d <= 512)."""
+        """Full vector w with w_i = d/dx_i (u^T H(x) u): one degree-2 tape
+        pass in exact mode (any d), 2d HVPs in fd mode (d <= DENSE_THIRD_LIMIT)."""
         x = self._as_array(x)
         u = self._as_array(u)
-        check_dense_third(self.dim)
         if np.linalg.norm(u) == 0.0:
             raise ZeroDirection("third_directional needs a nonzero direction")
-        if self.counter is not None:
-            self.counter.third += 1
         if self.mode == "fd":
+            if self.dim > DENSE_THIRD_LIMIT:
+                raise DimensionTooLarge(f"fd dense third-order output needs "
+                                        f"d <= {DENSE_THIRD_LIMIT}, got {self.dim}")
             return self._third_fd_dense(x, u)
         return 2.0 * jet_pass(self.builder, x, 2, u)[2]
 
     def third_directional_along(self, x, u, w) -> float:
-        """w^T third(u, u) without materializing the dense vector (any d)."""
+        """w^T third(u, u) at any d; fd mode takes it from two HVPs without
+        the dense vector."""
         x = self._as_array(x)
         u = self._as_array(u)
         w = self._as_array(w)
         if np.linalg.norm(u) == 0.0:
             raise ZeroDirection("third_directional_along needs a nonzero direction")
-        if self.counter is not None:
-            self.counter.third += 1
         if self.mode == "fd":
             nw = np.linalg.norm(w)
             if nw == 0.0:

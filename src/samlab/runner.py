@@ -336,15 +336,13 @@ def run_probe_moments(config: dict, out_name: str = "moments.json") -> Path:
     return _write_json(config, results, Path(config["out"]) / out_name)
 
 
-def _trained_point(config: dict, seed: int) -> tuple:
-    """Model, datasets, and parameters after the configured training prefix."""
+def _trained_points(config: dict) -> tuple:
+    """Model, datasets, and the ``(S, d)`` parameters of the configured seeds
+    after the training prefix, trained in lockstep; row s is seed s."""
     spec, train, test = _datasets(config)
-    if config["steps"] > 0:
-        x = _train(dict(config, fair_compute=False), spec, train, test,
-                   (seed,), rows=None)[0]
-    else:
-        x = init_params(spec, seed).values
-    return spec, train, test, x
+    xs = _train(dict(config, fair_compute=False), spec, train, test,
+                config["seeds"], rows=None)
+    return spec, train, test, xs
 
 
 def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
@@ -352,12 +350,10 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
     if not 1 <= config["k"] <= min(64, dim):
         raise ConfigError(f"k must be in [1, {min(64, dim)}] for a model "
                           f"with {dim} parameters")
-    if config["spectrum_q"] < 1:
-        raise ConfigError("spectrum_q must be >= 1")
+    spec, train, _test, xs = _trained_points(config)
+    oracle = mlp_oracle(spec, train.inputs, train.labels)
     per_seed = []
-    for seed in config["seeds"]:
-        spec, train, _test, x = _trained_point(config, seed)
-        oracle = mlp_oracle(spec, train.inputs, train.labels)
+    for seed, x in zip(config["seeds"], xs):
         report = spectrum_deflated(oracle, x, k=config["k"],
                                    q=config["spectrum_q"], seed=seed,
                                    m_trace=config["m_trace"])
@@ -377,10 +373,10 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
 def run_probe_power(config: dict, out_name: str = "power.json") -> Path:
     """Alignment of the power-iteration estimate with a converged reference,
     as a function of the iteration budget q."""
+    spec, train, _test, xs = _trained_points(config)
+    oracle = mlp_oracle(spec, train.inputs, train.labels)
     per_seed = []
-    for seed in config["seeds"]:
-        spec, train, _test, x = _trained_point(config, seed)
-        oracle = mlp_oracle(spec, train.inputs, train.labels)
+    for seed, x in zip(config["seeds"], xs):
         ref = power_iteration(oracle, x, q=config["q_ref"], seed=seed,
                               v0=stream(seed, STREAM_PROBE, 0).standard_normal(spec.dim))
         curves = []

@@ -22,11 +22,11 @@ deterministic. Batches whose gradient norm falls below the floor contribute
 zero to terms 2-3 and to their centered covariance vectors.
 
 The per-batch vectors come from two tape passes per batch: a gradient, then
-one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for
-order 3) whose adjoint jet is (g, H_g u_g, third_g(u_g, u_g) / 2). A family
-with stacks (every exact-mode ``mlp_family``) runs each of the two passes
-once per stack, on a ``(B, d)`` leaf holding x in every row, instead of once
-per batch; a stack holds as many batches of one row count as fit in
+one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for order
+3) whose adjoint jet is (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d.
+A family with stacks (every exact-mode ``mlp_family``) runs each of the two
+passes once per stack, on a ``(B, d)`` leaf holding x in every row, instead
+of once per batch; a stack holds as many batches of one row count as fit in
 ``data.STACK_ELEMENTS``. Other families loop over their oracles, and fd-mode
 oracles take their HVPs and third-order vectors by finite differences.
 """
@@ -39,9 +39,10 @@ import numpy as np
 
 from .data import OracleFamily
 from .errors import DimensionTooLarge, GapViolated, NonFiniteState
-from .hessian import align, power_iteration, spectrum_deflated
+# power_iteration is unused here; perfbench's tracer test reads it from sde.
+from .hessian import align, power_iteration, spectrum_deflated  # noqa: F401
 from .optim import GRAD_FLOOR, sam_perturbation
-from .oracle import check_dense_third, jet_pass
+from .oracle import jet_pass
 from .rng import STREAM_SDE_NOISE, stream
 
 SIGMA_EXACT_LIMIT = 512
@@ -141,8 +142,6 @@ def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
         live = norms >= tau
         if not live.any():
             continue
-        if need_third:
-            check_dense_third(d)
         units = np.zeros_like(g)
         units[live] = g[live] / norms[live, None]
         jet = jet_pass(builder, xs, degree, tangent=units, release=True)
@@ -151,7 +150,6 @@ def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
             t3s[ids[live]] = 2.0 * jet[2][live]
         if family.counter is not None:
             family.counter.hvp += int(live.sum())
-            family.counter.third += int(live.sum()) if need_third else 0
     return t1s, t2s, t3s
 
 
@@ -201,8 +199,8 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     degree-0 pass whose adjoint rows are the batch gradients, then one pass
     along the unit gradients (degree 1 for order 2 and for aligned orders
     without diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b
-    and third_b(u_b, u_b). A degree-2 pass needs d <= 512, as the dense
-    third-order vectors do.
+    and third_b(u_b, u_b) at any d. Only exact diffusion, and the
+    third-order vectors of an fd-mode family, need d <= 512.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
@@ -287,10 +285,9 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
 
-    Per batch, v1 comes from the top-2 Lanczos spectrum (with ``check_gap``;
-    a vanishing eigenvalue gap raises GapViolated) or from q rounds of power
-    iteration (without), and s* from the alignment sign of the batch
-    gradient.
+    Per batch, v1 comes from the top-2 Lanczos spectrum and s* from the
+    alignment sign of the batch gradient. ``check_gap`` only decides whether
+    a vanishing eigenvalue gap raises GapViolated; v1 is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:
@@ -300,18 +297,14 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     term2s, term3s = [], []
     zero = np.zeros(family.dim)
     for b, oracle in enumerate(family.oracles):
-        if check_gap:
-            spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
-                                     seed=seed + b, m_trace=0)
-            if len(spec.values) > 1:
-                lam1, lam2 = spec.values[0], spec.values[1]
-                if abs(lam1 - lam2) <= 1e-8 * max(1.0, abs(lam1)):
-                    raise GapViolated(f"batch {b}: top eigenvalues "
-                                      f"{lam1:.6g} and {lam2:.6g} coincide")
-            est_vec, est_val = spec.vectors[0], float(spec.values[0])
-        else:
-            est = power_iteration(oracle, x, q, seed=seed, substream=b)
-            est_vec, est_val = est.vector, est.value
+        spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
+                                 seed=seed + b, m_trace=0)
+        if check_gap and len(spec.values) > 1:
+            lam1, lam2 = spec.values[0], spec.values[1]
+            if abs(lam1 - lam2) <= 1e-8 * max(1.0, abs(lam1)):
+                raise GapViolated(f"batch {b}: top eigenvalues "
+                                  f"{lam1:.6g} and {lam2:.6g} coincide")
+        est_vec, est_val = spec.vectors[0], float(spec.values[0])
         term3s.append(oracle.third_directional(x, est_vec))
         g = t1s[b]
         if np.linalg.norm(g) < tau:
@@ -367,12 +360,11 @@ def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
             f"second-moment table needs d <= {SECOND_MOMENT_LIMIT}")
     rho_grid = [float(r) for r in rho_grid]
     rows = []
-    grads = [o.grad(x) for o in family.oracles]
     # The per-batch terms do not depend on rho, and order 2 reads only t1, t2.
     terms = _per_batch_terms(family, x, need_third=True, tau=tau)
     for rho in rho_grid:
         deltas = []
-        for oracle, g in zip(family.oracles, grads):
+        for oracle, g in zip(family.oracles, terms[0]):
             eps = sam_perturbation(g, tau)
             deltas.append(-eta * oracle.grad(x + rho * eps))
         mean_delta = family.mean(deltas)

@@ -8,8 +8,8 @@ from samlab import engine as eng
 from samlab.data import gen_synthetic
 from samlab.errors import DimensionTooLarge, NonFiniteLoss, ZeroDirection
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.oracle import (ParamVector, analytic_oracle, polynomial_oracle_1d,
-                           quadratic_oracle)
+from samlab.oracle import (DENSE_THIRD_LIMIT, ParamVector, analytic_oracle,
+                           polynomial_oracle_1d, quadratic_oracle)
 
 
 def mlp_282():
@@ -158,16 +158,24 @@ class TestThirdDirectional:
         assert out == pytest.approx(3.0, rel=1e-12)
 
     def test_dimension_guard(self):
-        spec = MlpSpec((30, 30, 10))  # d = 30*30 + 30 + 30*10 + 10 = 1240
-        oracle = mlp_oracle(spec, np.ones((4, 30)), np.zeros(4, dtype=int))
-        assert spec.dim > 512
+        # d = 30*30 + 30 + 30*10 + 10 = 1240 > DENSE_THIRD_LIMIT. Exact mode
+        # gives the dense vector from one degree-2 pass at any d; only fd
+        # mode, at 2d HVPs per vector, refuses it.
+        spec = MlpSpec((30, 30, 10))
+        rng = np.random.default_rng(4)
+        inputs, labels = rng.standard_normal((4, 30)), np.arange(4) % 10
+        x = init_params(spec, 0).values
+        u, w = rng.standard_normal((2, spec.dim))
+        assert spec.dim > DENSE_THIRD_LIMIT
+        exact = mlp_oracle(spec, inputs, labels)
+        v = exact.third_directional(x, u)
+        assert v.shape == (spec.dim,) and np.abs(v).max() > 0.0
+        assert float(w @ v) == exact.third_directional_along(x, u, w)
+        fd = mlp_oracle(spec, inputs, labels, mode="fd")
         with pytest.raises(DimensionTooLarge):
-            oracle.third_directional(np.zeros(spec.dim), np.ones(spec.dim))
-        # The directional form still works at this size.
-        val = oracle.third_directional_along(np.zeros(spec.dim),
-                                             np.ones(spec.dim),
-                                             np.ones(spec.dim))
-        assert np.isfinite(val)
+            fd.third_directional(x, u)
+        # The directional form still works in fd mode at this size.
+        assert np.isfinite(fd.third_directional_along(x, u, w))
 
     def test_zero_direction(self):
         oracle = polynomial_oracle_1d([0, 0, 0, 1.0])

@@ -10,6 +10,7 @@ from samlab.config import SCHEMAS, parse_config_file, render, resolve
 from samlab import runner
 from samlab.errors import ConfigError, NonFiniteLoss, ZeroIterate
 from samlab.metrics import COLUMNS, canonical_bytes, read_csv
+from samlab.models import init_params
 from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
 
@@ -142,12 +143,12 @@ class TestRunTrain:
     def test_separable_data_reaches_full_accuracy(self, tmp_path):
         from samlab.models import accuracy
         from samlab.oracle import ParamVector
-        from samlab.runner import _trained_point
+        from samlab.runner import _trained_points
 
         cfg = train_cfg(tmp_path, steps=500, eval_every=500, data_margin=8.0,
                         lr=0.2, data_n=64, test_n=64)
-        spec, train, _test, x = _trained_point(cfg, seed=0)
-        pv = ParamVector(x, spec.layout)
+        spec, train, _test, xs = _trained_points(cfg)
+        pv = ParamVector(xs[0], spec.layout)
         assert accuracy(spec, pv, train.inputs, train.labels) == 1.0
         run_train(cfg)
         _, rows, _ = read_csv(tmp_path / "train.csv")
@@ -400,23 +401,27 @@ class TestProbeRunners:
         second = run_spectrum(cfg, out_name="again.json")
         assert first.read_bytes() == second.read_bytes()
 
-    def test_trained_point_computes_no_probe_rows(self, tmp_path, monkeypatch):
+    def test_trained_points_compute_no_probe_rows(self, tmp_path, monkeypatch):
         cfg = resolve("spectrum", {"out": str(tmp_path), "model_layers": "2,4,2",
                                    "data_n": "32", "test_n": "16",
-                                   "batch_size": "8", "steps": "12"})
-        spec, train, test, _ = runner._trained_point(dict(cfg, steps=0), seed=0)
+                                   "batch_size": "8", "steps": "12",
+                                   "seeds": "0,3"})
+        spec, train, test, init = runner._trained_points(dict(cfg, steps=0))
+        for row, seed in zip(init, (0, 3)):
+            assert row.tobytes() == init_params(spec, seed).values.tobytes()
         rows = []
         probed = runner._train(dict(cfg, eval_every=4, probe_q=3,
                                     fair_compute=False),
-                               spec, train, test, (0,), rows)
-        assert len(rows) == 4
+                               spec, train, test, (0, 3), rows)
+        assert len(rows) == 8
 
         def no_probes(*args, **kwargs):
-            raise AssertionError("_trained_point computed a probe row")
+            raise AssertionError("_trained_points computed a probe row")
 
         monkeypatch.setattr(runner, "_probe_row", no_probes)
-        _spec, _train, _test, x = runner._trained_point(cfg, seed=0)
-        assert x.tobytes() == probed[0].tobytes()
+        _spec, _train, _test, xs = runner._trained_points(cfg)
+        assert xs.shape == (2, spec.dim)
+        assert xs.tobytes() == probed.tobytes()
 
     def test_power_curve_json(self, tmp_path):
         from samlab.runner import run_probe_power
@@ -462,6 +467,23 @@ class TestCli:
         assert main(["spectrum", "--out", str(tmp_path), *args]) == 2
         assert "k must be in [1, " in capsys.readouterr().err
         assert not (tmp_path / "spectrum.json").exists()
+
+    @pytest.mark.parametrize("case", [
+        "train probe_q=0", "train eval_every=0", "train batch_size=0",
+        "train steps=-1", "train data_n=0", "train data_classes=0",
+        "train seeds=0,-1",
+        "simulate-sde processes=sde-aligned-rho aligned_q=0",
+        "spectrum spectrum_q=0", "probe-power q_ref=0",
+        "probe-power q_grid=1,0", "probe-power n_starts=0",
+    ])
+    def test_count_out_of_range_exit_two(self, tmp_path, capsys, case):
+        subcommand, *sets = case.split()
+        small = ["model_layers=2,4,2", "data_n=16", "test_n=16",
+                 "batch_size=8", "steps=2"]
+        args = [item for kv in small + sets for item in ("--set", kv)]
+        assert main([subcommand, "--out", str(tmp_path), *args]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_numeric_error_exit_three(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--set", "lr=1e155",

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from samlab import engine as eng
-from samlab.data import analytic_family
+from samlab.data import analytic_family, gen_synthetic, mlp_family
 from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
+from samlab.models import MlpSpec, init_params
 from samlab.oracle import analytic_oracle, polynomial_oracle_1d, quadratic_oracle
-from samlab.sde import (SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
+from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
                         VARIANT_ALIGNED_RHO2, DriftDecomposition, drift,
                         drift_aligned, euler_maruyama_step,
                         one_step_moment_probe, sde_coefficients, sigma_exact)
@@ -246,6 +247,25 @@ class TestDriftAligned:
         with pytest.raises(GapViolated):
             drift_aligned(fam, np.array([1.0, 0.3]), VARIANT_ALIGNED_RHO, 0.1,
                           q=60, seed=0, check_gap=True)
+
+    def test_check_gap_only_switches_the_raise(self):
+        # v1 comes from the same Lanczos solve with or without the gap
+        # check, so where the gap is clear the drifts are bit-identical.
+        spec = MlpSpec((2, 6, 2))
+        fam = mlp_family(spec, gen_synthetic(64, 2, 2, 1.0, 0), 32)
+        x = init_params(spec, 0).values
+        for variant in ALIGNED:
+            on = drift_aligned(fam, x, variant, 0.1, q=30, seed=0, check_gap=True)
+            off = drift_aligned(fam, x, variant, 0.1, q=30, seed=0,
+                                check_gap=False)
+            for a, b in ((on.term1, off.term1), (on.term2, off.term2),
+                         (on.term3, off.term3)):
+                assert a.tobytes() == b.tobytes()
+        # Without the check, coincident top eigenvalues still give a drift.
+        eye = analytic_family([quadratic_oracle(np.eye(2))])
+        ad = drift_aligned(eye, np.array([1.0, 0.3]), VARIANT_ALIGNED_RHO, 0.1,
+                           q=60, seed=0, check_gap=False)
+        assert np.isfinite(ad.combined()).all()
 
 
 class TestMomentProbe:

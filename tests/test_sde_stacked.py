@@ -2,8 +2,7 @@
 
 An exact-mode ``mlp_family`` evaluates every batch of a stack on one tape;
 the same family without its stacks runs the per-oracle loop. Both must give
-the same per-batch vectors, drift and diffusion, and count the same HVPs
-and third-order queries.
+the same per-batch vectors, drift and diffusion, and count the same HVPs.
 """
 
 import numpy as np
@@ -69,8 +68,6 @@ def test_stacked_terms_match_loop(case, order):
     assert not got[1][b].any() and not got[2][b].any()
     live = len(stacked) - 1
     assert stacked.counter.hvp == looped.counter.hvp == live
-    assert stacked.counter.third == looped.counter.third == \
-        (live if order == 3 else 0)
 
     dd_s, dm_s = sde_coefficients(stacked, x, 0.2, order, "exact", tau=tau)
     dd_l, dm_l = sde_coefficients(looped, x, 0.2, order, "exact", tau=tau)
@@ -141,13 +138,31 @@ def test_nonfinite_batch_raises():
 
 
 @pytest.mark.parametrize("diffusion", ["none", "sampled"])
-def test_order3_keeps_dense_third_limit(diffusion):
-    # d = 746 > 512: the dense third-order vectors are refused, as
-    # LossOracle.third_directional refuses them; order 2 still runs.
+def test_order3_runs_at_d746(diffusion):
+    # d = 746 > 512: exact mode takes the dense third-order vectors from the
+    # stacked degree-2 pass at any d; only exact diffusion (a dense d x d
+    # eigh) and fd-mode third-order vectors (2d HVPs each) keep the limit.
     spec = MlpSpec((12, 32, 10))
-    stacked = mlp_family(spec, gen_synthetic(64, 12, 10, 1.0, 0), 32)
+    ds = gen_synthetic(64, 12, 10, 1.0, 0)
+    stacked, looped = stacked_and_looped(spec, ds)
     x = init_params(spec, 0).values
+    assert spec.dim == 746
+    got = _per_batch_terms(stacked, x, True, 1e-12)
+    want = _per_batch_terms(looped, x, True, 1e-12)
+    for g, w in zip(got, want):
+        assert_close(g, w)
+    fd = mlp_family(spec, ds, 32, mode="fd")
+    w = np.random.default_rng(5).standard_normal(spec.dim)
+    for b, oracle in enumerate(fd.oracles):
+        u = got[0][b] / np.linalg.norm(got[0][b])
+        along = oracle.third_directional_along(x, u, w)
+        assert float(w @ got[2][b]) == pytest.approx(along, rel=1e-6)
+    for order in (3, "aligned-rho", "aligned-rho2"):
+        dd, noise = sde_coefficients(stacked, x, 0.2, order, diffusion)
+        assert np.isfinite(dd.combined()).all()
+        if noise is not None:
+            assert np.isfinite(noise.draw(0, 0)).all()
     with pytest.raises(DimensionTooLarge):
-        sde_coefficients(stacked, x, 0.2, 3, diffusion)
-    dd, _ = sde_coefficients(stacked, x, 0.2, 2, diffusion)
-    assert np.isfinite(dd.combined()).all()
+        sde_coefficients(stacked, x, 0.2, 3, "exact")
+    with pytest.raises(DimensionTooLarge):
+        sde_coefficients(fd, x, 0.2, 3, diffusion)
