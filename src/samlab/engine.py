@@ -19,8 +19,14 @@ equal to row b's own jet. The elementwise ops, ``add``/``sub``/``mul``
 (numpy broadcasting, reduced back in the VJP), ``scale``, ``reshape``,
 ``sum_all`` and ``sum_axis`` accept any leading axes. ``matmul`` multiplies
 the last two axes of operands with equal leading axes, ``slice1d`` slices
-the last axis, and ``pick_rows`` picks along the last axis. ``matvec``,
-``dot`` and ``mean_all`` have no stack axis.
+the last axis, and ``pick_rows`` picks along the last axis. ``gelu`` is
+elementwise, and ``softmax_ce`` takes logits ``(..., n, C)`` with labels
+``(..., n)`` and sums the per-batch mean losses over the leading axes.
+``matvec``, ``dot`` and ``mean_all`` have no stack axis.
+
+``gelu`` and ``softmax_ce`` are fused: each is one node whose forward jet
+and VJP are composed from the jet arithmetic below, so they need no
+derivative formulas beyond the first-order one they state.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ import hashlib
 import numpy as np
 
 MAX_DEGREE = 2
+
+# tanh-form GeLU constants
+GELU_C0 = 0.7978845608028654   # sqrt(2 / pi)
+GELU_C1 = 0.044715
 
 Jet = tuple  # tuple[np.ndarray, ...], length degree + 1
 
@@ -57,6 +67,11 @@ def jneg(a: Jet) -> Jet:
 
 def jscale(a: Jet, c: float) -> Jet:
     return tuple(c * x for x in a)
+
+
+def _jplus(a: Jet, c: float) -> Jet:
+    """a + c for a constant c: only the primal coefficient moves."""
+    return (a[0] + c,) + a[1:]
 
 
 def jmul(a: Jet, b: Jet) -> Jet:
@@ -324,6 +339,47 @@ def pow_int(a: Tensor, p: int) -> Tensor:
         return jmul(g, jscale(jpow_int(aj, p - 1), float(p)))
 
     return _make(a.tape, f"pow{p}", jpow_int(aj, p), (a,), (vjp,))
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Tanh-form GeLU, f(a) = a (1 + t) / 2 with t = tanh(c0 a (1 + c1 a^2))."""
+    aj = a.jet
+    a2 = jmul(aj, aj)
+    t = jtanh(jmul(aj, _jplus(jscale(a2, GELU_C0 * GELU_C1), GELU_C0)))
+    half_1t = _jplus(jscale(t, 0.5), 0.5)
+    # f'(a) = (1 + t) / 2 + a (1 - t^2) c0 (1 + 3 c1 a^2) / 2, as a jet.
+    sech2 = _jplus(jneg(jmul(t, t)), 1.0)
+    dpoly = _jplus(jscale(a2, 1.5 * GELU_C0 * GELU_C1), 0.5 * GELU_C0)
+    fprime = jadd(half_1t, jmul(jmul(aj, sech2), dpoly))
+    return _make(a.tape, "gelu", jmul(aj, half_1t), (a,),
+                 (lambda g: jmul(g, fprime),))
+
+
+def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
+    """Softmax cross-entropy of logits ``(..., n, C)`` against integer labels
+    ``(..., n)``: the mean over n rows, summed over any leading axes.
+
+    The log-sum-exp is shifted by the row maximum of the primal logits, a
+    constant, so large logits stay finite. The VJP is
+    ``g / n * (softmax(z) - onehot)``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    where = (*np.indices(labels.shape, sparse=True), labels)
+    n = labels.shape[-1]
+    zj = z.jet
+    m = zj[0].max(axis=-1, keepdims=True)
+    e = jexp(_jplus(zj, -m))
+    s = tuple(c.sum(axis=-1, keepdims=True) for c in e)
+    lse = _jplus(jlog(s), m)
+    out = tuple(np.asarray((l[..., 0] - c[where]).sum() / n)
+                for l, c in zip(lse, zj))
+
+    def vjp(g):
+        p = jdiv(e, s)
+        p[0][where] -= 1.0
+        return jmul(jscale(g, 1.0 / n), p)
+
+    return _make(z.tape, "softmax_ce", out, (z,), (vjp,))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -1,12 +1,15 @@
 """Small fully-connected models over the flat-parameter engine.
 
-Activations: GeLU (tanh form, constants pinned below) and ReLU. GeLU is
-smooth, so spectral and SDE probes default to it; ReLU is not three times
-differentiable and is meant for optimizer-level runs only.
+Activations: GeLU (tanh form, the fused :func:`samlab.engine.gelu` with
+the constants pinned there) and ReLU. GeLU is smooth, so spectral and SDE
+probes default to it; ReLU is not three times differentiable and is meant
+for optimizer-level runs only.
 
-Loss heads: softmax cross-entropy over integer labels, and mean squared
-error ``sum((pred - target)^2) / (2 n)`` over vector targets (integer labels
-are one-hot encoded for the MSE head).
+Loss heads: softmax cross-entropy over integer labels (the fused
+:func:`samlab.engine.softmax_ce`, one tape node), and mean squared error
+``sum((pred - target)^2) / (2 n)`` over vector targets (integer labels are
+one-hot encoded for the MSE head). A one-hidden-layer GeLU/CE loss tape has
+14 nodes.
 
 A builder over stacked batches, inputs ``(B, n, in)`` with labels ``(B, n)``
 or targets ``(B, n, out)``, takes a ``(B, d)`` parameter leaf and returns
@@ -23,10 +26,6 @@ import numpy as np
 from . import engine as eng
 from .oracle import CallCounter, LossOracle, ParamVector
 from .rng import STREAM_INIT, stream
-
-# tanh-form GeLU constants
-GELU_C0 = 0.7978845608028654   # sqrt(2 / pi)
-GELU_C1 = 0.044715
 
 ACTIVATIONS = ("gelu", "relu")
 HEADS = ("ce", "mse")
@@ -80,11 +79,6 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(values, spec.layout)
 
 
-def gelu(x: eng.Tensor) -> eng.Tensor:
-    inner = eng.scale(eng.add(x, eng.scale(eng.pow_int(x, 3), GELU_C1)), GELU_C0)
-    return eng.scale(eng.mul(x, eng.add(eng.tanh(inner), 1.0)), 0.5)
-
-
 def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
                     inputs: np.ndarray) -> eng.Tensor:
     h = tape.const(inputs)
@@ -100,22 +94,8 @@ def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
             b = eng.reshape(b, lead + (1, fan_out))
         h = eng.add(eng.matmul(h, w), b)
         if i < n_layers - 1:
-            h = gelu(h) if spec.activation == "gelu" else eng.relu(h)
+            h = eng.gelu(h) if spec.activation == "gelu" else eng.relu(h)
     return h
-
-
-def _ce_loss(tape: eng.Tape, logits: eng.Tensor, labels: np.ndarray) -> eng.Tensor:
-    # Stable log-sum-exp with a constant row shift taken from the primal.
-    m = logits.value.max(axis=-1, keepdims=True)
-    shifted = eng.sub(logits, tape.const(m))
-    lse = eng.add(eng.log(eng.sum_axis(eng.exp(shifted), -1)),
-                  tape.const(m[..., 0]))
-    per_row = eng.sub(lse, eng.pick_rows(logits, labels))
-    if labels.ndim == 1:
-        return eng.mean_all(per_row)
-    # Stacked batches share one row count, so the sum of their means is the
-    # total over n; the adjoint of each row is 1/n, as for a single batch.
-    return eng.scale(eng.sum_all(per_row), 1.0 / labels.shape[-1])
 
 
 def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Tensor:
@@ -135,7 +115,7 @@ def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
             raise ValueError("labels out of range for the output layer")
 
         def build(tape, x):
-            return _ce_loss(tape, _forward_logits(tape, x, spec, inputs), labels)
+            return eng.softmax_ce(_forward_logits(tape, x, spec, inputs), labels)
     else:
         targets = np.asarray(labels, dtype=np.float64)
         if targets.ndim == inputs.ndim - 1:

@@ -1,0 +1,186 @@
+"""The fused ``gelu`` and ``softmax_ce`` engine ops.
+
+The MLP loss tape is built from them, so they are checked against the
+independent references in ``helpers``: the straight-line numpy MLP, central
+differences of its loss, and central differences of tape gradients and HVPs.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import central_diff_grad, straightline_mlp_loss
+from samlab import engine as eng
+from samlab.data import gen_synthetic, mlp_family
+from samlab.models import MlpSpec, init_params, mlp_builder, mlp_oracle
+from samlab.oracle import jet_pass
+
+SPECS = [MlpSpec((2, 16, 2)), MlpSpec((12, 32, 10))]
+IDS = ["2,16,2", "12,32,10"]
+
+
+def ce_batch(spec, n=24, seed=4):
+    ds = gen_synthetic(n, spec.layers[0], min(spec.layers[0], spec.layers[-1]),
+                       1.0, seed)
+    return ds.inputs, ds.labels
+
+
+def point(spec, seed=1):
+    # Init weights plus nonzero biases, so no coordinate sits at a symmetry.
+    rng = np.random.default_rng(seed)
+    return init_params(spec, seed).values + 0.1 * rng.standard_normal(spec.dim)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_loss_and_grad_match_straightline_mlp(spec):
+    inputs, labels = ce_batch(spec)
+    o = mlp_oracle(spec, inputs, labels)
+    x = point(spec)
+
+    def ref(v):
+        return straightline_mlp_loss(spec, v, inputs, labels)
+
+    assert o.loss(x) == pytest.approx(ref(x), rel=1e-13)
+    g = o.grad(x)
+    np.testing.assert_allclose(g, central_diff_grad(ref, x, h=1e-6),
+                               rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_hvp_and_third_match_central_differences(spec):
+    inputs, labels = ce_batch(spec)
+    o = mlp_oracle(spec, inputs, labels)
+    x = point(spec)
+    u = np.random.default_rng(7).standard_normal(spec.dim)
+    u /= np.linalg.norm(u)
+    h = 1e-5
+    _, hu = o.jet(x, u, 1)
+    fd_hu = (o.grad(x + h * u) - o.grad(x - h * u)) / (2 * h)
+    np.testing.assert_allclose(hu, fd_hu, rtol=1e-6,
+                               atol=1e-7 * np.abs(hu).max())
+    g2, hu2, half_third = o.jet(x, u, 2)
+    assert g2.tobytes() == o.grad(x).tobytes()
+    assert hu2.tobytes() == hu.tobytes()
+    fd_third = (o.jet(x + h * u, u, 1)[1] - o.jet(x - h * u, u, 1)[1]) / (2 * h)
+    np.testing.assert_allclose(half_third, fd_third / 2, rtol=1e-5,
+                               atol=1e-6 * np.abs(half_third).max())
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_stacked_leaf_gives_each_batch_its_own_jet(spec):
+    # 40 rows in batches of 16: two full batches on one stack, and a ragged
+    # tail of 8 rows on a stack of its own.
+    ds = gen_synthetic(40, spec.layers[0], min(spec.layers[0], spec.layers[-1]),
+                       1.0, 2)
+    family = mlp_family(spec, ds, 16)
+    stacks = list(family.stacks())
+    assert [len(ids) for ids, _ in stacks] == [2, 1]
+    rng = np.random.default_rng(3)
+    xs = point(spec) + 0.05 * rng.standard_normal((len(family), spec.dim))
+    us = rng.standard_normal((len(family), spec.dim))
+    for degree in (0, 1, 2):
+        tangent = None if degree == 0 else us
+        for ids, builder in stacks:
+            got = jet_pass(builder, xs[ids], degree,
+                           None if tangent is None else tangent[ids])
+            for row, b in enumerate(ids):
+                want = jet_pass(family.oracles[b].builder, xs[b], degree,
+                                None if tangent is None else tangent[b])
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g[row], w, rtol=1e-12,
+                                               atol=1e-14 * np.abs(w).max())
+
+
+def ce_grad(logits, labels, degree=0, tangent=None):
+    tape = eng.Tape(degree=degree)
+    z = tape.leaf(logits, tangent=tangent)
+    out = eng.softmax_ce(z, labels)
+    return out, eng.backward(out, [z])[0]
+
+
+def reference_ce(logits, labels):
+    # Numpy log-sum-exp with the max shift, and its gradient (p - onehot) / n.
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    p = e / e.sum(axis=-1, keepdims=True)
+    rows = np.arange(labels.size)
+    loss = np.mean(np.log(e.sum(axis=-1)) + m[:, 0] - logits[rows, labels])
+    onehot = np.zeros_like(p)
+    onehot[rows, labels] = 1.0
+    return loss, (p - onehot) / labels.size
+
+
+class TestSoftmaxCe:
+    def test_large_logits_stay_finite(self):
+        rng = np.random.default_rng(0)
+        logits = 1e3 * rng.standard_normal((6, 4))
+        labels = np.array([0, 1, 2, 3, 0, 1])
+        out, (g, hu, half_third) = ce_grad(logits, labels, degree=2,
+                                          tangent=rng.standard_normal((6, 4)))
+        loss, grad = reference_ce(logits, labels)
+        assert np.isfinite(out.value) and out.value > 100.0
+        assert float(out.value) == pytest.approx(loss, rel=1e-14)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(hu))
+        assert np.all(np.isfinite(half_third))
+        np.testing.assert_allclose(g, grad, rtol=1e-13, atol=1e-16)
+
+    def test_label_on_the_max_logit(self):
+        rng = np.random.default_rng(1)
+        logits = rng.standard_normal((5, 3))
+        labels = logits.argmax(axis=1)
+        out, (g,) = ce_grad(logits, labels)
+        loss, grad = reference_ce(logits, labels)
+        assert float(out.value) == pytest.approx(loss, rel=1e-14)
+        np.testing.assert_allclose(g, grad, rtol=1e-13, atol=1e-16)
+        rows = np.arange(5)
+        assert np.all(g[rows, labels] < 0.0)
+        np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-16)
+
+    def test_single_class_rows_have_zero_gradient(self):
+        logits = np.array([[3.0], [-2.0], [1e3]])
+        labels = np.zeros(3, dtype=np.int64)
+        out, jet = ce_grad(logits, labels, degree=2, tangent=np.ones((3, 1)))
+        assert float(out.value) == 0.0
+        for c in jet:
+            assert not c.any()
+
+    def test_stacked_sum_of_batch_means(self):
+        # Leading axes sum the per-batch means: row b of the adjoint is
+        # batch b's own gradient.
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((3, 5, 4))
+        labels = rng.integers(0, 4, size=(3, 5))
+        out, (g,) = ce_grad(logits, labels)
+        refs = [reference_ce(logits[b], labels[b]) for b in range(3)]
+        assert float(out.value) == pytest.approx(sum(r[0] for r in refs),
+                                                 rel=1e-14)
+        for b in range(3):
+            np.testing.assert_allclose(g[b], refs[b][1], rtol=1e-13,
+                                       atol=1e-16)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_builder_rejects_out_of_range_labels(self, bad):
+        spec = MlpSpec((2, 4, 3))
+        with pytest.raises(ValueError, match="labels out of range"):
+            mlp_builder(spec, np.zeros((2, 2)), np.array([0, bad]))
+
+
+@pytest.mark.parametrize("activation,head,ops", [
+    ("gelu", "ce", ("gelu", "softmax_ce")),
+    # ReLU and the MSE head are unchanged by the fused ops: relu is one
+    # node, and MSE is a const, sub, mul, sum and scale.
+    ("relu", "ce", ("relu", "softmax_ce")),
+    ("gelu", "mse", ("gelu", "const", "sub", "mul", "sum", "scale")),
+])
+def test_one_hidden_layer_tape_nodes(activation, head, ops):
+    # Guards the fused ops: a one-hidden-layer GeLU/CE loss tape has 14
+    # nodes, against 31 for the composite tanh-GeLU and log-sum-exp graphs.
+    spec = MlpSpec((12, 32, 10), activation, head)
+    build = mlp_builder(spec, np.zeros((32, 12)), np.arange(32) % 10)
+    tape = eng.Tape(degree=0)
+    build(tape, tape.leaf(np.zeros(spec.dim)))
+    layer = ("slice", "reshape", "slice", "matmul", "add")
+    act, *loss = ops
+    want = ("leaf", "const") + layer + (act,) + layer + tuple(loss)
+    assert tuple(node.op for node in tape.nodes) == want
+    if (activation, head) == ("gelu", "ce"):
+        assert len(tape.nodes) == 14
