@@ -266,12 +266,6 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
     unknown = [p for p in config["processes"] if p not in SDE_PROCESSES]
     if unknown:
         raise ConfigError(f"unknown processes: {', '.join(unknown)}")
-    # Refused here, not at the first SDE step after the other processes ran.
-    if (sde_cfg.diffusion == "exact" and spec.dim > sde_mod.SIGMA_EXACT_LIMIT
-            and any(p != "discrete-sam" for p in config["processes"])):
-        raise ConfigError(
-            f"diffusion=exact needs d <= {sde_mod.SIGMA_EXACT_LIMIT}, the model "
-            f"has d={spec.dim}; use diffusion=sampled or diffusion=none")
     config_lines = render(config)
     config_lines.append(f"rho_warning={'true' if sde_cfg.rho_warning else 'false'}")
 

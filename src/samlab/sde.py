@@ -6,20 +6,24 @@ The drift decomposes into three terms at scales (1, rho, rho^2/2):
   term2 = E[H_g grad f_g / ||grad f_g||]   (gradient of E ||grad f_g||)
   term3 = E[third_g(u_g, u_g)]             with u_g the unit batch gradient
 
-The diffusion covariance assembles four blocks from the centered per-batch
-vectors t1 = grad f_g, t2 = H_g g / ||g||, t3 = third_g(g, g) / ||g||^2:
+The diffusion covariance comes from the centered per-batch vectors c1, c2,
+c3 of t1 = grad f_g, t2 = H_g g / ||g||, t3 = third_g(g, g) / ||g||^2:
 
   Sigma = S11 + rho (S12 + S12^T) + rho^2 (S22 + (S13 + S13^T) / 2)
+        = M^T K M,  M = [c1; c2; c3] (3B x d),
+        K = [[1, rho, rho^2/2], [rho, rho^2, 0], [rho^2/2, 0, 0]] (x) diag(w)
 
-A second-order model zeroes term3 and drops the rho^2 blocks. The aligned
-orders ("aligned-rho", "aligned-rho2") keep term1, replace term3 with the
-expected gradient of the top batch eigenvalue (and, for "aligned-rho2",
-term2 with E[s* lam1 v1]), and pair with the third-order diffusion.
-:func:`sde_coefficients` gives drift and diffusion for all four orders from
-one evaluation of the per-batch vectors. Expectations run over a fixed
-enumeration of batches, so they are exact and every probe here is
-deterministic. Batches whose gradient norm falls below the floor contribute
-zero to terms 2-3 and to their centered covariance vectors.
+so its rank is at most 3B, and :func:`sigma_exact` factors it at any d
+through a QR of M^T and an eigh of size at most 3B. A second-order model
+zeroes term3 and the rho^2 entries of K. The aligned orders ("aligned-rho",
+"aligned-rho2") keep term1, replace term3 with the expected gradient of the
+top batch eigenvalue (and, for "aligned-rho2", term2 with E[s* lam1 v1]),
+and pair with the third-order diffusion. :func:`sde_coefficients` gives
+drift and diffusion for all four orders from one evaluation of the per-batch
+vectors. Expectations run over a fixed enumeration of batches, so they are
+exact and every probe here is deterministic. Batches whose gradient norm
+falls below the floor contribute zero to terms 2-3 and to their centered
+covariance vectors.
 
 The per-batch vectors come from two tape passes per batch: a gradient, then
 one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for order
@@ -45,7 +49,6 @@ from .optim import GRAD_FLOOR, sam_perturbation
 from .oracle import jet_pass
 from .rng import STREAM_SDE_NOISE, stream
 
-SIGMA_EXACT_LIMIT = 512
 SECOND_MOMENT_LIMIT = 64
 
 VARIANT_ALIGNED_RHO = "aligned-rho"
@@ -66,17 +69,29 @@ class DriftDecomposition:
 
 @dataclass(frozen=True)
 class DiffusionModel:
-    mode: str                     # "exact" or "sampled"
-    sigma: np.ndarray | None      # assembled, symmetrized covariance
-    sqrt: np.ndarray | None       # principal square root of the PSD part
+    """Sigma = basis diag(vals) basis^T; zero off the span of the basis."""
+    basis: np.ndarray             # (d, k) orthonormal columns, k <= min(d, 3B)
+    vals: np.ndarray              # eigenvalues of Sigma along the basis
     clipped_mass: float           # total negative eigenmass removed
     rho: float
     order: int
 
+    @property
+    def sigma(self) -> np.ndarray:
+        """The dense, symmetrized covariance."""
+        sigma = (self.basis * self.vals) @ self.basis.T
+        return 0.5 * (sigma + sigma.T)
+
+    @property
+    def sqrt(self) -> np.ndarray:
+        """The dense principal square root of the PSD part of Sigma."""
+        return (self.basis * np.sqrt(np.clip(self.vals, 0.0, None))) @ self.basis.T
+
     def draw(self, seed: int, step: int) -> np.ndarray:
         """sqrt(Sigma) z for the standard normal z of the (seed, step) stream."""
-        return self.sqrt @ stream(seed, STREAM_SDE_NOISE, step).standard_normal(
-            len(self.sqrt))
+        z = stream(seed, STREAM_SDE_NOISE, step).standard_normal(len(self.basis))
+        return self.basis @ (np.sqrt(np.clip(self.vals, 0.0, None))
+                             * (self.basis.T @ z))
 
 
 @dataclass(frozen=True)
@@ -168,23 +183,27 @@ def drift(family: OracleFamily, x, order: int, rho: float,
 
 def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
                 tau: float = GRAD_FLOOR, terms: tuple | None = None) -> DiffusionModel:
-    """Assembled diffusion covariance, symmetrized, PSD-projected, rooted."""
+    """Diffusion covariance M^T K M, factored: with M^T = QR, the eigenpairs
+    (vals, U) of the symmetrized R K R^T give Sigma = (QU) diag(vals) (QU)^T.
+    The c2 and c3 rows of batches under the gradient floor are zero."""
     x = np.asarray(x, dtype=np.float64)
-    if family.dim > SIGMA_EXACT_LIMIT:
-        raise DimensionTooLarge(
-            f"exact diffusion needs d <= {SIGMA_EXACT_LIMIT}, got {family.dim}")
     if order not in (2, 3):
         raise ValueError("diffusion order must be 2 or 3")
     t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
         family, x, need_third=(order == 3), tau=tau)
-    sigma = _assemble_sigma(family, t1s, t2s, t3s, rho, order, tau)
-    sigma = 0.5 * (sigma + sigma.T)
-    vals, vecs = np.linalg.eigh(sigma)
-    clipped = float(-vals[vals < 0.0].sum())
-    vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    return DiffusionModel(mode="exact", sigma=sigma, sqrt=root,
-                          clipped_mass=clipped, rho=rho, order=order)
+    live = (np.linalg.norm(t1s, axis=1) >= tau)[:, None]
+    rows = np.concatenate([t1s - family.mean(t1s),
+                           np.where(live, t2s - family.mean(t2s), 0.0),
+                           np.where(live, t3s - family.mean(t3s), 0.0)])
+    r2 = rho ** 2 if order == 3 else 0.0
+    k = np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
+                np.diag(family.weights))
+    q, r = np.linalg.qr(rows.T)
+    core = r @ k @ r.T
+    vals, vecs = np.linalg.eigh(0.5 * (core + core.T))
+    return DiffusionModel(basis=q @ vecs, vals=vals,
+                          clipped_mass=float(-vals[vals < 0.0].sum()),
+                          rho=rho, order=order)
 
 
 def sde_coefficients(family: OracleFamily, x, rho: float, order,
@@ -199,8 +218,8 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     degree-0 pass whose adjoint rows are the batch gradients, then one pass
     along the unit gradients (degree 1 for order 2 and for aligned orders
     without diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b
-    and third_b(u_b, u_b) at any d. Only exact diffusion, and the
-    third-order vectors of an fd-mode family, need d <= 512.
+    and third_b(u_b, u_b) at any d. Only the third-order vectors of an
+    fd-mode family need d <= 512.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
@@ -228,22 +247,6 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     return dd, None
 
 
-def _assemble_sigma(family, t1s, t2s, t3s, rho, order, tau):
-    """Sigma from weighted products of the centered per-batch rows; the t2
-    and t3 rows of batches under the gradient floor are zero."""
-    w = family.weights[:, None]
-    live = (np.linalg.norm(t1s, axis=1) >= tau)[:, None]
-    c1 = t1s - family.mean(t1s)
-    c2 = np.where(live, t2s - family.mean(t2s), 0.0)
-    s12 = c1.T @ (w * c2)
-    sigma = c1.T @ (w * c1) + rho * (s12 + s12.T)
-    if order == 3:
-        c3 = np.where(live, t3s - family.mean(t3s), 0.0)
-        s13 = c1.T @ (w * c3)
-        sigma = sigma + rho ** 2 * (c2.T @ (w * c2) + 0.5 * (s13 + s13.T))
-    return sigma
-
-
 class SampledNoise:
     """Zero-mean batch-resampling noise whose covariance matches sigma_exact
     up to the same O(rho^3) terms the expansion already discards.
@@ -257,8 +260,7 @@ class SampledNoise:
         x = np.asarray(x, dtype=np.float64)
         t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
             family, x, need_third=(order == 3), tau=tau)
-        self.table = np.asarray([t1 + rho * t2 + 0.5 * rho ** 2 * t3
-                                 for t1, t2, t3 in zip(t1s, t2s, t3s)])
+        self.table = t1s + rho * t2s + 0.5 * rho ** 2 * t3s
         self.family = family
         self.mean = family.weights @ self.table
 

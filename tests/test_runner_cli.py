@@ -485,25 +485,21 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("processes,code", [
-        ("discrete-sam,sde3", 2), ("sde2", 2), ("discrete-sam", 0)])
-    def test_exact_diffusion_above_the_cap(self, tmp_path, capsys, processes,
-                                           code):
-        # 12,32,10 has d=746 > SIGMA_EXACT_LIMIT: any SDE process with exact
-        # diffusion is refused before a step runs; discrete SAM alone runs.
+    @pytest.mark.parametrize("processes", [
+        "discrete-sam,sde3", "sde2", "discrete-sam"])
+    def test_exact_diffusion_at_d746(self, tmp_path, processes):
+        # 12,32,10 has d=746: exact diffusion factors Sigma at any d, so every
+        # process runs to a complete CSV.
         sets = ["model_layers=12,32,10", "data_dim=12", "data_classes=10",
                 "data_n=16", "test_n=16", "batch_size=8", "steps=1",
                 "eval_every=1", "probe_q=2", "diffusion=exact",
                 f"processes={processes}"]
         args = [item for kv in sets for item in ("--set", kv)]
-        assert main(["simulate-sde", "--out", str(tmp_path), *args]) == code
-        if code == 2:
-            assert "diffusion=exact needs d <= 512" in capsys.readouterr().err
-            assert not any(tmp_path.iterdir())
-        else:
-            _, rows, error = read_csv(tmp_path / "sde.csv")
-            assert error is None
-            assert {r.process for r in rows} == {"discrete-sam"}
+        assert main(["simulate-sde", "--out", str(tmp_path), *args]) == 0
+        _, rows, error = read_csv(tmp_path / "sde.csv")
+        assert error is None
+        assert sorted((r.process, r.step) for r in rows) == sorted(
+            (p, step) for p in processes.split(",") for step in (0, 1))
 
     def test_numeric_error_exit_three(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--set", "lr=1e155",

@@ -7,9 +7,12 @@ from samlab import engine as eng
 from samlab.data import analytic_family, gen_synthetic, mlp_family
 from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
 from samlab.models import MlpSpec, init_params
+from samlab.optim import GRAD_FLOOR
 from samlab.oracle import analytic_oracle, polynomial_oracle_1d, quadratic_oracle
+from samlab.rng import STREAM_SDE_NOISE, stream
 from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
-                        VARIANT_ALIGNED_RHO2, DriftDecomposition, drift,
+                        VARIANT_ALIGNED_RHO2, DriftDecomposition,
+                        _per_batch_terms, drift,
                         drift_aligned, euler_maruyama_step,
                         one_step_moment_probe, sde_coefficients, sigma_exact)
 from samlab.toys import TOYS
@@ -93,9 +96,13 @@ class TestSigmaExact:
         s12 = np.mean([np.outer(a, b) for a, b in zip(c1, c2)], axis=0)
         s22 = np.mean([np.outer(b, b) for b in c2], axis=0)
         s13 = np.mean([np.outer(a, c) for a, c in zip(c1, c3)], axis=0)
-        brute = s11 + rho * (s12 + s12.T) + rho ** 2 * (s22 + 0.5 * (s13 + s13.T))
-        dm = sigma_exact(fam, x0, rho=rho)
-        np.testing.assert_allclose(dm.sigma, 0.5 * (brute + brute.T), atol=1e-12)
+        brute = {2: s11 + rho * (s12 + s12.T),
+                 3: s11 + rho * (s12 + s12.T)
+                 + rho ** 2 * (s22 + 0.5 * (s13 + s13.T))}
+        for order, want in brute.items():
+            dm = sigma_exact(fam, x0, rho=rho, order=order)
+            np.testing.assert_allclose(dm.sigma, 0.5 * (want + want.T),
+                                       atol=1e-12)
 
     def test_psd_projection_and_root(self):
         fam, x0 = TOYS["twobatch2d"]()
@@ -105,9 +112,32 @@ class TestSigmaExact:
         assert dm.clipped_mass >= 0.0
 
     def test_dimension_guard(self):
-        fam = analytic_family([quadratic_oracle(np.eye(600))])
-        with pytest.raises(DimensionTooLarge):
-            sigma_exact(fam, np.zeros(600), rho=0.1)
+        # d = 746: Sigma is factored through its rank <= 3B row space, so
+        # exact diffusion has no dimension limit. Check the factor against a
+        # dense Sigma built here from the per-batch terms.
+        spec = MlpSpec((12, 32, 10))
+        fam = mlp_family(spec, gen_synthetic(64, 12, 10, 1.0, 0), 32)
+        x = init_params(spec, 0).values
+        d, n, rho = spec.dim, len(fam), 0.2
+        terms = _per_batch_terms(fam, x, True, GRAD_FLOOR)
+        c1, c2, c3 = (t - fam.weights @ t for t in terms)
+        want = sum(w * (np.outer(a, a) + rho * (np.outer(a, b) + np.outer(b, a))
+                        + rho ** 2 * (np.outer(b, b)
+                                      + 0.5 * (np.outer(a, c) + np.outer(c, a))))
+                   for w, a, b, c in zip(fam.weights, c1, c2, c3))
+        dm = sigma_exact(fam, x, rho, terms=terms)
+        assert d == 746 and dm.basis.shape == (d, dm.vals.size)
+        assert dm.basis.shape[1] <= min(d, 3 * n)
+        scale = np.abs(want).max()
+        assert np.abs(dm.sigma - want).max() <= 1e-12 * scale
+        vals = np.linalg.eigvalsh(want)
+        assert dm.clipped_mass > 0.0
+        assert dm.clipped_mass == pytest.approx(-vals[vals < 0].sum(), rel=1e-10)
+        for seed, step in ((0, 0), (3, 7)):
+            z = stream(seed, STREAM_SDE_NOISE, step).standard_normal(d)
+            want_draw = dm.sqrt @ z
+            assert (np.abs(dm.draw(seed, step) - want_draw).max()
+                    <= 1e-12 * np.abs(want_draw).max())
 
 
 class TestSampledNoise:

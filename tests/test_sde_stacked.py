@@ -137,11 +137,11 @@ def test_nonfinite_batch_raises():
             sde_coefficients(family, x, 0.2, 3, "none")
 
 
-@pytest.mark.parametrize("diffusion", ["none", "sampled"])
+@pytest.mark.parametrize("diffusion", ["none", "sampled", "exact"])
 def test_order3_runs_at_d746(diffusion):
     # d = 746 > 512: exact mode takes the dense third-order vectors from the
-    # stacked degree-2 pass at any d; only exact diffusion (a dense d x d
-    # eigh) and fd-mode third-order vectors (2d HVPs each) keep the limit.
+    # stacked degree-2 pass, and exact diffusion factors Sigma, at any d;
+    # only fd-mode third-order vectors (2d HVPs each) keep the limit.
     spec = MlpSpec((12, 32, 10))
     ds = gen_synthetic(64, 12, 10, 1.0, 0)
     stacked, looped = stacked_and_looped(spec, ds)
@@ -162,7 +162,5 @@ def test_order3_runs_at_d746(diffusion):
         assert np.isfinite(dd.combined()).all()
         if noise is not None:
             assert np.isfinite(noise.draw(0, 0)).all()
-    with pytest.raises(DimensionTooLarge):
-        sde_coefficients(stacked, x, 0.2, 3, "exact")
     with pytest.raises(DimensionTooLarge):
         sde_coefficients(fd, x, 0.2, 3, diffusion)
