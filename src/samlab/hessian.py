@@ -1,10 +1,10 @@
 """Spectral probes of the loss Hessian, accessed only through HVPs.
 
-Power iteration converges to the eigenpair largest in magnitude; for a
-largest *algebraic* eigenvalue in the presence of strong negative curvature,
-use the optional shift (iterate on H + c I) and record that c in run
-metadata. It stays the Eigen-SAM refresh, whose q + 2 HVP budget the paper
-defines.
+Power iteration converges to the eigenpair largest in magnitude, which is
+not the largest *algebraic* eigenvalue where strong negative curvature
+dominates; the signed top-k values come from :func:`spectrum_deflated`.
+Power iteration stays the Eigen-SAM refresh, whose q + 2 HVP budget the
+paper defines, and gives the CSV ``lambda1``.
 
 The top-k spectrum is Lanczos with full reorthogonalization. Its function
 keeps the name ``spectrum_deflated`` from the deflated power iteration it
@@ -45,7 +45,6 @@ class EigenEstimate:
     residual: float | np.ndarray
     iterations: int
     hvp_calls: int
-    shift: float = 0.0
 
     @property
     def values(self) -> np.ndarray:
@@ -99,8 +98,8 @@ def _unit_start(dim: int, seed, substream: int, v0) -> np.ndarray:
 
 
 def power_iteration(oracle: LossOracle, x, q: int, seed,
-                    v0: np.ndarray | None = None, shift: float = 0.0,
-                    substream: int = 0, release: bool = False) -> EigenEstimate:
+                    v0: np.ndarray | None = None, substream: int = 0,
+                    release: bool = False) -> EigenEstimate:
     """q rounds of v <- Hv/||Hv|| from a seeded random unit start.
 
     Uses exactly q + 2 HVPs: q iterations, one for the Rayleigh quotient,
@@ -120,24 +119,18 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
         raise ValueError("q must be >= 1")
     x = _as_array(x)
     v = _unit_start(oracle.dim, seed, substream, v0)
-
-    def apply(vec):
-        hv = oracle.hvp(x, vec, release=release)
-        return hv + shift * vec if shift != 0.0 else hv
-
     for _ in range(q):
-        w = apply(v)
+        w = oracle.hvp(x, v, release=release)
         norm = np.linalg.norm(w, axis=-1, keepdims=True)
         if norm.min() < 1e-300:
             raise ZeroIterate("numerically zero curvature along the iterate")
         v = w / norm
-    lam_shifted = np.sum(v * apply(v), axis=-1)
-    lam = lam_shifted - shift
-    residual = np.linalg.norm(apply(v) - lam_shifted[..., None] * v, axis=-1)
+    lam = np.sum(v * oracle.hvp(x, v, release=release), axis=-1)
+    residual = np.linalg.norm(oracle.hvp(x, v, release=release)
+                              - lam[..., None] * v, axis=-1)
     if x.ndim == 1:
         lam, residual = float(lam), float(residual)
-    return EigenEstimate(lam, v, residual, iterations=q, hvp_calls=q + 2,
-                         shift=shift)
+    return EigenEstimate(lam, v, residual, iterations=q, hvp_calls=q + 2)
 
 
 def align(eps, v, floor: float = ALIGN_FLOOR) -> AlignmentReport:

@@ -1,12 +1,15 @@
 """Loss oracles: scalar losses with gradient, HVP, and third-order queries.
 
 A :class:`LossOracle` bundles a loss graph builder with a derivative mode.
-Exact mode differentiates the recorded tape (tangent-carrying forward pass,
-then a backward sweep). Finite-difference mode computes second- and
-third-order quantities by central differences of exact gradients with step
-``eps0 * (1 + ||x||)``. A dense third-order vector is one tape pass in exact
-mode at any d, and 2d HVPs in fd mode, which needs d <= DENSE_THIRD_LIMIT.
-Repeated queries at the same point are bit-identical in both modes.
+Its one derivative primitive is :meth:`LossOracle.jet`, the Taylor
+coefficients (grad, H u, third(u, u) / 2) of t -> grad f(x + t u); the HVP
+and the third-order queries read their coefficient of it. Exact mode takes
+the jet from one pass over the recorded tape (tangent-carrying forward pass,
+then a backward sweep). Finite-difference mode takes it from exact
+gradients along u, with steps ``EPS0_FIRST * (1 + ||x||)`` for H u and
+``EPS0_THIRD * (1 + ||x||)`` for third(u, u): 5 gradients for a dense
+third-order vector at any d. Repeated queries at the same point are
+bit-identical in both modes.
 """
 
 from __future__ import annotations
@@ -17,14 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import engine as eng
-from .errors import DimensionTooLarge, NonFiniteLoss, ZeroDirection
+from .errors import NonFiniteLoss, ZeroDirection
 
-# Dense third-order output in fd mode takes 2d HVPs, so it is restricted to
-# small parameter counts; exact mode and the directional form are not.
-DENSE_THIRD_LIMIT = 512
-
-EPS0_FIRST = 1e-5   # FD step scale for first differences (HVP mode)
-EPS0_THIRD = 1e-4   # FD step scale for the third-order map
+EPS0_FIRST = 1e-5   # FD step scale for the first difference (H u)
+EPS0_THIRD = 1e-4   # FD step scale for the second difference (third(u, u))
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,13 @@ class LossOracle:
     """
 
     def __init__(self, builder: Callable, dim: int, layout: tuple = (),
-                 mode: str = "exact", eps0: float = EPS0_FIRST,
-                 eps0_third: float = EPS0_THIRD, counter: CallCounter | None = None):
+                 mode: str = "exact", counter: CallCounter | None = None):
         if mode not in ("exact", "fd"):
             raise ValueError(f"unknown derivative mode {mode!r}")
         self.builder = builder
         self.dim = dim
         self.layout = layout
         self.mode = mode
-        self.eps0 = eps0
-        self.eps0_third = eps0_third
         self.counter = counter
 
     # -- helpers ------------------------------------------------------------
@@ -138,91 +134,70 @@ class LossOracle:
     def grad(self, x) -> np.ndarray:
         return jet_pass(self.builder, self._as_array(x))[0]
 
-    def hvp(self, x, v, release: bool = False) -> np.ndarray:
-        """H v, row by row for stacked x and v. ``release`` frees the exact
-        tape at once (see :func:`jet_pass`)."""
-        x = self._as_array(x)
-        v = self._as_array(v)
-        if v.shape != x.shape:
-            raise ValueError(f"direction shape {v.shape} != point shape {x.shape}")
+    def jet(self, x, u, degree: int, release: bool = False) -> tuple:
+        """Adjoint jet along u: (grad, H u) at degree 1 and, at degree 2,
+        (grad, H u, third(u, u) / 2), dense at any d. Counts one HVP.
+
+        These are the Taylor coefficients of t -> grad(x + t u). Exact mode
+        takes them from one tape pass (``release`` as in :func:`jet_pass`);
+        stacked x and u give one jet per row. fd mode takes them from
+        gradients on the line through x along u_bar = u / ||u||, scaling
+        coefficient k by ||u||^k: coefficient 1 is the central difference
+        at step EPS0_FIRST (1 + ||x||), coefficient 2 the second difference
+        at step EPS0_THIRD (1 + ||x||). Coefficient 0 is the gradient at x at
+        degree 2, which needs it, and at degree 1 the mean of the central
+        pair, within O(step^2) of it. That is 2 gradients at degree 1 and 5
+        at degree 2, at any d.
+        """
         if self.counter is not None:
             self.counter.hvp += 1
-        if self.mode == "fd":
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                raise ZeroDirection("FD hvp needs a nonzero direction")
-            h = self.eps0 * (1.0 + np.linalg.norm(x))
-            vbar = v / nv
-            out = (self.grad(x + h * vbar) - self.grad(x - h * vbar)) / (2.0 * h) * nv
-            _check_finite(out)
-            return out
-        return jet_pass(self.builder, x, 1, v, release)[1]
+        return self._jet(x, u, degree, release)
 
-    def jet(self, x, u, degree: int) -> tuple:
-        """Adjoint jet along u from one exact-mode tape pass: (grad, H u) at
-        degree 1, and at degree 2 (grad, H u, third(u, u) / 2), whose last
-        entry is dense at any d. Counts one HVP, as hvp would."""
+    def _jet(self, x, u, degree: int, release: bool = False) -> tuple:
         x = self._as_array(x)
         u = self._as_array(u)
-        if self.mode != "exact":
-            raise ValueError("jet needs exact mode")
+        if u.shape != x.shape:
+            raise ValueError(f"direction shape {u.shape} != point shape {x.shape}")
         if degree not in (1, 2):
             raise ValueError("jet degree must be 1 or 2")
-        if self.counter is not None:
-            self.counter.hvp += 1
-        return jet_pass(self.builder, x, degree, u)
+        if self.mode == "exact":
+            return jet_pass(self.builder, x, degree, u, release)
+        nu = np.linalg.norm(u)
+        if nu == 0.0:
+            raise ZeroDirection("fd jet needs a nonzero direction")
+        ubar = u / nu
+        h = EPS0_FIRST * (1.0 + np.linalg.norm(x))
+        g_plus, g_minus = self.grad(x + h * ubar), self.grad(x - h * ubar)
+        hu = (g_plus - g_minus) / (2.0 * h) * nu
+        _check_finite(hu)
+        if degree == 1:
+            return 0.5 * (g_plus + g_minus), hu
+        g0 = self.grad(x)
+        h = EPS0_THIRD * (1.0 + np.linalg.norm(x))
+        half_third = ((self.grad(x + h * ubar) - 2.0 * g0 + self.grad(x - h * ubar))
+                      / (2.0 * h * h) * nu * nu)
+        _check_finite(half_third)
+        return g0, hu, half_third
+
+    def hvp(self, x, v, release: bool = False) -> np.ndarray:
+        """H v (row by row for stacked x and v): coefficient 1 of the jet."""
+        return self.jet(x, v, 1, release)[1]
 
     def third_directional(self, x, u) -> np.ndarray:
-        """Full vector w with w_i = d/dx_i (u^T H(x) u): one degree-2 tape
-        pass in exact mode (any d), 2d HVPs in fd mode (d <= DENSE_THIRD_LIMIT)."""
-        x = self._as_array(x)
-        u = self._as_array(u)
-        if np.linalg.norm(u) == 0.0:
+        """Full vector w with w_i = d/dx_i (u^T H(x) u) = third(u, u), at any
+        d: twice coefficient 2 of the jet. Counts no HVP."""
+        if not np.any(self._as_array(u)):
             raise ZeroDirection("third_directional needs a nonzero direction")
-        if self.mode == "fd":
-            if self.dim > DENSE_THIRD_LIMIT:
-                raise DimensionTooLarge(f"fd dense third-order output needs "
-                                        f"d <= {DENSE_THIRD_LIMIT}, got {self.dim}")
-            return self._third_fd_dense(x, u)
-        return 2.0 * jet_pass(self.builder, x, 2, u)[2]
+        return 2.0 * self._jet(x, u, 2)[2]
 
     def third_directional_along(self, x, u, w) -> float:
-        """w^T third(u, u) at any d; fd mode takes it from two HVPs without
-        the dense vector."""
-        x = self._as_array(x)
-        u = self._as_array(u)
-        w = self._as_array(w)
-        if np.linalg.norm(u) == 0.0:
-            raise ZeroDirection("third_directional_along needs a nonzero direction")
-        if self.mode == "fd":
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            h = self.eps0_third * (1.0 + np.linalg.norm(x))
-            wbar = w / nw
-            s_plus = float(u @ self.hvp(x + h * wbar, u))
-            s_minus = float(u @ self.hvp(x - h * wbar, u))
-            out = (s_plus - s_minus) / (2.0 * h) * nw
-            _check_finite(np.asarray(out))
-            return out
-        return float(w @ (2.0 * jet_pass(self.builder, x, 2, u)[2]))
-
-    def _third_fd_dense(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # Central difference of s(x) = u^T hvp(x, u) along every coordinate.
-        h = self.eps0_third * (1.0 + np.linalg.norm(x))
-        out = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            s_plus = float(u @ self.hvp(x + e, u))
-            s_minus = float(u @ self.hvp(x - e, u))
-            out[i] = (s_plus - s_minus) / (2.0 * h)
-        _check_finite(out)
-        return out
+        """w^T third(u, u)."""
+        return float(self._as_array(w) @ self.third_directional(x, u))
 
 
 # ---------------------------------------------------------------------------
-# analytic oracles used by probes and tests
+# analytic oracles used by probes and tests; for a custom graph builder
+# (tape, x_node) -> scalar node, construct a LossOracle directly.
 # ---------------------------------------------------------------------------
 
 def quadratic_oracle(a: np.ndarray, b: np.ndarray | None = None,
@@ -258,8 +233,3 @@ def polynomial_oracle_1d(coeffs: list[float], mode: str = "exact",
 
     return LossOracle(build, 1, mode=mode, counter=counter)
 
-
-def analytic_oracle(builder: Callable, dim: int, mode: str = "exact",
-                    counter: CallCounter | None = None) -> LossOracle:
-    """Oracle over a custom graph builder (tape, x_node) -> scalar node."""
-    return LossOracle(builder, dim, mode=mode, counter=counter)

@@ -25,14 +25,15 @@ exact and every probe here is deterministic. Batches whose gradient norm
 falls below the floor contribute zero to terms 2-3 and to their centered
 covariance vectors.
 
-The per-batch vectors come from two tape passes per batch: a gradient, then
-one jet pass along u_g = g / ||g|| (degree 1 for order 2, degree 2 for order
-3) whose adjoint jet is (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d.
-A family with stacks (every exact-mode ``mlp_family``) runs each of the two
-passes once per stack, on a ``(B, d)`` leaf holding x in every row, instead
-of once per batch; a stack holds as many batches of one row count as fit in
-``data.STACK_ELEMENTS``. Other families loop over their oracles, and fd-mode
-oracles take their HVPs and third-order vectors by finite differences.
+The per-batch vectors come from a gradient, then one jet along
+u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
+coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. In
+exact mode each is one tape pass; an fd-mode jet takes 2 or 5 gradients
+(:meth:`oracle.LossOracle.jet`). A family with stacks (every exact-mode
+``mlp_family``) runs each of the two passes once per stack, on a ``(B, d)``
+leaf holding x in every row, instead of once per batch; a stack holds as
+many batches of one row count as fit in ``data.STACK_ELEMENTS``. Other
+families loop over their oracles.
 """
 
 from __future__ import annotations
@@ -133,11 +134,6 @@ def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
         norm = np.linalg.norm(g)
         if norm < tau:
             continue
-        if oracle.mode == "fd":
-            t2s[b] = oracle.hvp(x, g) / norm
-            if need_third:
-                t3s[b] = oracle.third_directional(x, g / norm)
-            continue
         jet = oracle.jet(x, g / norm, degree)
         t2s[b] = jet[1]
         if need_third:
@@ -218,8 +214,8 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     degree-0 pass whose adjoint rows are the batch gradients, then one pass
     along the unit gradients (degree 1 for order 2 and for aligned orders
     without diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b
-    and third_b(u_b, u_b) at any d. Only the third-order vectors of an
-    fd-mode family need d <= 512.
+    and third_b(u_b, u_b) at any d. Both derivative modes run every order at
+    any d.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.

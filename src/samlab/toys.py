@@ -10,7 +10,7 @@ import numpy as np
 
 from . import engine as eng
 from .data import analytic_family
-from .oracle import CallCounter, analytic_oracle, polynomial_oracle_1d
+from .oracle import CallCounter, LossOracle, polynomial_oracle_1d
 
 
 def _coord(x, i):
@@ -63,8 +63,8 @@ def twobatch2d(counter: CallCounter | None = None):
         out = eng.add(out, eng.scale(eng.pow_int(x1, 2), 0.5))
         return eng.add(out, eng.scale(eng.mul(x1, x2), -0.2))
 
-    fam = analytic_family([analytic_oracle(build1, 2, counter=counter),
-                           analytic_oracle(build2, 2, counter=counter)],
+    fam = analytic_family([LossOracle(build1, 2, counter=counter),
+                           LossOracle(build2, 2, counter=counter)],
                           counter=counter)
     return fam, np.array([0.8, -0.6])
 

@@ -6,9 +6,9 @@ import pytest
 from helpers import central_diff_grad, straightline_mlp_loss, zoo_oracle, zoo_specs
 from samlab import engine as eng
 from samlab.data import gen_synthetic
-from samlab.errors import DimensionTooLarge, NonFiniteLoss, ZeroDirection
+from samlab.errors import NonFiniteLoss, ZeroDirection
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.oracle import (DENSE_THIRD_LIMIT, ParamVector, analytic_oracle,
+from samlab.oracle import (EPS0_FIRST, CallCounter, LossOracle, ParamVector,
                            polynomial_oracle_1d, quadratic_oracle)
 
 
@@ -35,8 +35,7 @@ class TestLoss:
         assert oracle.loss(x.values) == pytest.approx(reference, rel=1e-12)
 
     def test_nonfinite_loss_raises(self):
-        oracle = analytic_oracle(
-            lambda tape, x: eng.sum_all(eng.exp(x)), 1)
+        oracle = LossOracle(lambda tape, x: eng.sum_all(eng.exp(x)), 1)
         with pytest.raises(NonFiniteLoss):
             oracle.loss(np.array([1000.0]))
 
@@ -108,6 +107,19 @@ class TestHvp:
             combo = oracle.hvp(x, 0.3 * u - 1.7 * v)
             np.testing.assert_allclose(combo, 0.3 * hu - 1.7 * hv, atol=1e-8)
 
+    def test_fd_is_the_central_difference_bit_for_bit(self):
+        # perfbench/make_refs.py builds the spectrum refs from fd hvp columns.
+        rng = np.random.default_rng(12)
+        for spec in zoo_specs():
+            fd = zoo_oracle(spec, mode="fd")
+            x = init_params(spec, 2).values
+            v = rng.standard_normal(spec.dim)
+            h = EPS0_FIRST * (1.0 + np.linalg.norm(x))
+            vbar = v / np.linalg.norm(v)
+            want = ((fd.grad(x + h * vbar) - fd.grad(x - h * vbar)) / (2.0 * h)
+                    * np.linalg.norm(v))
+            assert fd.hvp(x, v).tobytes() == want.tobytes()
+
     def test_mode_agreement_on_zoo(self):
         rng = np.random.default_rng(11)
         for spec in zoo_specs():
@@ -137,7 +149,7 @@ class TestThirdDirectional:
             x2 = eng.sum_all(eng.slice1d(x, 1, 2))
             return eng.mul(eng.mul(x1, x1), x2)
 
-        oracle = analytic_oracle(build, 2)
+        oracle = LossOracle(build, 2)
         out = oracle.third_directional(np.array([0.4, -1.3]), np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [0.0, 2.0], atol=1e-12)
 
@@ -149,7 +161,7 @@ class TestThirdDirectional:
         u = np.random.default_rng(1).standard_normal(spec.dim)
         we = exact.third_directional(x, u)
         wf = fd.third_directional(x, u)
-        assert np.linalg.norm(we - wf) / (1 + np.linalg.norm(we)) < 1e-3
+        assert np.linalg.norm(we - wf) / np.linalg.norm(we) < 1e-6
 
     def test_directional_form(self):
         oracle = polynomial_oracle_1d([0, 0, 0, 1.0])
@@ -157,25 +169,49 @@ class TestThirdDirectional:
                                              np.array([0.5]))
         assert out == pytest.approx(3.0, rel=1e-12)
 
-    def test_dimension_guard(self):
-        # d = 30*30 + 30 + 30*10 + 10 = 1240 > DENSE_THIRD_LIMIT. Exact mode
-        # gives the dense vector from one degree-2 pass at any d; only fd
-        # mode, at 2d HVPs per vector, refuses it.
+    def test_fd_dense_matches_exact_at_d1240(self):
+        # d = 30*30 + 30 + 30*10 + 10 = 1240: both modes give the dense
+        # vector from one degree-2 jet (one tape pass, or 5 gradients in fd
+        # mode), so neither has a size limit, and they agree.
         spec = MlpSpec((30, 30, 10))
         rng = np.random.default_rng(4)
         inputs, labels = rng.standard_normal((4, 30)), np.arange(4) % 10
         x = init_params(spec, 0).values
         u, w = rng.standard_normal((2, spec.dim))
-        assert spec.dim > DENSE_THIRD_LIMIT
         exact = mlp_oracle(spec, inputs, labels)
+        fd = mlp_oracle(spec, inputs, labels, mode="fd")
         v = exact.third_directional(x, u)
         assert v.shape == (spec.dim,) and np.abs(v).max() > 0.0
         assert float(w @ v) == exact.third_directional_along(x, u, w)
-        fd = mlp_oracle(spec, inputs, labels, mode="fd")
-        with pytest.raises(DimensionTooLarge):
-            fd.third_directional(x, u)
-        # The directional form still works in fd mode at this size.
-        assert np.isfinite(fd.third_directional_along(x, u, w))
+        vf = fd.third_directional(x, u)
+        assert np.linalg.norm(vf - v) / np.linalg.norm(v) < 1e-6
+        assert float(w @ vf) == fd.third_directional_along(x, u, w)
+
+    @pytest.mark.parametrize("layers", [(2, 5, 2), (30, 30, 10)],
+                             ids=["d27", "d1240"])
+    def test_fd_jet_gradient_count(self, layers):
+        # A degree-2 fd jet is the gradient at x and two pairs along u: 5
+        # gradients at any d (degree 1: one pair). The jet counts one HVP,
+        # the third-order queries none.
+        spec = MlpSpec(layers)
+        rng = np.random.default_rng(6)
+        inputs, labels = rng.standard_normal((4, layers[0])), np.arange(4) % 2
+        counter = CallCounter()
+        fd = mlp_oracle(spec, inputs, labels, mode="fd", counter=counter)
+        grads = []
+        fd.grad = (lambda f: lambda x: grads.append(1) or f(x))(fd.grad)
+        x = init_params(spec, 0).values
+        u = rng.standard_normal(spec.dim)
+        g, hu, _ = fd.jet(x, u, 2)
+        assert len(grads) == 5
+        mean, hu1 = fd.jet(x, u, 1)
+        assert len(grads) == 7 and counter.hvp == 2
+        # Coefficient 1 does not depend on the degree; at degree 1 the
+        # gradient is the mean of the central pair.
+        assert hu1.tobytes() == hu.tobytes()
+        assert np.linalg.norm(mean - g) <= 1e-8 * np.linalg.norm(g)
+        fd.third_directional(x, u)
+        assert len(grads) == 12 and counter.hvp == 2
 
     def test_zero_direction(self):
         oracle = polynomial_oracle_1d([0, 0, 0, 1.0])

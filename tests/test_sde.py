@@ -8,7 +8,7 @@ from samlab.data import analytic_family, gen_synthetic, mlp_family
 from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
 from samlab.models import MlpSpec, init_params
 from samlab.optim import GRAD_FLOOR
-from samlab.oracle import analytic_oracle, polynomial_oracle_1d, quadratic_oracle
+from samlab.oracle import LossOracle, polynomial_oracle_1d, quadratic_oracle
 from samlab.rng import STREAM_SDE_NOISE, stream
 from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
                         VARIANT_ALIGNED_RHO2, DriftDecomposition,
@@ -265,7 +265,7 @@ class TestDriftAligned:
             return eng.add(eng.scale(eng.pow_int(x1, 4), 0.05),
                            eng.scale(eng.pow_int(x2, 2), 2.0))
 
-        fam = analytic_family([analytic_oracle(build, 2)])
+        fam = analytic_family([LossOracle(build, 2)])
         x = np.array([0.0, 1.0])  # H = diag(0.6 x1^2, 4) = diag(0, 4): v1 = e2
         plain = drift(fam, x, 3, 0.05)
         ad = drift_aligned(fam, x, VARIANT_ALIGNED_RHO, 0.05, q=60, seed=0,

@@ -11,7 +11,7 @@ import pytest
 import samlab.data
 from helpers import dense_hessian
 from samlab.data import Dataset, OracleFamily, gen_synthetic, mlp_family
-from samlab.errors import DimensionTooLarge, NonFiniteLoss
+from samlab.errors import NonFiniteLoss
 from samlab.models import MlpSpec, init_params
 from samlab.oracle import CallCounter
 from samlab.sde import _per_batch_terms, sde_coefficients
@@ -94,7 +94,7 @@ def test_stack_budget_splits_and_matches_loop(monkeypatch):
 
 def test_fd_family_loops_without_extra_gradients():
     # An fd-mode family has no stacks; its loop takes one gradient per batch
-    # (plus the fd differences inside hvp) and agrees with the exact terms.
+    # and one jet along the unit gradient, and agrees with the exact terms.
     spec, n = CASES["ce-full"]
     ds = dataset(spec, n)
     fd = mlp_family(spec, ds, 32, mode="fd", counter=CallCounter())
@@ -106,11 +106,20 @@ def test_fd_family_loops_without_extra_gradients():
         oracle.grad = (lambda f: lambda x: grads.append(1) or f(x))(oracle.grad)
     got = _per_batch_terms(fd, x, False, 1e-12)
     want = _per_batch_terms(stacked, x, False, 1e-12)
-    # One gradient per batch, then the two of the central difference.
+    # One gradient per batch, then the pair of the degree-1 jet.
     assert len(grads) == 3 * len(fd)
     assert fd.counter.hvp == stacked.counter.hvp == len(fd)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got[1], want[1], rtol=1e-5, atol=1e-7)
+    # Order 3: the degree-2 jet adds the gradient at x and a second pair,
+    # 6 gradients per batch at any d.
+    del grads[:]
+    got = _per_batch_terms(fd, x, True, 1e-12)
+    want = _per_batch_terms(stacked, x, True, 1e-12)
+    assert len(grads) == 6 * len(fd)
+    assert fd.counter.hvp == stacked.counter.hvp == 2 * len(fd)
+    for g, w in zip(got[1:], want[1:]):
+        assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
 
 
 def test_stacked_hvp_matches_dense_hessian():
@@ -139,9 +148,9 @@ def test_nonfinite_batch_raises():
 
 @pytest.mark.parametrize("diffusion", ["none", "sampled", "exact"])
 def test_order3_runs_at_d746(diffusion):
-    # d = 746 > 512: exact mode takes the dense third-order vectors from the
-    # stacked degree-2 pass, and exact diffusion factors Sigma, at any d;
-    # only fd-mode third-order vectors (2d HVPs each) keep the limit.
+    # d = 746: exact mode takes the dense third-order vectors from the
+    # stacked degree-2 pass, fd mode from a 5-gradient jet per batch, and
+    # exact diffusion factors Sigma, at any d.
     spec = MlpSpec((12, 32, 10))
     ds = gen_synthetic(64, 12, 10, 1.0, 0)
     stacked, looped = stacked_and_looped(spec, ds)
@@ -155,12 +164,17 @@ def test_order3_runs_at_d746(diffusion):
     w = np.random.default_rng(5).standard_normal(spec.dim)
     for b, oracle in enumerate(fd.oracles):
         u = got[0][b] / np.linalg.norm(got[0][b])
+        third = oracle.third_directional(x, u)
+        assert np.linalg.norm(third - got[2][b]) <= 1e-6 * np.linalg.norm(got[2][b])
         along = oracle.third_directional_along(x, u, w)
         assert float(w @ got[2][b]) == pytest.approx(along, rel=1e-6)
     for order in (3, "aligned-rho", "aligned-rho2"):
-        dd, noise = sde_coefficients(stacked, x, 0.2, order, diffusion)
-        assert np.isfinite(dd.combined()).all()
-        if noise is not None:
-            assert np.isfinite(noise.draw(0, 0)).all()
-    with pytest.raises(DimensionTooLarge):
-        sde_coefficients(fd, x, 0.2, 3, diffusion)
+        drifts = []
+        for family in (stacked, fd):
+            dd, noise = sde_coefficients(family, x, 0.2, order, diffusion)
+            drifts.append(dd.combined())
+            assert np.isfinite(drifts[-1]).all()
+            if noise is not None:
+                assert np.isfinite(noise.draw(0, 0)).all()
+        if order == 3:
+            assert np.linalg.norm(drifts[1] - drifts[0]) <= 1e-6 * np.linalg.norm(drifts[0])
