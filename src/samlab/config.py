@@ -21,18 +21,21 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+def _at_least(conv, low, strict: bool = False):
+    """Converter through ``conv`` that rejects values under ``low``, ``low``
+    itself if ``strict``, and NaN."""
+    def convert(text: str):
+        value = conv(text)
+        if not (value > low if strict else value >= low):
+            raise ValueError(f"must be {'>' if strict else '>='} {low}")
+        return value
+    return convert
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
+_positive_int = _at_least(int, 1)
+_nonnegative_int = _at_least(int, 0)
+_positive_float = _at_least(float, 0, strict=True)
+_nonnegative_float = _at_least(float, 0)
 
 
 def _list_of(conv):
@@ -71,14 +74,14 @@ _COMMON = {
 _OPTIMIZER = {
     "method": (str, "sam"),
     "lr": (float, 0.1),
-    "rho": (float, 0.05),
+    "rho": (_nonnegative_float, 0.05),
     "alpha": (float, 0.2),
     "p": (int, 100),
     "q": (int, 5),
     "momentum": (float, 0.9),
     "weight_decay": (float, 5e-5),
     "schedule": (str, "cosine"),
-    "grad_floor": (float, 1e-12),
+    "grad_floor": (_positive_float, 1e-12),
 }
 
 SCHEMAS = {
@@ -92,7 +95,7 @@ SCHEMAS = {
                      "processes": (_list_of(str.strip),
                                    ("discrete-sam", "sde2", "sde3")),
                      "eta": (float, 0.01),
-                     "rho": (float, 0.2),
+                     "rho": (_nonnegative_float, 0.2),
                      "steps": (_nonnegative_int, 2000),
                      "substeps": (int, 1),
                      "diffusion": (str, "exact"),
@@ -100,7 +103,7 @@ SCHEMAS = {
                      "probe_q": (_positive_int, 20),
                      "aligned_q": (_positive_int, 50),
                      "aligned_check_gap": (_bool, True),
-                     "grad_floor": (float, 1e-12)},
+                     "grad_floor": (_positive_float, 1e-12)},
     "spectrum": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
                  "sampler": (str, "shuffle-each-epoch"),
                  "steps": (_nonnegative_int, 0),
@@ -111,7 +114,8 @@ SCHEMAS = {
                       "toy": (str, "quartic1d"),
                       "x0": (_list_of(float), ()),
                       "eta": (float, 0.01),
-                      "rho_grid": (_list_of(float), (0.02, 0.04, 0.08, 0.16)),
+                      "rho_grid": (_list_of(_positive_float),
+                                   (0.02, 0.04, 0.08, 0.16)),
                       "with_second": (_bool, True)},
     "probe-power": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
                     "sampler": (str, "shuffle-each-epoch"),

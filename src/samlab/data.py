@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 from .models import MlpSpec, mlp_builder, mlp_oracle
-from .oracle import CallCounter
 from .rng import STREAM_BATCH, STREAM_DATA_TEST, STREAM_DATA_TRAIN, stream
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -168,18 +167,15 @@ class OracleFamily:
     ``stacks``, if given, is a callable that yields ``(batch indices,
     builder)`` pairs covering every batch exactly once; each builder takes
     a ``(len(indices), dim)`` leaf and returns the sum of those batches'
-    losses (see :func:`samlab.oracle.jet_pass`). Its counts go to
-    ``counter``, the oracles' counter.
+    losses (see :func:`samlab.oracle.jet_pass`).
     """
 
-    def __init__(self, oracles: list, weights: np.ndarray,
-                 counter: CallCounter | None = None, stacks=None):
+    def __init__(self, oracles: list, weights: np.ndarray, stacks=None):
         if len(oracles) != len(weights):
             raise ValueError("one weight per oracle required")
         self.oracles = list(oracles)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.weights = self.weights / self.weights.sum()
-        self.counter = counter
         self.stacks = stacks
         self.dim = oracles[0].dim
 
@@ -201,16 +197,15 @@ class OracleFamily:
 
 
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int,
-               mode: str = "exact", counter: CallCounter | None = None) -> OracleFamily:
+               mode: str = "exact") -> OracleFamily:
     """Oracles over the enumeration partition; exact mode also stacks them."""
     parts = enumeration_batches(dataset.n, batch_size)
-    oracles = [mlp_oracle(spec, *dataset.take(idx), mode=mode, counter=counter)
-               for idx in parts]
+    oracles = [mlp_oracle(spec, *dataset.take(idx), mode=mode) for idx in parts]
     stacks = None
     if mode == "exact":
         stacks = functools.partial(_mlp_stacks, spec, dataset, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
-                        counter=counter, stacks=stacks)
+                        stacks=stacks)
 
 
 def _mlp_stacks(spec: MlpSpec, dataset: Dataset, parts: list):
@@ -227,6 +222,6 @@ def _mlp_stacks(spec: MlpSpec, dataset: Dataset, parts: list):
             yield chunk, mlp_builder(spec, *dataset.take(rows))
 
 
-def analytic_family(oracles: list, counter: CallCounter | None = None) -> OracleFamily:
+def analytic_family(oracles: list) -> OracleFamily:
     """Equal-weight family over hand-built oracles (toy problems, tests)."""
-    return OracleFamily(list(oracles), np.ones(len(oracles)), counter=counter)
+    return OracleFamily(list(oracles), np.ones(len(oracles)))

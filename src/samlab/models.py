@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as eng
-from .oracle import CallCounter, LossOracle, ParamVector
+from .oracle import LossOracle, ParamVector
 from .rng import STREAM_INIT, stream
 
 ACTIVATIONS = ("gelu", "relu")
@@ -128,9 +128,9 @@ def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
 
 
 def mlp_oracle(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray,
-               mode: str = "exact", counter: CallCounter | None = None) -> LossOracle:
+               mode: str = "exact") -> LossOracle:
     return LossOracle(mlp_builder(spec, inputs, labels), spec.dim,
-                      layout=spec.layout, mode=mode, counter=counter)
+                      layout=spec.layout, mode=mode)
 
 
 def predict_logits(spec: MlpSpec, x: ParamVector, inputs: np.ndarray) -> np.ndarray:

@@ -53,13 +53,6 @@ class ParamVector:
         return self.values.size
 
 
-class CallCounter:
-    """Mutable HVP counter shared across the oracles of one experiment run."""
-
-    def __init__(self):
-        self.hvp = 0
-
-
 def _check_finite(*arrays) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
@@ -98,14 +91,13 @@ class LossOracle:
     """
 
     def __init__(self, builder: Callable, dim: int, layout: tuple = (),
-                 mode: str = "exact", counter: CallCounter | None = None):
+                 mode: str = "exact"):
         if mode not in ("exact", "fd"):
             raise ValueError(f"unknown derivative mode {mode!r}")
         self.builder = builder
         self.dim = dim
         self.layout = layout
         self.mode = mode
-        self.counter = counter
 
     # -- helpers ------------------------------------------------------------
 
@@ -136,7 +128,7 @@ class LossOracle:
 
     def jet(self, x, u, degree: int, release: bool = False) -> tuple:
         """Adjoint jet along u: (grad, H u) at degree 1 and, at degree 2,
-        (grad, H u, third(u, u) / 2), dense at any d. Counts one HVP.
+        (grad, H u, third(u, u) / 2), dense at any d.
 
         These are the Taylor coefficients of t -> grad(x + t u). Exact mode
         takes them from one tape pass (``release`` as in :func:`jet_pass`);
@@ -149,11 +141,6 @@ class LossOracle:
         pair, within O(step^2) of it. That is 2 gradients at degree 1 and 5
         at degree 2, at any d.
         """
-        if self.counter is not None:
-            self.counter.hvp += 1
-        return self._jet(x, u, degree, release)
-
-    def _jet(self, x, u, degree: int, release: bool = False) -> tuple:
         x = self._as_array(x)
         u = self._as_array(u)
         if u.shape != x.shape:
@@ -185,10 +172,10 @@ class LossOracle:
 
     def third_directional(self, x, u) -> np.ndarray:
         """Full vector w with w_i = d/dx_i (u^T H(x) u) = third(u, u), at any
-        d: twice coefficient 2 of the jet. Counts no HVP."""
+        d: twice coefficient 2 of the jet."""
         if not np.any(self._as_array(u)):
             raise ZeroDirection("third_directional needs a nonzero direction")
-        return 2.0 * self._jet(x, u, 2)[2]
+        return 2.0 * self.jet(x, u, 2)[2]
 
     def third_directional_along(self, x, u, w) -> float:
         """w^T third(u, u)."""
@@ -201,7 +188,7 @@ class LossOracle:
 # ---------------------------------------------------------------------------
 
 def quadratic_oracle(a: np.ndarray, b: np.ndarray | None = None,
-                     mode: str = "exact", counter: CallCounter | None = None) -> LossOracle:
+                     mode: str = "exact") -> LossOracle:
     """f(x) = 0.5 x^T A x + b^T x for a fixed symmetric matrix A."""
     a = np.asarray(a, dtype=np.float64)
     d = a.shape[0]
@@ -212,11 +199,10 @@ def quadratic_oracle(a: np.ndarray, b: np.ndarray | None = None,
         out = eng.scale(eng.dot(x, ax), 0.5)
         return eng.add(out, eng.dot(tape.const(b), x))
 
-    return LossOracle(build, d, mode=mode, counter=counter)
+    return LossOracle(build, d, mode=mode)
 
 
-def polynomial_oracle_1d(coeffs: list[float], mode: str = "exact",
-                         counter: CallCounter | None = None) -> LossOracle:
+def polynomial_oracle_1d(coeffs: list[float], mode: str = "exact") -> LossOracle:
     """f(x) = sum_p coeffs[p] * x^p for a single scalar parameter."""
 
     def build(tape, x):
@@ -231,5 +217,5 @@ def polynomial_oracle_1d(coeffs: list[float], mode: str = "exact",
                 out = eng.add(out, eng.scale(eng.sum_all(eng.pow_int(x0, p)), float(c)))
         return out
 
-    return LossOracle(build, 1, mode=mode, counter=counter)
+    return LossOracle(build, 1, mode=mode)
 

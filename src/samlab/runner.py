@@ -38,7 +38,7 @@ from .hessian import align, power_iteration, spectrum_deflated
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import MlpSpec, accuracy, init_params, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
-from .oracle import CallCounter, ParamVector
+from .oracle import ParamVector
 from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
@@ -218,8 +218,9 @@ _PROCESS_ORDER = {"sde2": 2, "sde3": 3,
 
 
 def _sam_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, seed: int):
-    """advance(x, t): one SAM step on a batch drawn with probability equal to
-    its weight, the discrete process the SDE models approximate."""
+    """(advance, hvp_counts): advance(x, t) takes one SAM step on a batch
+    drawn with probability equal to its weight, the discrete process the SDE
+    models approximate."""
     sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
                               schedule="constant", total_steps=sde_cfg.steps,
                               grad_floor=config["grad_floor"])
@@ -230,23 +231,28 @@ def _sam_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, seed: int):
         oracle = family.oracles[family.pick(seed, STREAM_BATCH, t)]
         x, state = optimizer_step(x, oracle, sam_cfg, state)
         return x
-    return advance
+    return advance, lambda: state.hvp_count[None]
 
 
 def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
                  seed: int):
-    """advance(x, t): ``substeps`` Euler-Maruyama steps of the SDE model."""
+    """(advance, hvp_counts): advance(x, t) takes ``substeps`` Euler-Maruyama
+    steps of the SDE model; the count is the HVPs of their drifts so far."""
+    hvps = 0
+
     def advance(x, t):
+        nonlocal hvps
         for j in range(sde_cfg.substeps):
             dd, diff = sde_mod.sde_coefficients(
                 family, x, sde_cfg.rho, order, sde_cfg.diffusion,
                 tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
                 check_gap=config["aligned_check_gap"])
+            hvps += dd.hvp_calls
             noise = None if diff is None else diff.draw(
                 seed, t * sde_cfg.substeps + j)
             x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
         return x
-    return advance
+    return advance, lambda: (hvps,)
 
 
 def _sde_config(config: dict) -> sde_mod.SdeConfig:
@@ -272,18 +278,17 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
     def fill(rows):
         for seed in config["seeds"]:
             for process in config["processes"]:
-                counter = CallCounter()
-                family = mlp_family(spec, train, config["batch_size"],
-                                    counter=counter)
+                family = mlp_family(spec, train, config["batch_size"])
                 if process == "discrete-sam":
-                    advance = _sam_process(config, sde_cfg, family, seed)
+                    advance, hvp_counts = _sam_process(config, sde_cfg,
+                                                       family, seed)
                 else:
-                    advance = _sde_process(config, sde_cfg, family,
-                                           _PROCESS_ORDER[process], seed)
+                    advance, hvp_counts = _sde_process(
+                        config, sde_cfg, family, _PROCESS_ORDER[process], seed)
                 _trajectory(config, spec, train, test, (seed,), process,
                             sde_cfg.steps,
                             lambda x, t: advance(x[0], t)[None],
-                            lambda: (counter.hvp,), rows)
+                            hvp_counts, rows)
 
     return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 

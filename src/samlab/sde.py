@@ -59,10 +59,13 @@ ALIGNED = (VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2)
 
 @dataclass(frozen=True)
 class DriftDecomposition:
+    """The three drift terms and the HVPs they cost: one per batch at or
+    above the gradient floor, plus the aligned drifts' Lanczos spectra."""
     term1: np.ndarray
     term2: np.ndarray
     term3: np.ndarray
     rho: float
+    hvp_calls: int = 0
 
     def combined(self) -> np.ndarray:
         return self.term1 + self.rho * self.term2 + 0.5 * self.rho ** 2 * self.term3
@@ -124,44 +127,46 @@ class SdeConfig:
 def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                      tau: float) -> tuple:
     """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
-    unless need_third), with t2_b = t3_b = 0 where ||t1_b|| < tau."""
+    unless need_third), and the mask of the live batches, ||t1_b|| >= tau.
+    t2_b = t3_b = 0 off the mask; each live batch costs one HVP (its jet)."""
     if family.stacks is not None:
         return _stacked_terms(family, x, need_third, tau)
     degree = 2 if need_third else 1
     t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
+    live = np.zeros(len(family), dtype=bool)
     for b, oracle in enumerate(family.oracles):
         g = t1s[b] = oracle.grad(x)
         norm = np.linalg.norm(g)
         if norm < tau:
             continue
+        live[b] = True
         jet = oracle.jet(x, g / norm, degree)
         t2s[b] = jet[1]
         if need_third:
             t3s[b] = 2.0 * jet[2]
-    return t1s, t2s, t3s
+    return t1s, t2s, t3s, live
 
 
 def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                    tau: float) -> tuple:
-    """_per_batch_terms from two passes per stack; counts what the loop would."""
+    """_per_batch_terms from two passes per stack."""
     n, d, degree = len(family), family.dim, 2 if need_third else 1
     t1s, t2s, t3s = (np.zeros((n, d)) for _ in range(3))
+    live = np.zeros(n, dtype=bool)
     for ids, builder in family.stacks():
         xs = np.tile(x, (len(ids), 1))
         g = t1s[ids] = jet_pass(builder, xs, release=True)[0]
         norms = np.array([np.linalg.norm(row) for row in g])
-        live = norms >= tau
-        if not live.any():
+        on = live[ids] = norms >= tau
+        if not on.any():
             continue
         units = np.zeros_like(g)
-        units[live] = g[live] / norms[live, None]
+        units[on] = g[on] / norms[on, None]
         jet = jet_pass(builder, xs, degree, tangent=units, release=True)
-        t2s[ids[live]] = jet[1][live]
+        t2s[ids[on]] = jet[1][on]
         if need_third:
-            t3s[ids[live]] = 2.0 * jet[2][live]
-        if family.counter is not None:
-            family.counter.hvp += int(live.sum())
-    return t1s, t2s, t3s
+            t3s[ids[on]] = 2.0 * jet[2][on]
+    return t1s, t2s, t3s, live
 
 
 def drift(family: OracleFamily, x, order: int, rho: float,
@@ -170,11 +175,11 @@ def drift(family: OracleFamily, x, order: int, rho: float,
     x = np.asarray(x, dtype=np.float64)
     if order not in (2, 3):
         raise ValueError("drift order must be 2 or 3")
-    t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
+    t1s, t2s, t3s, live = terms if terms is not None else _per_batch_terms(
         family, x, need_third=(order == 3), tau=tau)
     term3 = family.mean(t3s) if order == 3 else np.zeros(family.dim)
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(t2s),
-                              term3=term3, rho=rho)
+                              term3=term3, rho=rho, hvp_calls=int(live.sum()))
 
 
 def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
@@ -185,12 +190,11 @@ def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
     x = np.asarray(x, dtype=np.float64)
     if order not in (2, 3):
         raise ValueError("diffusion order must be 2 or 3")
-    t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
+    t1s, t2s, t3s, live = terms if terms is not None else _per_batch_terms(
         family, x, need_third=(order == 3), tau=tau)
-    live = (np.linalg.norm(t1s, axis=1) >= tau)[:, None]
     rows = np.concatenate([t1s - family.mean(t1s),
-                           np.where(live, t2s - family.mean(t2s), 0.0),
-                           np.where(live, t3s - family.mean(t3s), 0.0)])
+                           np.where(live[:, None], t2s - family.mean(t2s), 0.0),
+                           np.where(live[:, None], t3s - family.mean(t3s), 0.0)])
     r2 = rho ** 2 if order == 3 else 0.0
     k = np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
                 np.diag(family.weights))
@@ -254,7 +258,7 @@ class SampledNoise:
     def __init__(self, family: OracleFamily, x, rho: float, order: int = 3,
                  tau: float = GRAD_FLOOR, terms: tuple | None = None):
         x = np.asarray(x, dtype=np.float64)
-        t1s, t2s, t3s = terms if terms is not None else _per_batch_terms(
+        t1s, t2s, t3s, _ = terms if terms is not None else _per_batch_terms(
             family, x, need_third=(order == 3), tau=tau)
         self.table = t1s + rho * t2s + 0.5 * rho ** 2 * t3s
         self.family = family
@@ -290,13 +294,15 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:
         raise ValueError(f"unknown aligned variant {variant!r}")
-    t1s, t2s_raw, _ = terms if terms is not None else _per_batch_terms(
+    t1s, t2s_raw, _, live = terms if terms is not None else _per_batch_terms(
         family, x, need_third=False, tau=tau)
     term2s, term3s = [], []
+    hvp_calls = int(live.sum())
     zero = np.zeros(family.dim)
     for b, oracle in enumerate(family.oracles):
         spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
                                  seed=seed + b, m_trace=0)
+        hvp_calls += spec.hvp_calls
         if check_gap and len(spec.values) > 1:
             lam1, lam2 = spec.values[0], spec.values[1]
             if abs(lam1 - lam2) <= 1e-8 * max(1.0, abs(lam1)):
@@ -304,16 +310,16 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
                                   f"{lam1:.6g} and {lam2:.6g} coincide")
         est_vec, est_val = spec.vectors[0], float(spec.values[0])
         term3s.append(oracle.third_directional(x, est_vec))
-        g = t1s[b]
-        if np.linalg.norm(g) < tau:
+        if not live[b]:
             term2s.append(zero)
         elif variant == VARIANT_ALIGNED_RHO2:
-            s_star = float(align(g, est_vec).s_star)
+            s_star = float(align(t1s[b], est_vec).s_star)
             term2s.append(s_star * est_val * est_vec)
         else:
             term2s.append(t2s_raw[b])
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(term2s),
-                              term3=family.mean(term3s), rho=rho)
+                              term3=family.mean(term3s), rho=rho,
+                              hvp_calls=hvp_calls)
 
 
 @dataclass(frozen=True)

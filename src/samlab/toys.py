@@ -10,38 +10,33 @@ import numpy as np
 
 from . import engine as eng
 from .data import analytic_family
-from .oracle import CallCounter, LossOracle, polynomial_oracle_1d
+from .oracle import LossOracle, polynomial_oracle_1d
 
 
 def _coord(x, i):
     return eng.sum_all(eng.slice1d(x, i, i + 1))
 
 
-def quartic1d(counter: CallCounter | None = None):
+def quartic1d():
     """Single batch, f(x) = x^4 / 4; default probe point x = 1."""
-    fam = analytic_family([polynomial_oracle_1d([0.0, 0.0, 0.0, 0.0, 0.25],
-                                                counter=counter)],
-                          counter=counter)
+    fam = analytic_family([polynomial_oracle_1d([0.0, 0.0, 0.0, 0.0, 0.25])])
     return fam, np.array([1.0])
 
 
-def quadratic1d(counter: CallCounter | None = None):
+def quadratic1d():
     """Single batch, f(x) = x^2 / 2; the expansion is exact for this one."""
-    fam = analytic_family([polynomial_oracle_1d([0.0, 0.0, 0.5], counter=counter)],
-                          counter=counter)
+    fam = analytic_family([polynomial_oracle_1d([0.0, 0.0, 0.5])])
     return fam, np.array([1.0])
 
 
-def twobatch1d(counter: CallCounter | None = None):
+def twobatch1d():
     """Two quadratic batch losses x^2/2 and x^2; exact two-point expectation."""
-    fam = analytic_family(
-        [polynomial_oracle_1d([0.0, 0.0, 0.5], counter=counter),
-         polynomial_oracle_1d([0.0, 0.0, 1.0], counter=counter)],
-        counter=counter)
+    fam = analytic_family([polynomial_oracle_1d([0.0, 0.0, 0.5]),
+                           polynomial_oracle_1d([0.0, 0.0, 1.0])])
     return fam, np.array([1.0])
 
 
-def twobatch2d(counter: CallCounter | None = None):
+def twobatch2d():
     """Two smooth non-quadratic losses in two parameters.
 
     batch 1: x1^4/4 + x2^2/2 + 0.3 x1 x2
@@ -63,9 +58,7 @@ def twobatch2d(counter: CallCounter | None = None):
         out = eng.add(out, eng.scale(eng.pow_int(x1, 2), 0.5))
         return eng.add(out, eng.scale(eng.mul(x1, x2), -0.2))
 
-    fam = analytic_family([LossOracle(build1, 2, counter=counter),
-                           LossOracle(build2, 2, counter=counter)],
-                          counter=counter)
+    fam = analytic_family([LossOracle(build1, 2), LossOracle(build2, 2)])
     return fam, np.array([0.8, -0.6])
 
 

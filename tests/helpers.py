@@ -52,6 +52,19 @@ def straightline_mlp_loss(spec, params, inputs, labels):
     return float(((h - targets) ** 2).sum() / (2 * targets.shape[0]))
 
 
+def count_jets(oracle):
+    """Wrap ``oracle.jet`` so that each call, one HVP, appends to the
+    returned list."""
+    calls = []
+    jet = oracle.jet
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return jet(*args, **kwargs)
+    oracle.jet = counted
+    return calls
+
+
 def dense_hessian(oracle, x):
     """Hessian assembled one HVP per coordinate."""
     d = oracle.dim

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import matrix_with_spectrum, random_symmetric
+from helpers import count_jets, matrix_with_spectrum, random_symmetric
 from samlab.data import gen_synthetic
 from samlab.errors import DegenerateVector, ZeroIterate
 from samlab.hessian import (CONVERGED_RTOL, AlignmentReport, EigenEstimate,
@@ -14,7 +14,7 @@ from samlab.optim import OptimizerConfig, init_state, sam_step
 from samlab.oracle import quadratic_oracle
 
 
-def diagonal_oracle(curv, counter=None):
+def diagonal_oracle(curv):
     """f(x) = sum of curv * x^2 / 2 over the last axis, summed over rows: a
     stacked oracle whose row s has the Hessian diag(curv[s])."""
     from samlab import engine as eng
@@ -23,7 +23,7 @@ def diagonal_oracle(curv, counter=None):
     def build(tape, x):
         sq = eng.mul(eng.mul(x, x), tape.const(curv))
         return eng.scale(eng.sum_all(sq), 0.5)
-    return LossOracle(build, np.shape(curv)[-1], counter=counter)
+    return LossOracle(build, np.shape(curv)[-1])
 
 
 class TestPowerIteration:
@@ -88,12 +88,10 @@ class TestPowerIteration:
             power_iteration(oracle, np.zeros(2), q=1, seed=0)
 
     def test_exact_hvp_budget(self):
-        from samlab.oracle import CallCounter
-
-        counter = CallCounter()
-        oracle = quadratic_oracle(np.diag([3.0, 1.0]), counter=counter)
+        oracle = quadratic_oracle(np.diag([3.0, 1.0]))
+        jets = count_jets(oracle)
         est = power_iteration(oracle, np.zeros(2), q=9, seed=0)
-        assert counter.hvp == 9 + 2 == est.hvp_calls
+        assert len(jets) == 9 + 2 == est.hvp_calls
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
@@ -102,13 +100,12 @@ class TestPowerIteration:
     def test_stacked_rows_match_single_runs(self):
         # Row s of a stacked run starts from seed s's stream and ends where
         # that seed's single run ends; the two rows cost q + 2 HVPs together.
-        from samlab.oracle import CallCounter
-
         curv = np.array([[3.0, -1.0, 0.5, 2.0], [0.2, 1.0, -4.0, 0.1]])
-        counter = CallCounter()
-        est = power_iteration(diagonal_oracle(curv, counter), np.zeros((2, 4)),
-                              q=6, seed=(5, 9), substream=3)
-        assert counter.hvp == 6 + 2 == est.hvp_calls
+        oracle = diagonal_oracle(curv)
+        jets = count_jets(oracle)
+        est = power_iteration(oracle, np.zeros((2, 4)), q=6, seed=(5, 9),
+                              substream=3)
+        assert len(jets) == 6 + 2 == est.hvp_calls
         assert est.values.shape == est.converged.shape == (2,)
         for s, seed in enumerate((5, 9)):
             one = power_iteration(diagonal_oracle(curv[s]), np.zeros(4), q=6,
@@ -225,15 +222,13 @@ class TestSpectrumDeflated:
                                    atol=1e-12)
 
     def test_hvp_calls_counted_and_capped(self):
-        from samlab.oracle import CallCounter
-
         a = matrix_with_spectrum(10.0 * 0.9 ** np.arange(64), seed=10)
         for k, q, m_trace in ((5, 300, 0), (4, 3, 8), (2, 40, 16)):
-            counter = CallCounter()
-            rep = spectrum_deflated(quadratic_oracle(a, counter=counter),
-                                    np.zeros(64), k=k, q=q, seed=1,
+            oracle = quadratic_oracle(a)
+            jets = count_jets(oracle)
+            rep = spectrum_deflated(oracle, np.zeros(64), k=k, q=q, seed=1,
                                     m_trace=m_trace)
-            assert rep.hvp_calls == counter.hvp
+            assert rep.hvp_calls == len(jets)
             assert rep.hvp_calls <= k * (q + 1) + m_trace
 
     def test_k_validation(self):

@@ -8,7 +8,7 @@ from samlab import engine as eng
 from samlab.data import gen_synthetic
 from samlab.errors import NonFiniteLoss, ZeroDirection
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.oracle import (EPS0_FIRST, CallCounter, LossOracle, ParamVector,
+from samlab.oracle import (EPS0_FIRST, LossOracle, ParamVector,
                            polynomial_oracle_1d, quadratic_oracle)
 
 
@@ -191,13 +191,11 @@ class TestThirdDirectional:
                              ids=["d27", "d1240"])
     def test_fd_jet_gradient_count(self, layers):
         # A degree-2 fd jet is the gradient at x and two pairs along u: 5
-        # gradients at any d (degree 1: one pair). The jet counts one HVP,
-        # the third-order queries none.
+        # gradients at any d (degree 1: one pair).
         spec = MlpSpec(layers)
         rng = np.random.default_rng(6)
         inputs, labels = rng.standard_normal((4, layers[0])), np.arange(4) % 2
-        counter = CallCounter()
-        fd = mlp_oracle(spec, inputs, labels, mode="fd", counter=counter)
+        fd = mlp_oracle(spec, inputs, labels, mode="fd")
         grads = []
         fd.grad = (lambda f: lambda x: grads.append(1) or f(x))(fd.grad)
         x = init_params(spec, 0).values
@@ -205,13 +203,13 @@ class TestThirdDirectional:
         g, hu, _ = fd.jet(x, u, 2)
         assert len(grads) == 5
         mean, hu1 = fd.jet(x, u, 1)
-        assert len(grads) == 7 and counter.hvp == 2
+        assert len(grads) == 7
         # Coefficient 1 does not depend on the degree; at degree 1 the
         # gradient is the mean of the central pair.
         assert hu1.tobytes() == hu.tobytes()
         assert np.linalg.norm(mean - g) <= 1e-8 * np.linalg.norm(g)
         fd.third_directional(x, u)
-        assert len(grads) == 12 and counter.hvp == 2
+        assert len(grads) == 12
 
     def test_zero_direction(self):
         oracle = polynomial_oracle_1d([0, 0, 0, 1.0])

@@ -357,6 +357,19 @@ class TestRunSimulateSde:
             want = sde.sigma_exact(family, x, cfg["rho"], order=3, tau=tau)
             np.testing.assert_array_equal(sigma, want.sigma)
 
+    def test_hvp_count_is_the_sde_budget(self, tmp_path):
+        # 8 batches above the floor cost one HVP each per substep, so 16 per
+        # step at substeps=2; discrete SAM spends none.
+        cfg = sde_cfg(tmp_path, model_layers="2,16,2", data_n=256,
+                      batch_size=32, substeps=2, steps=3, eval_every=1,
+                      processes="discrete-sam,sde2,sde3")
+        run_simulate_sde(cfg)
+        _, rows, _ = read_csv(tmp_path / "sde.csv")
+        got = {(r.process, r.step): r.hvp_count for r in rows}
+        assert got == {(p, t): 0 if p == "discrete-sam" else 16 * t
+                       for p in ("discrete-sam", "sde2", "sde3")
+                       for t in range(4)}
+
     def test_byte_identical_reproduction(self, tmp_path):
         pa = run_simulate_sde(sde_cfg(tmp_path / "a", diffusion="sampled"))
         pb = run_simulate_sde(sde_cfg(tmp_path / "b", diffusion="sampled"))
@@ -473,6 +486,9 @@ class TestCli:
         "train steps=-1", "train data_n=0", "train data_classes=0",
         "train seeds=0,-1",
         "simulate-sde processes=sde-aligned-rho aligned_q=0",
+        "simulate-sde rho=-0.1", "simulate-sde grad_floor=0",
+        "simulate-sde rho=-0.1 processes=sde2",
+        "simulate-sde grad_floor=0 processes=sde2",
         "spectrum spectrum_q=0", "probe-power q_ref=0",
         "probe-power q_grid=1,0", "probe-power n_starts=0",
     ])
@@ -482,6 +498,15 @@ class TestCli:
                  "batch_size=8", "steps=2"]
         args = [item for kv in small + sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rho_grid", ["-0.1,0.1", "0,0.1"])
+    def test_probe_moments_rho_grid_out_of_range_exit_two(self, tmp_path,
+                                                          capsys, rho_grid):
+        # The log-log slope fit needs every rho positive.
+        assert main(["probe-moments", "--out", str(tmp_path),
+                     "--set", f"rho_grid={rho_grid}"]) == 2
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 

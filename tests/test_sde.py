@@ -6,6 +6,7 @@ import pytest
 from samlab import engine as eng
 from samlab.data import analytic_family, gen_synthetic, mlp_family
 from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
+from samlab.hessian import spectrum_deflated
 from samlab.models import MlpSpec, init_params
 from samlab.optim import GRAD_FLOOR
 from samlab.oracle import LossOracle, polynomial_oracle_1d, quadratic_oracle
@@ -120,7 +121,7 @@ class TestSigmaExact:
         x = init_params(spec, 0).values
         d, n, rho = spec.dim, len(fam), 0.2
         terms = _per_batch_terms(fam, x, True, GRAD_FLOOR)
-        c1, c2, c3 = (t - fam.weights @ t for t in terms)
+        c1, c2, c3 = (t - fam.weights @ t for t in terms[:3])
         want = sum(w * (np.outer(a, a) + rho * (np.outer(a, b) + np.outer(b, a))
                         + rho ** 2 * (np.outer(b, b)
                                       + 0.5 * (np.outer(a, c) + np.outer(c, a))))
@@ -296,6 +297,22 @@ class TestDriftAligned:
         ad = drift_aligned(eye, np.array([1.0, 0.3]), VARIANT_ALIGNED_RHO, 0.1,
                            q=60, seed=0, check_gap=False)
         assert np.isfinite(ad.combined()).all()
+
+    def test_hvp_calls_are_live_batches_plus_spectra(self):
+        # aligned-rho spends one HVP per batch at or above the floor (its
+        # jet) and the HVPs of each batch's top-2 Lanczos spectrum; the
+        # flattest of the three batches falls under the floor here.
+        spec, q = MlpSpec((2, 16, 2)), 10
+        fam = mlp_family(spec, gen_synthetic(96, 2, 2, 1.0, 3), 32)
+        x = init_params(spec, 1).values
+        norms = sorted(np.linalg.norm(o.grad(x)) for o in fam.oracles)
+        tau = 0.5 * (norms[0] + norms[1])
+        dd, _ = sde_coefficients(fam, x, 0.2, VARIANT_ALIGNED_RHO, "exact",
+                                 tau=tau, q=q, seed=0)
+        spectra = [spectrum_deflated(o, x, k=2, q=q, seed=b, m_trace=0).hvp_calls
+                   for b, o in enumerate(fam.oracles)]
+        assert min(spectra) > 0
+        assert dd.hvp_calls == len(fam) - 1 + sum(spectra)
 
 
 class TestMomentProbe:

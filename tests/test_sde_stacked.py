@@ -2,7 +2,7 @@
 
 An exact-mode ``mlp_family`` evaluates every batch of a stack on one tape;
 the same family without its stacks runs the per-oracle loop. Both must give
-the same per-batch vectors, drift and diffusion, and count the same HVPs.
+the same per-batch vectors, live-batch mask, drift and diffusion.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from helpers import dense_hessian
 from samlab.data import Dataset, OracleFamily, gen_synthetic, mlp_family
 from samlab.errors import NonFiniteLoss
 from samlab.models import MlpSpec, init_params
-from samlab.oracle import CallCounter
 from samlab.sde import _per_batch_terms, sde_coefficients
 
 RTOL = 1e-12
@@ -32,10 +31,9 @@ def dataset(spec, n, seed=3):
 
 
 def stacked_and_looped(spec, ds, batch_size=32):
-    stacked = mlp_family(spec, ds, batch_size, counter=CallCounter())
-    plain = mlp_family(spec, ds, batch_size, counter=CallCounter())
-    looped = OracleFamily(plain.oracles, plain.weights, counter=plain.counter)
-    return stacked, looped
+    stacked = mlp_family(spec, ds, batch_size)
+    plain = mlp_family(spec, ds, batch_size)
+    return stacked, OracleFamily(plain.oracles, plain.weights)
 
 
 def assert_close(got, want):
@@ -60,19 +58,20 @@ def test_stacked_terms_match_loop(case, order):
     tau = floor_below_one_batch(looped, x)
     got = _per_batch_terms(stacked, x, order == 3, tau)
     want = _per_batch_terms(looped, x, order == 3, tau)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:3], want[:3]):
         assert_close(g, w)
     degenerate = [np.linalg.norm(g) < tau for g in want[0]]
     assert sum(degenerate) == 1
+    np.testing.assert_array_equal(got[3], np.logical_not(degenerate))
+    np.testing.assert_array_equal(want[3], got[3])
     b = degenerate.index(True)
     assert not got[1][b].any() and not got[2][b].any()
-    live = len(stacked) - 1
-    assert stacked.counter.hvp == looped.counter.hvp == live
 
     dd_s, dm_s = sde_coefficients(stacked, x, 0.2, order, "exact", tau=tau)
     dd_l, dm_l = sde_coefficients(looped, x, 0.2, order, "exact", tau=tau)
     assert_close(dd_s.combined(), dd_l.combined())
     assert_close(dm_s.sigma, dm_l.sigma)
+    assert dd_s.hvp_calls == dd_l.hvp_calls == len(stacked) - 1
 
 
 def test_stack_budget_splits_and_matches_loop(monkeypatch):
@@ -87,9 +86,9 @@ def test_stack_budget_splits_and_matches_loop(monkeypatch):
     tau = floor_below_one_batch(looped, x)
     got = _per_batch_terms(stacked, x, True, tau)
     want = _per_batch_terms(looped, x, True, tau)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:3], want[:3]):
         assert_close(g, w)
-    assert stacked.counter.hvp == looped.counter.hvp == len(stacked) - 1
+    assert got[3].sum() == want[3].sum() == len(stacked) - 1
 
 
 def test_fd_family_loops_without_extra_gradients():
@@ -97,7 +96,7 @@ def test_fd_family_loops_without_extra_gradients():
     # and one jet along the unit gradient, and agrees with the exact terms.
     spec, n = CASES["ce-full"]
     ds = dataset(spec, n)
-    fd = mlp_family(spec, ds, 32, mode="fd", counter=CallCounter())
+    fd = mlp_family(spec, ds, 32, mode="fd")
     stacked, _ = stacked_and_looped(spec, ds)
     assert fd.stacks is None
     x = init_params(spec, 1).values
@@ -108,7 +107,7 @@ def test_fd_family_loops_without_extra_gradients():
     want = _per_batch_terms(stacked, x, False, 1e-12)
     # One gradient per batch, then the pair of the degree-1 jet.
     assert len(grads) == 3 * len(fd)
-    assert fd.counter.hvp == stacked.counter.hvp == len(fd)
+    assert got[3].sum() == want[3].sum() == len(fd)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got[1], want[1], rtol=1e-5, atol=1e-7)
     # Order 3: the degree-2 jet adds the gradient at x and a second pair,
@@ -117,8 +116,8 @@ def test_fd_family_loops_without_extra_gradients():
     got = _per_batch_terms(fd, x, True, 1e-12)
     want = _per_batch_terms(stacked, x, True, 1e-12)
     assert len(grads) == 6 * len(fd)
-    assert fd.counter.hvp == stacked.counter.hvp == 2 * len(fd)
-    for g, w in zip(got[1:], want[1:]):
+    assert got[3].sum() == want[3].sum() == len(fd)
+    for g, w in zip(got[1:3], want[1:3]):
         assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
 
 
@@ -127,7 +126,7 @@ def test_stacked_hvp_matches_dense_hessian():
     ds = dataset(spec, n)
     stacked, looped = stacked_and_looped(spec, ds)
     x = init_params(spec, 2).values
-    t1s, t2s, _ = _per_batch_terms(stacked, x, False, 1e-12)
+    t1s, t2s, _, _ = _per_batch_terms(stacked, x, False, 1e-12)
     b = len(looped) - 1                    # the ragged tail batch
     u = t1s[b] / np.linalg.norm(t1s[b])
     h = dense_hessian(looped.oracles[b], x)
@@ -158,7 +157,7 @@ def test_order3_runs_at_d746(diffusion):
     assert spec.dim == 746
     got = _per_batch_terms(stacked, x, True, 1e-12)
     want = _per_batch_terms(looped, x, True, 1e-12)
-    for g, w in zip(got, want):
+    for g, w in zip(got[:3], want[:3]):
         assert_close(g, w)
     fd = mlp_family(spec, ds, 32, mode="fd")
     w = np.random.default_rng(5).standard_normal(spec.dim)
