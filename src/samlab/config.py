@@ -94,7 +94,7 @@ SCHEMAS = {
     "simulate-sde": {**_COMMON, **_MODEL_DATA,
                      "processes": (_list_of(str.strip),
                                    ("discrete-sam", "sde2", "sde3")),
-                     "eta": (float, 0.01),
+                     "eta": (_positive_float, 0.01),
                      "rho": (_nonnegative_float, 0.2),
                      "steps": (_nonnegative_int, 2000),
                      "substeps": (int, 1),
@@ -113,10 +113,9 @@ SCHEMAS = {
     "probe-moments": {**_COMMON,
                       "toy": (str, "quartic1d"),
                       "x0": (_list_of(float), ()),
-                      "eta": (float, 0.01),
+                      "eta": (_positive_float, 0.01),
                       "rho_grid": (_list_of(_positive_float),
-                                   (0.02, 0.04, 0.08, 0.16)),
-                      "with_second": (_bool, True)},
+                                   (0.02, 0.04, 0.08, 0.16))},
     "probe-power": {**_COMMON, **_MODEL_DATA, **_OPTIMIZER,
                     "sampler": (str, "shuffle-each-epoch"),
                     "steps": (_nonnegative_int, 0),

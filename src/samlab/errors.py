@@ -21,10 +21,6 @@ class ZeroDirection(SamlabError):
     """A direction vector with zero norm was passed where one is required."""
 
 
-class DimensionTooLarge(SamlabError):
-    """An operation restricted to small parameter counts was asked to run dense."""
-
-
 class ZeroIterate(SamlabError):
     """Power iteration hit a numerically zero iterate (||Hv|| below 1e-300)."""
 

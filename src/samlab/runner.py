@@ -21,6 +21,7 @@ an ``# error=`` line.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -201,8 +202,9 @@ def _train(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
 
 def run_train(config: dict, out_name: str = "train.csv") -> Path:
     """Train under the configured optimizer, every seed in lockstep."""
+    spec, train, test = _datasets(config)
+
     def fill(rows):
-        spec, train, test = _datasets(config)
         _train(config, spec, train, test, config["seeds"], rows)
 
     return _write_rows(render(config), Path(config["out"]) / out_name, fill)
@@ -326,19 +328,13 @@ def run_probe_moments(config: dict, out_name: str = "moments.json") -> Path:
     x0 = np.asarray(config["x0"], dtype=np.float64) if config["x0"] else default_x0
     if x0.size != family.dim:
         raise ConfigError(f"x0 must have {family.dim} coordinates")
+    if len(set(config["rho_grid"])) < 2:
+        raise ConfigError("rho_grid needs at least two distinct values "
+                          "to fit a slope")
     report = sde_mod.one_step_moment_probe(family, x0, config["eta"],
-                                           config["rho_grid"],
-                                           with_second=config["with_second"])
-    results = {
-        "rows": [{"rho": r.rho, "e1_order3": r.e1_order3,
-                  "e1_order2": r.e1_order2, "e2_order3": r.e2_order3,
-                  "e2_order2": r.e2_order2} for r in report.rows],
-        "slope_e1_order3": report.slope_e1_order3,
-        "slope_e1_order2": report.slope_e1_order2,
-        "slope_e2_order3": report.slope_e2_order3,
-        "slope_e2_order2": report.slope_e2_order2,
-    }
-    return _write_json(config, results, Path(config["out"]) / out_name)
+                                           config["rho_grid"])
+    return _write_json(config, dataclasses.asdict(report),
+                       Path(config["out"]) / out_name)
 
 
 def _trained_points(config: dict) -> tuple:

@@ -20,10 +20,11 @@ zeroes term3 and the rho^2 entries of K. The aligned orders ("aligned-rho",
 top batch eigenvalue (and, for "aligned-rho2", term2 with E[s* lam1 v1]),
 and pair with the third-order diffusion. :func:`sde_coefficients` gives
 drift and diffusion for all four orders from one evaluation of the per-batch
-vectors. Expectations run over a fixed enumeration of batches, so they are
-exact and every probe here is deterministic. Batches whose gradient norm
-falls below the floor contribute zero to terms 2-3 and to their centered
-covariance vectors.
+vectors, which :func:`drift`, :func:`sigma_exact`, :class:`SampledNoise` and
+:func:`drift_aligned` take as their ``terms``. Expectations run over a
+fixed enumeration of batches, so they are exact and every probe here is
+deterministic. Batches whose gradient norm falls below the floor contribute
+zero to terms 2-3 and to their centered covariance vectors.
 
 The per-batch vectors come from a gradient, then one jet along
 u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
@@ -34,6 +35,11 @@ exact mode each is one tape pass; an fd-mode jet takes 2 or 5 gradients
 leaf holding x in every row, instead of once per batch; a stack holds as
 many batches of one row count as fit in ``data.STACK_ELEMENTS``. Other
 families loop over their oracles.
+
+:func:`one_step_moment_probe` checks the weak order of the expansion: it
+compares the exact one-step mean and second moment of discrete SAM with
+the drift and diffusion, the second moment from factors of rank at most
+4B + 1, so it too runs at any d.
 """
 
 from __future__ import annotations
@@ -43,14 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import OracleFamily
-from .errors import DimensionTooLarge, GapViolated, NonFiniteState
+from .errors import GapViolated, NonFiniteState
 # power_iteration is unused here; perfbench's tracer test reads it from sde.
 from .hessian import align, power_iteration, spectrum_deflated  # noqa: F401
 from .optim import GRAD_FLOOR, sam_perturbation
 from .oracle import jet_pass
 from .rng import STREAM_SDE_NOISE, stream
-
-SECOND_MOMENT_LIMIT = 64
 
 VARIANT_ALIGNED_RHO = "aligned-rho"
 VARIANT_ALIGNED_RHO2 = "aligned-rho2"
@@ -77,8 +81,6 @@ class DiffusionModel:
     basis: np.ndarray             # (d, k) orthonormal columns, k <= min(d, 3B)
     vals: np.ndarray              # eigenvalues of Sigma along the basis
     clipped_mass: float           # total negative eigenmass removed
-    rho: float
-    order: int
 
     @property
     def sigma(self) -> np.ndarray:
@@ -169,29 +171,26 @@ def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
     return t1s, t2s, t3s, live
 
 
-def drift(family: OracleFamily, x, order: int, rho: float,
-          tau: float = GRAD_FLOOR, terms: tuple | None = None) -> DriftDecomposition:
-    """Three-term drift at x; order 2 zeroes the cubic term."""
-    x = np.asarray(x, dtype=np.float64)
+def drift(family: OracleFamily, terms: tuple, order: int,
+          rho: float) -> DriftDecomposition:
+    """Three-term drift from the per-batch terms at a point; order 2 zeroes
+    the cubic term."""
     if order not in (2, 3):
         raise ValueError("drift order must be 2 or 3")
-    t1s, t2s, t3s, live = terms if terms is not None else _per_batch_terms(
-        family, x, need_third=(order == 3), tau=tau)
+    t1s, t2s, t3s, live = terms
     term3 = family.mean(t3s) if order == 3 else np.zeros(family.dim)
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(t2s),
                               term3=term3, rho=rho, hvp_calls=int(live.sum()))
 
 
-def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
-                tau: float = GRAD_FLOOR, terms: tuple | None = None) -> DiffusionModel:
+def sigma_exact(family: OracleFamily, terms: tuple, rho: float,
+                order: int = 3) -> DiffusionModel:
     """Diffusion covariance M^T K M, factored: with M^T = QR, the eigenpairs
     (vals, U) of the symmetrized R K R^T give Sigma = (QU) diag(vals) (QU)^T.
     The c2 and c3 rows of batches under the gradient floor are zero."""
-    x = np.asarray(x, dtype=np.float64)
     if order not in (2, 3):
         raise ValueError("diffusion order must be 2 or 3")
-    t1s, t2s, t3s, live = terms if terms is not None else _per_batch_terms(
-        family, x, need_third=(order == 3), tau=tau)
+    t1s, t2s, t3s, live = terms
     rows = np.concatenate([t1s - family.mean(t1s),
                            np.where(live[:, None], t2s - family.mean(t2s), 0.0),
                            np.where(live[:, None], t3s - family.mean(t3s), 0.0)])
@@ -202,8 +201,7 @@ def sigma_exact(family: OracleFamily, x, rho: float, order: int = 3,
     core = r @ k @ r.T
     vals, vecs = np.linalg.eigh(0.5 * (core + core.T))
     return DiffusionModel(basis=q @ vecs, vals=vals,
-                          clipped_mass=float(-vals[vals < 0.0].sum()),
-                          rho=rho, order=order)
+                          clipped_mass=float(-vals[vals < 0.0].sum()))
 
 
 def sde_coefficients(family: OracleFamily, x, rho: float, order,
@@ -233,17 +231,14 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     need_third = order == 3 or (aligned and diffusion != "none")
     terms = _per_batch_terms(family, x, need_third=need_third, tau=tau)
     if aligned:
-        dd = drift_aligned(family, x, order, rho, q=q, seed=seed, tau=tau,
-                           check_gap=check_gap, terms=terms)
+        dd = drift_aligned(family, x, terms, order, rho, q=q, seed=seed,
+                           check_gap=check_gap)
     else:
-        dd = drift(family, x, order, rho, tau=tau, terms=terms)
-    diffusion_order = 3 if aligned else order
+        dd = drift(family, terms, order, rho)
     if diffusion == "exact":
-        return dd, sigma_exact(family, x, rho, order=diffusion_order, tau=tau,
-                               terms=terms)
+        return dd, sigma_exact(family, terms, rho, order=3 if aligned else order)
     if diffusion == "sampled":
-        return dd, SampledNoise(family, x, rho, order=diffusion_order, tau=tau,
-                                terms=terms)
+        return dd, SampledNoise(family, terms, rho)
     return dd, None
 
 
@@ -252,14 +247,12 @@ class SampledNoise:
     up to the same O(rho^3) terms the expansion already discards.
 
     Draw k returns u_g - mean(u) for a batch g picked by the (seed, step)
-    stream, where u_g = t1 + rho t2 + (rho^2/2) t3.
+    stream, where u_g = t1 + rho t2 + (rho^2/2) t3; terms taken without the
+    third-order vectors have t3 = 0, which gives the second-order noise.
     """
 
-    def __init__(self, family: OracleFamily, x, rho: float, order: int = 3,
-                 tau: float = GRAD_FLOOR, terms: tuple | None = None):
-        x = np.asarray(x, dtype=np.float64)
-        t1s, t2s, t3s, _ = terms if terms is not None else _per_batch_terms(
-            family, x, need_third=(order == 3), tau=tau)
+    def __init__(self, family: OracleFamily, terms: tuple, rho: float):
+        t1s, t2s, t3s, _ = terms
         self.table = t1s + rho * t2s + 0.5 * rho ** 2 * t3s
         self.family = family
         self.mean = family.weights @ self.table
@@ -279,10 +272,9 @@ def euler_maruyama_step(x: np.ndarray, cfg: SdeConfig, drift_vec: np.ndarray,
     return x_next
 
 
-def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
-                  q: int = 50, seed: int = 0, tau: float = GRAD_FLOOR,
-                  check_gap: bool = True,
-                  terms: tuple | None = None) -> DriftDecomposition:
+def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
+                  rho: float, q: int = 50, seed: int = 0,
+                  check_gap: bool = True) -> DriftDecomposition:
     """Aligned-regime drifts: the cubic term becomes the expected gradient of
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
@@ -294,8 +286,7 @@ def drift_aligned(family: OracleFamily, x, variant: str, rho: float,
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:
         raise ValueError(f"unknown aligned variant {variant!r}")
-    t1s, t2s_raw, _, live = terms if terms is not None else _per_batch_terms(
-        family, x, need_third=False, tau=tau)
+    t1s, t2s_raw, _, live = terms
     term2s, term3s = [], []
     hvp_calls = int(live.sum())
     zero = np.zeros(family.dim)
@@ -350,50 +341,39 @@ def _fit_slope(rhos, errors):
 
 
 def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
-                          tau: float = GRAD_FLOOR,
-                          with_second: bool = True) -> MomentProbeReport:
+                          tau: float = GRAD_FLOOR) -> MomentProbeReport:
     """Compare exact one-step moments of the discrete algorithm against the
     drift/diffusion prediction, per rho, with fitted log-log slopes.
 
     e1(rho) = || E[dx] + eta * drift ||; e2(rho) is the Frobenius error of
-    E[dx dx^T] against eta^2 (drift drift^T + Sigma).
+    E[dx dx^T] against eta^2 (drift drift^T + Sigma), computed from factors
+    at any d: the error is F^T diag(c) F for the rows F = [dx_g; drift;
+    basis^T] and weights c = (w_g, -eta^2, -eta^2 vals), so with F^T = QR it
+    is || R diag(c) R^T ||_F.
     """
     x = np.asarray(x, dtype=np.float64)
-    if with_second and family.dim > SECOND_MOMENT_LIMIT:
-        raise DimensionTooLarge(
-            f"second-moment table needs d <= {SECOND_MOMENT_LIMIT}")
     rho_grid = [float(r) for r in rho_grid]
     rows = []
     # The per-batch terms do not depend on rho, and order 2 reads only t1, t2.
     terms = _per_batch_terms(family, x, need_third=True, tau=tau)
     for rho in rho_grid:
-        deltas = []
-        for oracle, g in zip(family.oracles, terms[0]):
-            eps = sam_perturbation(g, tau)
-            deltas.append(-eta * oracle.grad(x + rho * eps))
+        deltas = np.array([-eta * oracle.grad(x + rho * sam_perturbation(g, tau))
+                           for oracle, g in zip(family.oracles, terms[0])])
         mean_delta = family.mean(deltas)
-        if with_second:
-            second = sum(w * np.outer(dl, dl)
-                         for w, dl in zip(family.weights, deltas))
         e1 = {}
         e2 = {}
         for order in (3, 2):
-            d = drift(family, x, order, rho, tau=tau, terms=terms).combined()
+            d = drift(family, terms, order, rho).combined()
             e1[order] = float(np.linalg.norm(mean_delta + eta * d))
-            if with_second:
-                sig = sigma_exact(family, x, rho, order=order, tau=tau,
-                                  terms=terms).sigma
-                target = eta ** 2 * (np.outer(d, d) + sig)
-                e2[order] = float(np.linalg.norm(second - target))
-            else:
-                e2[order] = float("nan")
+            dm = sigma_exact(family, terms, rho, order=order)
+            r = np.linalg.qr(np.vstack([deltas, d, dm.basis.T]).T, mode="r")
+            c = np.concatenate([family.weights, [-eta ** 2], -eta ** 2 * dm.vals])
+            e2[order] = float(np.linalg.norm((r * c) @ r.T))
         rows.append(MomentProbeRow(rho, e1[3], e1[2], e2[3], e2[2]))
     return MomentProbeReport(
         rows=tuple(rows),
         slope_e1_order3=_fit_slope(rho_grid, [r.e1_order3 for r in rows]),
         slope_e1_order2=_fit_slope(rho_grid, [r.e1_order2 for r in rows]),
-        slope_e2_order3=_fit_slope(rho_grid, [r.e2_order3 for r in rows])
-        if with_second else float("nan"),
-        slope_e2_order2=_fit_slope(rho_grid, [r.e2_order2 for r in rows])
-        if with_second else float("nan"),
+        slope_e2_order3=_fit_slope(rho_grid, [r.e2_order3 for r in rows]),
+        slope_e2_order2=_fit_slope(rho_grid, [r.e2_order2 for r in rows]),
     )

@@ -21,12 +21,13 @@ from samlab.hessian import align, hutchinson_trace, power_iteration, \
     spectrum_deflated
 from samlab.metrics import canonical_bytes, read_csv
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.optim import (OptimizerConfig, eigen_sam_step, egr_step, init_state,
-                          reverse_sam_step, sam_step, sgd_step, step)
+from samlab.optim import (GRAD_FLOOR, OptimizerConfig, eigen_sam_step, egr_step,
+                          init_state, reverse_sam_step, sam_step, sgd_step, step)
 from samlab.oracle import quadratic_oracle
 from samlab.rng import STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from samlab.runner import run_simulate_sde, run_train
-from samlab.sde import SampledNoise, one_step_moment_probe, sigma_exact
+from samlab.sde import (SampledNoise, _per_batch_terms, one_step_moment_probe,
+                        sigma_exact)
 from samlab.toys import TOYS
 
 SIX_METRICS = ("train_loss", "test_loss", "test_accuracy", "param_norm",
@@ -280,10 +281,11 @@ def test_criterion_9_diffusion_consistency():
     started = time.perf_counter()
     family, x0 = TOYS["twobatch2d"]()
     rho = 0.1
-    sampler = SampledNoise(family, x0, rho)
+    terms = _per_batch_terms(family, x0, True, GRAD_FLOOR)
+    sampler = SampledNoise(family, terms, rho)
     draws = np.array([sampler.draw(17, k) for k in range(100_000)])
     empirical = draws.T @ draws / len(draws)
-    exact = sigma_exact(family, x0, rho).sigma
+    exact = sigma_exact(family, terms, rho).sigma
     rel = np.linalg.norm(empirical - exact) / np.linalg.norm(exact)
     report(9, rel < 0.05, f"Frobenius relative error {rel:.4f} over 1e5 draws",
            time.perf_counter() - started, 120)

@@ -351,10 +351,11 @@ class TestRunSimulateSde:
         variants = [sde.VARIANT_ALIGNED_RHO2 if i >= 4 else sde.VARIANT_ALIGNED_RHO
                     for i in range(substeps)]
         for variant, (x, drift_vec), sigma in zip(variants, states, sigmas):
-            dd = sde.drift_aligned(family, x, variant, cfg["rho"], q=10,
-                                   seed=0, tau=tau)
+            terms = sde._per_batch_terms(family, x, True, tau)
+            dd = sde.drift_aligned(family, x, terms, variant, cfg["rho"], q=10,
+                                   seed=0)
             np.testing.assert_array_equal(drift_vec, dd.combined())
-            want = sde.sigma_exact(family, x, cfg["rho"], order=3, tau=tau)
+            want = sde.sigma_exact(family, terms, cfg["rho"], order=3)
             np.testing.assert_array_equal(sigma, want.sigma)
 
     def test_hvp_count_is_the_sde_budget(self, tmp_path):
@@ -507,6 +508,23 @@ class TestCli:
         # The log-log slope fit needs every rho positive.
         assert main(["probe-moments", "--out", str(tmp_path),
                      "--set", f"rho_grid={rho_grid}"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", [
+        "train model_layers=3,4,2",
+        "simulate-sde eta=nan steps=2 data_n=16 test_n=16",
+        "probe-moments eta=-1",
+        "probe-moments rho_grid=0.1", "probe-moments rho_grid=0.1,0.1",
+        "probe-moments rho_grid=", "probe-moments with_second=false",
+    ])
+    def test_config_error_leaves_no_artifact(self, tmp_path, capsys, case):
+        # A model that does not fit the data, a step size that is not
+        # positive, and a rho grid with fewer than two distinct values (no
+        # slope to fit) are config errors before any artifact is written.
+        subcommand, *sets = case.split()
+        args = [item for kv in sets for item in ("--set", kv)]
+        assert main([subcommand, "--out", str(tmp_path), *args]) == 2
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 

@@ -5,10 +5,10 @@ import pytest
 
 from samlab import engine as eng
 from samlab.data import analytic_family, gen_synthetic, mlp_family
-from samlab.errors import DimensionTooLarge, GapViolated, NonFiniteState
+from samlab.errors import GapViolated, NonFiniteState
 from samlab.hessian import spectrum_deflated
 from samlab.models import MlpSpec, init_params
-from samlab.optim import GRAD_FLOOR
+from samlab.optim import GRAD_FLOOR, sam_perturbation
 from samlab.oracle import LossOracle, polynomial_oracle_1d, quadratic_oracle
 from samlab.rng import STREAM_SDE_NOISE, stream
 from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
@@ -19,13 +19,18 @@ from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
 from samlab.toys import TOYS
 
 
+def terms_at(fam, x, order=3):
+    """The per-batch terms at x that an order-``order`` model reads."""
+    return _per_batch_terms(fam, x, order == 3, GRAD_FLOOR)
+
+
 class TestDrift:
     def test_quadratic_single_batch(self):
         # f = 0.5 x^T A x: term3 = 0, term2 = A^2 x / ||A x||.
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
         fam = analytic_family([quadratic_oracle(a)])
         x = np.array([0.7, -0.4])
-        dd = drift(fam, x, order=3, rho=0.1)
+        dd = drift(fam, terms_at(fam, x), order=3, rho=0.1)
         np.testing.assert_allclose(dd.term3, 0.0, atol=1e-12)
         ax = a @ x
         np.testing.assert_allclose(dd.term2, a @ ax / np.linalg.norm(ax), atol=1e-12)
@@ -33,7 +38,7 @@ class TestDrift:
 
     def test_cubic_three_terms(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
-        dd = drift(fam, np.array([1.0]), order=3, rho=0.1)
+        dd = drift(fam, terms_at(fam, np.array([1.0])), order=3, rho=0.1)
         assert dd.term1[0] == pytest.approx(3.0)
         assert dd.term2[0] == pytest.approx(6.0)
         assert dd.term3[0] == pytest.approx(6.0)
@@ -41,14 +46,14 @@ class TestDrift:
     def test_two_batch_enumeration(self):
         # Batch losses x^2/2 and x^2 at x = 1: term2 = mean(1, 2) = 1.5.
         fam, x0 = TOYS["twobatch1d"]()
-        dd = drift(fam, x0, order=3, rho=0.2)
+        dd = drift(fam, terms_at(fam, x0), order=3, rho=0.2)
         assert dd.term1[0] == pytest.approx(1.5)
         assert dd.term2[0] == pytest.approx(1.5)
         assert dd.term3[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_order2_zeroes_term3(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
-        dd = drift(fam, np.array([1.0]), order=2, rho=0.1)
+        dd = drift(fam, terms_at(fam, np.array([1.0]), 2), order=2, rho=0.1)
         assert dd.term3[0] == 0.0
 
     def test_combined_identity(self):
@@ -63,7 +68,7 @@ class TestDrift:
         # a division blow-up into terms 2-3.
         fam = analytic_family([quadratic_oracle(np.eye(1)),
                                polynomial_oracle_1d([0, 0, 0.5])])
-        dd = drift(fam, np.array([0.0]), order=3, rho=0.1)
+        dd = drift(fam, terms_at(fam, np.array([0.0])), order=3, rho=0.1)
         assert np.isfinite(dd.term2).all()
         np.testing.assert_array_equal(dd.term2, 0.0)
 
@@ -71,13 +76,13 @@ class TestDrift:
 class TestSigmaExact:
     def test_single_batch_zero(self):
         fam = analytic_family([quadratic_oracle(np.diag([2.0, 1.0]))])
-        dm = sigma_exact(fam, np.array([1.0, 1.0]), rho=0.3)
+        dm = sigma_exact(fam, terms_at(fam, np.array([1.0, 1.0])), rho=0.3)
         np.testing.assert_allclose(dm.sigma, 0.0, atol=1e-14)
         np.testing.assert_allclose(dm.sqrt, 0.0, atol=1e-14)
 
     def test_rho0_is_gradient_covariance(self):
         fam, x0 = TOYS["twobatch2d"]()
-        dm = sigma_exact(fam, x0, rho=0.0)
+        dm = sigma_exact(fam, terms_at(fam, x0), rho=0.0)
         grads = [o.grad(x0) for o in fam.oracles]
         mean = np.mean(grads, axis=0)
         want = np.mean([np.outer(g - mean, g - mean) for g in grads], axis=0)
@@ -101,13 +106,13 @@ class TestSigmaExact:
                  3: s11 + rho * (s12 + s12.T)
                  + rho ** 2 * (s22 + 0.5 * (s13 + s13.T))}
         for order, want in brute.items():
-            dm = sigma_exact(fam, x0, rho=rho, order=order)
+            dm = sigma_exact(fam, terms_at(fam, x0, order), rho=rho, order=order)
             np.testing.assert_allclose(dm.sigma, 0.5 * (want + want.T),
                                        atol=1e-12)
 
     def test_psd_projection_and_root(self):
         fam, x0 = TOYS["twobatch2d"]()
-        dm = sigma_exact(fam, x0, rho=0.2)
+        dm = sigma_exact(fam, terms_at(fam, x0), rho=0.2)
         vals = np.linalg.eigvalsh(dm.sqrt @ dm.sqrt)
         assert np.all(vals >= -1e-12)
         assert dm.clipped_mass >= 0.0
@@ -126,7 +131,7 @@ class TestSigmaExact:
                         + rho ** 2 * (np.outer(b, b)
                                       + 0.5 * (np.outer(a, c) + np.outer(c, a))))
                    for w, a, b, c in zip(fam.weights, c1, c2, c3))
-        dm = sigma_exact(fam, x, rho, terms=terms)
+        dm = sigma_exact(fam, terms, rho)
         assert d == 746 and dm.basis.shape == (d, dm.vals.size)
         assert dm.basis.shape[1] <= min(d, 3 * n)
         scale = np.abs(want).max()
@@ -145,25 +150,26 @@ class TestSampledNoise:
     def test_single_batch_always_zero(self):
         fam = analytic_family([quadratic_oracle(np.diag([2.0, 1.0]))])
         for k in range(5):
-            out = SampledNoise(fam, np.array([1.0, -1.0]), 0.2).draw(3, k)
+            out = SampledNoise(fam, terms_at(fam, np.array([1.0, -1.0])),
+                               0.2).draw(3, k)
             np.testing.assert_array_equal(out, 0.0)
 
     def test_mean_and_covariance(self):
         fam, x0 = TOYS["twobatch2d"]()
         rho = 0.1
-        sn = SampledNoise(fam, x0, rho)
+        sn = SampledNoise(fam, terms_at(fam, x0), rho)
         draws = np.array([sn.draw(11, k) for k in range(20_000)])
         stderr = draws.std(axis=0) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0)) <= 4.0 * stderr + 1e-12)
         emp = draws.T @ draws / len(draws)
-        exact = sigma_exact(fam, x0, rho).sigma
+        exact = sigma_exact(fam, terms_at(fam, x0), rho).sigma
         rel = np.linalg.norm(emp - exact) / np.linalg.norm(exact)
         assert rel < 0.05
 
     def test_deterministic_per_step(self):
         fam, x0 = TOYS["twobatch2d"]()
-        a = SampledNoise(fam, x0, 0.1).draw(2, 7)
-        b = SampledNoise(fam, x0, 0.1).draw(2, 7)
+        a = SampledNoise(fam, terms_at(fam, x0), 0.1).draw(2, 7)
+        b = SampledNoise(fam, terms_at(fam, x0), 0.1).draw(2, 7)
         np.testing.assert_array_equal(a, b)
 
 
@@ -171,7 +177,7 @@ class TestEulerMaruyama:
     def test_gradient_flow_step(self):
         fam = analytic_family([quadratic_oracle(np.array([[1.0]]))])
         cfg = SdeConfig(eta=0.1, rho=0.0, steps=1)
-        dd = drift(fam, np.array([1.0]), 3, 0.0)
+        dd = drift(fam, terms_at(fam, np.array([1.0])), 3, 0.0)
         out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
         assert out[0] == pytest.approx(0.9, abs=1e-15)
 
@@ -189,7 +195,7 @@ class TestEulerMaruyama:
     def test_third_order_drift_cubic(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
         cfg = SdeConfig(eta=0.01, rho=0.1, steps=1)
-        dd = drift(fam, np.array([1.0]), 3, 0.1)
+        dd = drift(fam, terms_at(fam, np.array([1.0])), 3, 0.1)
         out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
         assert out[0] == pytest.approx(0.9637, abs=1e-12)
 
@@ -215,7 +221,7 @@ class TestEulerMaruyama:
             x = x0.copy()
             for _ in range(cfg.steps):
                 for _ in range(cfg.substeps):
-                    dd = drift(fam, x, 3, cfg.rho)
+                    dd = drift(fam, terms_at(fam, x), 3, cfg.rho)
                     x = euler_maruyama_step(x, cfg, dd.combined(), None)
             return x
 
@@ -228,9 +234,10 @@ class TestDriftAligned:
     def test_1d_coincides_with_plain_drift(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
         x = np.array([1.0])
-        plain = drift(fam, x, 3, 0.1)
+        plain = drift(fam, terms_at(fam, x), 3, 0.1)
         for variant in (VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2):
-            ad = drift_aligned(fam, x, variant, 0.1, q=50, seed=0, check_gap=False)
+            ad = drift_aligned(fam, x, terms_at(fam, x, 2), variant, 0.1, q=50,
+                               seed=0, check_gap=False)
             np.testing.assert_allclose(ad.term1, plain.term1, atol=1e-12)
             np.testing.assert_allclose(ad.term3, plain.term3, atol=1e-8)
             np.testing.assert_allclose(ad.combined(), plain.combined(), atol=1e-8)
@@ -241,10 +248,10 @@ class TestDriftAligned:
         a = np.diag([3.0, 1.0])
         fam = analytic_family([quadratic_oracle(a)])
         x = np.array([0.8, 0.5])
-        ad = drift_aligned(fam, x, VARIANT_ALIGNED_RHO, 0.1, q=80, seed=0,
-                           check_gap=True)
+        ad = drift_aligned(fam, x, terms_at(fam, x, 2), VARIANT_ALIGNED_RHO,
+                           0.1, q=80, seed=0, check_gap=True)
         np.testing.assert_allclose(ad.term3, 0.0, atol=1e-10)
-        plain = drift(fam, x, 2, 0.1)
+        plain = drift(fam, terms_at(fam, x, 2), 2, 0.1)
         np.testing.assert_allclose(ad.term2, plain.term2, atol=1e-12)
 
     def test_aligned_rho2_term2_quadratic(self):
@@ -253,7 +260,8 @@ class TestDriftAligned:
         a = np.diag([3.0, 1.0])
         fam = analytic_family([quadratic_oracle(a)])
         x = np.array([2.0, 0.0])  # gradient (6, 0) is the top eigendirection
-        ad = drift_aligned(fam, x, VARIANT_ALIGNED_RHO2, 0.1, q=80, seed=0)
+        ad = drift_aligned(fam, x, terms_at(fam, x, 2), VARIANT_ALIGNED_RHO2,
+                           0.1, q=80, seed=0)
         np.testing.assert_allclose(ad.term2, [3.0, 0.0], atol=1e-8)
 
     def test_exact_alignment_construction_2d(self):
@@ -268,16 +276,17 @@ class TestDriftAligned:
 
         fam = analytic_family([LossOracle(build, 2)])
         x = np.array([0.0, 1.0])  # H = diag(0.6 x1^2, 4) = diag(0, 4): v1 = e2
-        plain = drift(fam, x, 3, 0.05)
-        ad = drift_aligned(fam, x, VARIANT_ALIGNED_RHO, 0.05, q=60, seed=0,
-                           check_gap=False)
+        plain = drift(fam, terms_at(fam, x), 3, 0.05)
+        ad = drift_aligned(fam, x, terms_at(fam, x, 2), VARIANT_ALIGNED_RHO,
+                           0.05, q=60, seed=0, check_gap=False)
         np.testing.assert_allclose(ad.combined(), plain.combined(), atol=1e-6)
 
     def test_gap_violation_detected(self):
         fam = analytic_family([quadratic_oracle(np.eye(2))])
         with pytest.raises(GapViolated):
-            drift_aligned(fam, np.array([1.0, 0.3]), VARIANT_ALIGNED_RHO, 0.1,
-                          q=60, seed=0, check_gap=True)
+            drift_aligned(fam, np.array([1.0, 0.3]),
+                          terms_at(fam, np.array([1.0, 0.3]), 2),
+                          VARIANT_ALIGNED_RHO, 0.1, q=60, seed=0, check_gap=True)
 
     def test_check_gap_only_switches_the_raise(self):
         # v1 comes from the same Lanczos solve with or without the gap
@@ -286,16 +295,19 @@ class TestDriftAligned:
         fam = mlp_family(spec, gen_synthetic(64, 2, 2, 1.0, 0), 32)
         x = init_params(spec, 0).values
         for variant in ALIGNED:
-            on = drift_aligned(fam, x, variant, 0.1, q=30, seed=0, check_gap=True)
-            off = drift_aligned(fam, x, variant, 0.1, q=30, seed=0,
-                                check_gap=False)
+            on = drift_aligned(fam, x, terms_at(fam, x, 2), variant, 0.1, q=30,
+                               seed=0, check_gap=True)
+            off = drift_aligned(fam, x, terms_at(fam, x, 2), variant, 0.1, q=30,
+                                seed=0, check_gap=False)
             for a, b in ((on.term1, off.term1), (on.term2, off.term2),
                          (on.term3, off.term3)):
                 assert a.tobytes() == b.tobytes()
         # Without the check, coincident top eigenvalues still give a drift.
         eye = analytic_family([quadratic_oracle(np.eye(2))])
-        ad = drift_aligned(eye, np.array([1.0, 0.3]), VARIANT_ALIGNED_RHO, 0.1,
-                           q=60, seed=0, check_gap=False)
+        ad = drift_aligned(eye, np.array([1.0, 0.3]),
+                           terms_at(eye, np.array([1.0, 0.3]), 2),
+                           VARIANT_ALIGNED_RHO, 0.1, q=60, seed=0,
+                           check_gap=False)
         assert np.isfinite(ad.combined()).all()
 
     def test_hvp_calls_are_live_batches_plus_spectra(self):
@@ -340,23 +352,61 @@ class TestMomentProbe:
         assert rep.slope_e1_order3 >= 2.5
         assert rep.slope_e1_order2 <= 2.5
 
-    def test_second_moment_dimension_guard(self):
-        fam = analytic_family([quadratic_oracle(np.eye(70))])
-        with pytest.raises(DimensionTooLarge):
-            one_step_moment_probe(fam, np.zeros(70), 0.01, (0.1,))
-        rep = one_step_moment_probe(fam, np.zeros(70), 0.01, (0.1,),
-                                    with_second=False)
-        assert np.isnan(rep.rows[0].e2_order3)
+    @staticmethod
+    def dense_e2(fam, x, eta, rho, order):
+        """|| second - eta^2 (d d^T + Sigma) ||_F with every matrix dense."""
+        t1s, t2s, t3s, live = _per_batch_terms(fam, x, True, GRAD_FLOOR)
+        w = fam.weights
+        deltas = [-eta * o.grad(x + rho * sam_perturbation(g, GRAD_FLOOR))
+                  for o, g in zip(fam.oracles, t1s)]
+        second = sum(wb * np.outer(dl, dl) for wb, dl in zip(w, deltas))
+        r2 = rho ** 2 if order == 3 else 0.0
+        d = w @ t1s + rho * (w @ t2s) + 0.5 * r2 * (w @ t3s)
+        c1 = t1s - w @ t1s
+        c2, c3 = (np.where(live[:, None], t - w @ t, 0.0) for t in (t2s, t3s))
+        sigma = sum(wb * (np.outer(a, a) + rho * (np.outer(a, b) + np.outer(b, a))
+                          + r2 * (np.outer(b, b)
+                                  + 0.5 * (np.outer(a, c) + np.outer(c, a))))
+                    for wb, a, b, c in zip(w, c1, c2, c3))
+        return np.linalg.norm(second - eta ** 2 * (np.outer(d, d) + sigma))
+
+    def check_against_dense(self, fam, x, rep):
+        for row in rep.rows:
+            for order, got in ((3, row.e2_order3), (2, row.e2_order2)):
+                want = self.dense_e2(fam, x, 0.01, row.rho, order)
+                np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-16)
+
+    def test_second_moment_from_factors_at_d70(self):
+        # Two quadratic batches: for order 3 the prediction is exact and e2
+        # sits at round-off; for order 2 it misses rho^2 S22.
+        fam = analytic_family([quadratic_oracle(np.eye(70)),
+                               quadratic_oracle(np.diag(np.linspace(0.5, 2.0, 70)))])
+        x = np.random.default_rng(0).standard_normal(70)
+        rep = one_step_moment_probe(fam, x, 0.01, (0.02, 0.04, 0.08, 0.16))
+        self.check_against_dense(fam, x, rep)
+        assert all(row.e2_order2 > 1e-9 for row in rep.rows)
+
+    def test_mlp_family_slopes_separate_above_the_old_cap(self):
+        # d = 82, 8 batches of 32: the third-order model is one order better
+        # in both the first and the second moment.
+        spec = MlpSpec((2, 16, 2))
+        fam = mlp_family(spec, gen_synthetic(256, 2, 2, 1.0, 0), 32)
+        x = init_params(spec, 0).values
+        rep = one_step_moment_probe(fam, x, 0.01, (0.02, 0.04, 0.08, 0.16))
+        self.check_against_dense(fam, x, rep)
+        assert rep.slope_e1_order3 >= 2.5 > rep.slope_e1_order2
+        assert rep.slope_e2_order3 >= 2.5 > rep.slope_e2_order2
 
 
 class TestSdeCoefficients:
     def test_shared_pass_matches_separate_calls(self):
         fam, x0 = TOYS["twobatch2d"]()
         dd, dm = sde_coefficients(fam, x0, 0.1, order=3, diffusion="exact")
-        np.testing.assert_allclose(dd.combined(),
-                                   drift(fam, x0, 3, 0.1).combined(), atol=1e-14)
-        np.testing.assert_allclose(dm.sigma, sigma_exact(fam, x0, 0.1).sigma,
-                                   atol=1e-14)
+        np.testing.assert_allclose(
+            dd.combined(), drift(fam, terms_at(fam, x0), 3, 0.1).combined(),
+            atol=1e-14)
+        np.testing.assert_allclose(
+            dm.sigma, sigma_exact(fam, terms_at(fam, x0), 0.1).sigma, atol=1e-14)
 
     def test_none_and_sampled_modes(self):
         fam, x0 = TOYS["twobatch2d"]()
