@@ -73,9 +73,9 @@ _COMMON = {
 
 _OPTIMIZER = {
     "method": (str, "sam"),
-    "lr": (float, 0.1),
+    "lr": (_positive_float, 0.1),
     "rho": (_nonnegative_float, 0.05),
-    "alpha": (float, 0.2),
+    "alpha": (_nonnegative_float, 0.2),
     "p": (int, 100),
     "q": (int, 5),
     "momentum": (float, 0.9),

@@ -12,17 +12,18 @@ extra derivative formulas per op.
 Shapes are static per tape, reductions run in numpy's fixed index order, and
 no randomness is involved, so repeated evaluation is bit-identical.
 
-A leading stack axis evaluates several independent graphs on one tape, in
-the manner of vmap: a leaf of shape ``(B, d)`` holds B parameter vectors,
-and a scalar output that sums B per-row losses has row b of its adjoint jet
-equal to row b's own jet. The elementwise ops, ``add``/``sub``/``mul``
-(numpy broadcasting, reduced back in the VJP), ``scale``, ``reshape``,
-``sum_all`` and ``sum_axis`` accept any leading axes. ``matmul`` multiplies
-the last two axes of operands with equal leading axes, ``slice1d`` slices
-the last axis, and ``pick_rows`` picks along the last axis. ``gelu`` is
-elementwise, and ``softmax_ce`` takes logits ``(..., n, C)`` with labels
-``(..., n)`` and sums the per-batch mean losses over the leading axes.
-``matvec``, ``dot`` and ``mean_all`` have no stack axis.
+The twelve ops are ``add``, ``sub``, ``mul``, ``scale``, ``matmul``,
+``relu``, ``pow_int``, ``gelu``, ``softmax_ce``, ``sum_all``, ``slice1d``
+and ``reshape``. Every one takes leading stack axes, which evaluate several
+independent graphs on one tape in the manner of vmap: a leaf of shape
+``(B, d)`` holds B parameter vectors, and a scalar output that sums B
+per-row losses has row b of its adjoint jet equal to row b's own jet.
+``add``/``sub``/``mul`` broadcast as numpy does and reduce back in the VJP;
+``scale``, ``relu``, ``pow_int`` and ``gelu`` are elementwise; ``reshape``
+and ``sum_all`` take any shape. ``matmul`` multiplies the last two axes of
+operands with equal leading axes, ``slice1d`` slices the last axis, and
+``softmax_ce`` takes logits ``(..., n, C)`` with labels ``(..., n)`` and
+sums the per-batch mean losses over the leading axes.
 
 ``gelu`` and ``softmax_ce`` are fused: each is one node whose forward jet
 and VJP are composed from the jet arithmetic below, so they need no
@@ -30,8 +31,6 @@ derivative formulas beyond the first-order one they state.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -215,15 +214,6 @@ class Tape:
     def const(self, value) -> Tensor:
         return Tensor(self, "const", jet_const(value, self.degree), (), (), False)
 
-    def fingerprint(self) -> str:
-        """SHA-256 over op kinds and all jet coefficient bytes (replay check)."""
-        h = hashlib.sha256()
-        for node in self.nodes:
-            h.update(node.op.encode())
-            for c in node.jet:
-                h.update(np.ascontiguousarray(c).tobytes())
-        return h.hexdigest()
-
 
 def _make(tape, op, jet, parents, vjps) -> Tensor:
     rg = any(p.requires_grad for p in parents)
@@ -276,55 +266,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  (lambda g: jmatmul(g, bjT), lambda g: jmatmul(ajT, g)))
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """2-D @ 1-D product."""
-    aj, xj = a.jet, x.jet
-    ajT = tuple(c.T for c in aj)
-
-    def vjp_a(g):
-        k = len(g) - 1
-        out = []
-        for m in range(k + 1):
-            acc = np.outer(g[0], xj[m])
-            for i in range(1, m + 1):
-                acc = acc + np.outer(g[i], xj[m - i])
-            out.append(acc)
-        return tuple(out)
-
-    return _make(a.tape, "matvec", jmatmul(aj, xj), (a, x),
-                 (vjp_a, lambda g: jmatmul(ajT, g)))
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """1-D . 1-D inner product, producing a scalar (0-d) node."""
-    aj, bj = a.jet, b.jet
-    return _make(a.tape, "dot", jmatmul(aj, bj), (a, b),
-                 (lambda g: jmul(g, bj), lambda g: jmul(g, aj)))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_jet = jtanh(a.jet)
-
-    def vjp(g):
-        one = jet_const(1.0, len(g) - 1)
-        return jmul(g, jsub(one, jmul(out_jet, out_jet)))
-
-    return _make(a.tape, "tanh", out_jet, (a,), (vjp,))
-
-
-def exp(a: Tensor) -> Tensor:
-    out_jet = jexp(a.jet)
-    return _make(a.tape, "exp", out_jet, (a,), (lambda g: jmul(g, out_jet),))
-
-
-def log(a: Tensor) -> Tensor:
-    aj = a.jet
-    return _make(a.tape, "log", jlog(aj), (a,), (lambda g: jdiv(g, aj),))
-
-
 def relu(a: Tensor) -> Tensor:
     # The active set is fixed by the primal coefficient, so all jet
-    # coefficients share one mask. Not C^3 at the kink; see module docs.
+    # coefficients share one mask. ReLU has no Taylor expansion at the kink;
+    # an input of exactly 0 takes the zero branch.
     mask = (a.jet[0] > 0.0).astype(np.float64)
     return _make(a.tape, "relu", tuple(c * mask for c in a.jet), (a,),
                  (lambda g: tuple(c * mask for c in g),))
@@ -386,45 +331,6 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
     return _make(a.tape, "sum", tuple(np.asarray(c.sum()) for c in a.jet), (a,),
                  (lambda g: tuple(np.broadcast_to(c, shape).copy() for c in g),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.jet[0].size
-    shape = a.shape
-    return _make(a.tape, "mean", tuple(np.asarray(c.sum() / n) for c in a.jet),
-                 (a,),
-                 (lambda g: tuple(np.broadcast_to(c / n, shape).copy() for c in g),))
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        return tuple(np.broadcast_to(np.expand_dims(c, axis), shape).copy()
-                     for c in g)
-
-    return _make(a.tape, "sum_axis", tuple(c.sum(axis=axis) for c in a.jet),
-                 (a,), (vjp,))
-
-
-def pick_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select along the last axis: out[..., i] = a[..., i, idx[..., i]].
-
-    ``idx`` has the shape of ``a`` without its last axis.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    where = (*np.indices(idx.shape, sparse=True), idx)
-    shape = a.shape
-
-    def vjp(g):
-        out = []
-        for c in g:
-            z = np.zeros(shape)
-            z[where] = c
-            out.append(z)
-        return tuple(out)
-
-    return _make(a.tape, "pick", tuple(c[where] for c in a.jet), (a,), (vjp,))
 
 
 def slice1d(a: Tensor, start: int, stop: int) -> Tensor:

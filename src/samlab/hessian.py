@@ -15,6 +15,10 @@ no longer stall it, and it restarts after a breakdown to find repeated
 eigenvalues. Every reported pair's ``converged`` flag follows from an
 explicitly computed residual, so a pair the budget did not resolve is
 flagged rather than silently wrong.
+
+The Hessian trace is a separate probe, :func:`hutchinson_trace`. The
+``spectrum`` runner calls it after the top-k spectrum, at the same point
+and seed, and adds its HVPs to the report's ``hvp_calls``.
 """
 
 from __future__ import annotations
@@ -73,8 +77,6 @@ class SpectrumReport:
     vectors: np.ndarray         # one row per eigenpair
     residuals: np.ndarray
     converged: np.ndarray       # bool per pair
-    trace_estimate: float
-    trace_stderr: float
     hvp_calls: int
 
 
@@ -156,8 +158,8 @@ def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def spectrum_deflated(oracle: LossOracle, x, k: int, q: int, seed: int,
-                      m_trace: int = 64) -> SpectrumReport:
+def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
+                      seed: int) -> SpectrumReport:
     """Top-k eigenpairs by magnitude, by Lanczos with full reorthogonalization.
 
     The Krylov basis grows from the seeded start of substream 0, one HVP per
@@ -176,8 +178,7 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int, seed: int,
 
     Each reported pair then costs one explicit HVP: its value is the
     Rayleigh quotient, its residual ||Hv - lam v||, and ``converged``
-    follows from that residual. ``hvp_calls`` counts every HVP, the
-    ``m_trace`` Hutchinson probes included.
+    follows from that residual. ``hvp_calls`` counts every HVP.
     """
     dim = oracle.dim
     if not 1 <= k <= min(64, dim):
@@ -242,16 +243,11 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int, seed: int,
         residuals.append(float(np.linalg.norm(hy - lam * y)))
     values, residuals = np.asarray(values), np.asarray(residuals)
     order = np.argsort(-np.abs(values), kind="stable")
-    trace, trace_se = (float("nan"), float("nan"))
-    if m_trace >= 2:
-        trace, trace_se = hutchinson_trace(oracle, x, m_trace, seed)
-        calls += m_trace
     return SpectrumReport(values=values[order],
                           vectors=np.asarray(vectors)[order],
                           residuals=residuals[order],
                           converged=(residuals <= CONVERGED_RTOL
                                      * np.maximum(1.0, np.abs(values)))[order],
-                          trace_estimate=trace, trace_stderr=trace_se,
                           hvp_calls=calls)
 
 

@@ -195,9 +195,9 @@ def quadratic_oracle(a: np.ndarray, b: np.ndarray | None = None,
     b = np.zeros(d) if b is None else np.asarray(b, dtype=np.float64)
 
     def build(tape, x):
-        ax = eng.matvec(tape.const(a), x)
-        out = eng.scale(eng.dot(x, ax), 0.5)
-        return eng.add(out, eng.dot(tape.const(b), x))
+        xa = eng.matmul(eng.reshape(x, (1, d)), tape.const(a))
+        out = eng.scale(eng.sum_all(eng.mul(xa, x)), 0.5)
+        return eng.add(out, eng.sum_all(eng.mul(x, tape.const(b))))
 
     return LossOracle(build, d, mode=mode)
 

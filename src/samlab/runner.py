@@ -35,7 +35,8 @@ from .config import render
 from .data import (BatchSampler, Dataset, gen_synthetic, load_idx, mlp_family,
                    sample_batch)
 from .errors import ConfigError, SamlabError
-from .hessian import align, power_iteration, spectrum_deflated
+from .hessian import (align, hutchinson_trace, power_iteration,
+                      spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import MlpSpec, accuracy, init_params, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
@@ -165,49 +166,48 @@ def _write_rows(config_lines: list, out: Path, fill) -> Path:
 # train
 # ---------------------------------------------------------------------------
 
-def _optimizer_config(config: dict, total_steps: int) -> OptimizerConfig:
+def _trainer(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
+             seeds: tuple):
+    """``run(rows)``: the training trajectories of ``seeds`` on sampled
+    mini-batches, in lockstep, returning the ``(S, d)`` end points, row s
+    for seed s. The optimizer config and the batch samplers are built here,
+    so a bad value raises ConfigError before any artifact is opened."""
+    steps = config["steps"]
+    if config["fair_compute"] and config["method"] == "sgd":
+        steps *= 2
     try:
-        return OptimizerConfig(
+        opt_cfg = OptimizerConfig(
             method=config["method"], lr=config["lr"], rho=config["rho"],
             alpha=config["alpha"], refresh_every=config["p"],
             power_iters=config["q"], momentum=config["momentum"],
             weight_decay=config["weight_decay"], schedule=config["schedule"],
-            total_steps=total_steps, grad_floor=config["grad_floor"])
+            total_steps=max(steps, 1), grad_floor=config["grad_floor"])
+        samplers = [BatchSampler(config["batch_size"], seed, config["sampler"])
+                    for seed in seeds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    def run(rows: list | None) -> np.ndarray:
+        state = init_state(spec.dim, tuple(seeds))
 
-def _train(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-           seeds: tuple, rows: list | None) -> np.ndarray:
-    """The training trajectories of ``seeds`` on sampled mini-batches, in
-    lockstep; returns the ``(S, d)`` end points, row s for seed s."""
-    steps = config["steps"]
-    if config["fair_compute"] and config["method"] == "sgd":
-        steps *= 2
-    opt_cfg = _optimizer_config(config, total_steps=max(steps, 1))
-    samplers = [BatchSampler(config["batch_size"], seed, config["sampler"])
-                for seed in seeds]
-    state = init_state(spec.dim, tuple(seeds))
+        def advance(x, t):
+            nonlocal state
+            idx = np.stack([sample_batch(sampler, train, t)
+                            for sampler in samplers])
+            oracle = mlp_oracle(spec, *train.take(idx))
+            x, state = optimizer_step(x, oracle, opt_cfg, state)
+            return x
 
-    def advance(x, t):
-        nonlocal state
-        idx = np.stack([sample_batch(sampler, train, t) for sampler in samplers])
-        oracle = mlp_oracle(spec, *train.take(idx))
-        x, state = optimizer_step(x, oracle, opt_cfg, state)
-        return x
-
-    return _trajectory(config, spec, train, test, seeds, config["method"],
-                       steps, advance, lambda: state.hvp_count, rows)
+        return _trajectory(config, spec, train, test, seeds, config["method"],
+                           steps, advance, lambda: state.hvp_count, rows)
+    return run
 
 
 def run_train(config: dict, out_name: str = "train.csv") -> Path:
     """Train under the configured optimizer, every seed in lockstep."""
     spec, train, test = _datasets(config)
-
-    def fill(rows):
-        _train(config, spec, train, test, config["seeds"], rows)
-
-    return _write_rows(render(config), Path(config["out"]) / out_name, fill)
+    return _write_rows(render(config), Path(config["out"]) / out_name,
+                       _trainer(config, spec, train, test, config["seeds"]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +341,8 @@ def _trained_points(config: dict) -> tuple:
     """Model, datasets, and the ``(S, d)`` parameters of the configured seeds
     after the training prefix, trained in lockstep; row s is seed s."""
     spec, train, test = _datasets(config)
-    xs = _train(dict(config, fair_compute=False), spec, train, test,
-                config["seeds"], rows=None)
+    xs = _trainer(dict(config, fair_compute=False), spec, train, test,
+                  config["seeds"])(None)
     return spec, train, test, xs
 
 
@@ -353,19 +353,24 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
                           f"with {dim} parameters")
     spec, train, _test, xs = _trained_points(config)
     oracle = mlp_oracle(spec, train.inputs, train.labels)
+    m_trace = config["m_trace"]
     per_seed = []
     for seed, x in zip(config["seeds"], xs):
         report = spectrum_deflated(oracle, x, k=config["k"],
-                                   q=config["spectrum_q"], seed=seed,
-                                   m_trace=config["m_trace"])
+                                   q=config["spectrum_q"], seed=seed)
+        trace, trace_se = float("nan"), float("nan")
+        calls = report.hvp_calls
+        if m_trace >= 2:
+            trace, trace_se = hutchinson_trace(oracle, x, m_trace, seed)
+            calls += m_trace
         per_seed.append({
             "seed": seed,
             "eigenvalues": [float(v) for v in report.values],
             "residuals": [float(r) for r in report.residuals],
             "converged": [bool(c) for c in report.converged],
-            "trace_estimate": report.trace_estimate,
-            "trace_stderr": report.trace_stderr,
-            "hvp_calls": report.hvp_calls,
+            "trace_estimate": trace,
+            "trace_stderr": trace_se,
+            "hvp_calls": calls,
         })
     return _write_json(config, {"spectra": per_seed},
                        Path(config["out"]) / out_name)

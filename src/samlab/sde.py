@@ -292,7 +292,7 @@ def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
     zero = np.zeros(family.dim)
     for b, oracle in enumerate(family.oracles):
         spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
-                                 seed=seed + b, m_trace=0)
+                                 seed=seed + b)
         hvp_calls += spec.hvp_calls
         if check_gap and len(spec.values) > 1:
             lam1, lam2 = spec.values[0], spec.values[1]

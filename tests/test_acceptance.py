@@ -262,8 +262,7 @@ def test_criterion_8_spectral_probes():
         dense = np.sort(np.linalg.eigvalsh(a))[::-1]
         est = power_iteration(oracle, np.zeros(dim), q=300, seed=seed)
         worst_pi = max(worst_pi, abs(est.value - dense[0]))
-        rep = spectrum_deflated(oracle, np.zeros(dim), k=4, q=300, seed=seed,
-                                m_trace=0)
+        rep = spectrum_deflated(oracle, np.zeros(dim), k=4, q=300, seed=seed)
         worst_spec = max(worst_spec, np.abs(rep.values - dense[:4]).max())
     hutch_ok = True
     for seed in range(10):

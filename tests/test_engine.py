@@ -60,33 +60,35 @@ class TestBackward:
         assert float(jet[2][0]) == pytest.approx(3.0)    # third(u, u) / 2
 
     def test_every_op_matches_central_differences(self):
-        # One graph touching all op kinds: slice, reshape, matmul, matvec,
-        # dot, mul, add, sub, scale, tanh, exp, log, relu, pow_int, sums,
-        # pick_rows.
+        # One graph over all twelve ops: slice1d, reshape, a matmul with a
+        # leading stack axis, add, sub, mul (broadcast over that axis),
+        # scale, relu, pow_int, gelu, softmax_ce and sum_all.
         rng = np.random.default_rng(3)
-        x0 = rng.standard_normal(6)
-        mat = rng.standard_normal((4, 3))
-        labels = np.array([0, 2, 1, 0])
+        x0 = rng.standard_normal(14)
+        mat = rng.standard_normal((2, 3, 4))
+        bias = rng.standard_normal(4)
+        labels = np.array([[0, 3], [2, 1]])
 
         def build(tape, x):
-            a = eng.slice1d(x, 0, 3)
-            b = eng.slice1d(x, 3, 6)
-            z = eng.matvec(tape.const(mat), a)                     # (4,)
-            w = eng.tanh(eng.sub(z, 0.3))
-            q = eng.relu(eng.add(eng.mul(w, w), 0.1))
-            outer = eng.matmul(eng.reshape(q, (4, 1)),
-                               eng.reshape(eng.log(eng.add(eng.pow_int(b, 2), 1.5)),
-                                           (1, 3)))               # (4, 3)
-            picked = eng.mean_all(eng.pick_rows(outer, labels))
-            row_sums = eng.sum_all(eng.sum_axis(outer, 0))
-            mixed = eng.exp(eng.scale(eng.dot(a, b), 0.2))
-            return eng.add(eng.add(picked, eng.scale(row_sums, 0.01)), mixed)
+            a = eng.reshape(eng.slice1d(x, 0, 12), (2, 2, 3))
+            b = eng.slice1d(x, 12, 14)
+            b_rows = eng.reshape(b, (2, 1, 1))
+            z = eng.sub(eng.add(eng.matmul(a, tape.const(mat)), bias),
+                        eng.scale(b_rows, 0.3))                     # (2, 2, 4)
+            ce = eng.softmax_ce(eng.gelu(z), labels)
+            gated = eng.mul(eng.relu(z), b_rows)
+            cubic = eng.sum_all(eng.pow_int(b, 3))
+            return eng.add(eng.add(ce, eng.scale(eng.sum_all(gated), 0.5)),
+                           eng.scale(cubic, 0.1))
 
         def loss(v):
             tape = eng.Tape(degree=0)
             return float(build(tape, tape.leaf(v)).value)
 
-        _, leaf, out = scalar_graph(build, x0)
+        tape, leaf, out = scalar_graph(build, x0)
+        kinds = {node.op for node in tape.nodes} - {"leaf", "const"}
+        assert kinds == {"slice", "reshape", "matmul", "add", "sub", "mul",
+                         "scale", "relu", "pow3", "gelu", "softmax_ce", "sum"}
         g = eng.backward(out, [leaf])[0][0]
         np.testing.assert_allclose(g, central_diff_grad(loss, x0, h=1e-6),
                                    rtol=2e-5, atol=2e-8)
@@ -97,7 +99,8 @@ class TestBackward:
         v = rng.standard_normal(4)
 
         def build(tape, x):
-            return eng.sum_all(eng.tanh(eng.mul(eng.pow_int(x, 2), eng.exp(eng.scale(x, 0.3)))))
+            return eng.sum_all(eng.gelu(eng.mul(eng.pow_int(x, 2),
+                                                eng.scale(x, 0.3))))
 
         def grad_at(pt):
             _, leaf, out = scalar_graph(build, pt)
@@ -113,24 +116,21 @@ class TestBackward:
 class TestTape:
     def test_topological_and_replayable(self):
         def build(tape, x):
-            return eng.sum_all(eng.tanh(eng.pow_int(x, 2)))
+            return eng.sum_all(eng.gelu(eng.pow_int(x, 2)))
 
-        tape1, leaf1, out1 = scalar_graph(build, [0.5, -0.2])
-        tape2, leaf2, out2 = scalar_graph(build, [0.5, -0.2])
+        tape1, leaf1, out1 = scalar_graph(build, [0.5, -0.2], degree=2,
+                                          tangent=[0.3, 0.7])
+        tape2, leaf2, out2 = scalar_graph(build, [0.5, -0.2], degree=2,
+                                          tangent=[0.3, 0.7])
         for node in tape1.nodes:
             assert all(p.idx < node.idx for p in node.parents)
-        assert tape1.fingerprint() == tape2.fingerprint()
-        g1 = eng.backward(out1, [leaf1])[0][0]
-        g2 = eng.backward(out2, [leaf2])[0][0]
-        assert g1.tobytes() == g2.tobytes()
-
-    def test_fingerprint_changes_with_input(self):
-        def build(tape, x):
-            return eng.sum_all(eng.pow_int(x, 2))
-
-        tape1, _, _ = scalar_graph(build, [1.0])
-        tape2, _, _ = scalar_graph(build, [1.5])
-        assert tape1.fingerprint() != tape2.fingerprint()
+        assert len(tape1.nodes) == len(tape2.nodes)
+        for n1, n2 in zip(tape1.nodes, tape2.nodes):
+            assert n1.op == n2.op
+            assert [c.tobytes() for c in n1.jet] == [c.tobytes() for c in n2.jet]
+        adj1 = eng.backward(out1, [leaf1])[0]
+        adj2 = eng.backward(out2, [leaf2])[0]
+        assert [c.tobytes() for c in adj1] == [c.tobytes() for c in adj2]
 
     def test_degree_limit(self):
         with pytest.raises(ValueError):

@@ -174,7 +174,7 @@ class TestSpectrumDeflated:
         # 3.801, -3.731, -2.820, of mixed sign.
         a = random_symmetric(8, seed=9)
         rep = spectrum_deflated(quadratic_oracle(a), np.zeros(8), k=k, q=40,
-                                seed=4, m_trace=0)
+                                seed=4)
         dense = sorted(np.linalg.eigvalsh(a), key=abs, reverse=True)[:k]
         np.testing.assert_allclose(rep.values, dense, atol=1e-10)
         assert np.all(rep.converged)
@@ -186,13 +186,13 @@ class TestSpectrumDeflated:
         # deflated stages all converge within the iteration budget.
         a = matrix_with_spectrum(10.0 * 0.9 ** np.arange(64), seed=10)
         oracle = quadratic_oracle(a)
-        rep = spectrum_deflated(oracle, np.zeros(64), k=5, q=300, seed=5, m_trace=0)
+        rep = spectrum_deflated(oracle, np.zeros(64), k=5, q=300, seed=5)
         dense = np.sort(np.linalg.eigvalsh(a))[::-1][:5]
         np.testing.assert_allclose(rep.values, dense, atol=1e-5)
 
     def test_opposite_sign_pair_resolved(self):
         oracle = quadratic_oracle(np.diag([3.0, -3.0, 1.0]))
-        rep = spectrum_deflated(oracle, np.zeros(3), k=2, q=60, seed=0, m_trace=0)
+        rep = spectrum_deflated(oracle, np.zeros(3), k=2, q=60, seed=0)
         np.testing.assert_allclose(sorted(rep.values), [-3.0, 3.0], atol=1e-10)
         assert np.all(rep.converged)
 
@@ -200,7 +200,7 @@ class TestSpectrumDeflated:
         # Two Krylov vectors per pair cannot resolve a 50x50 spectrum.
         a = random_symmetric(50, seed=3)
         rep = spectrum_deflated(quadratic_oracle(a), np.zeros(50), k=3, q=2,
-                                seed=0, m_trace=0)
+                                seed=0)
         assert not np.any(rep.converged)
         for lam, v, res, flag in zip(rep.values, rep.vectors, rep.residuals,
                                      rep.converged):
@@ -215,7 +215,7 @@ class TestSpectrumDeflated:
         # repeated copy needs a restart after the block breaks down.
         oracle = quadratic_oracle(np.diag(diag))
         rep = spectrum_deflated(oracle, np.zeros(len(diag)), k=k, q=20,
-                                seed=0, m_trace=0)
+                                seed=0)
         np.testing.assert_allclose(rep.values, [max(diag)] * k, atol=1e-12)
         assert np.all(rep.converged)
         np.testing.assert_allclose(rep.vectors @ rep.vectors.T, np.eye(k),
@@ -223,13 +223,17 @@ class TestSpectrumDeflated:
 
     def test_hvp_calls_counted_and_capped(self):
         a = matrix_with_spectrum(10.0 * 0.9 ** np.arange(64), seed=10)
-        for k, q, m_trace in ((5, 300, 0), (4, 3, 8), (2, 40, 16)):
+        for k, q in ((5, 300), (4, 3), (2, 40)):
             oracle = quadratic_oracle(a)
             jets = count_jets(oracle)
-            rep = spectrum_deflated(oracle, np.zeros(64), k=k, q=q, seed=1,
-                                    m_trace=m_trace)
+            rep = spectrum_deflated(oracle, np.zeros(64), k=k, q=q, seed=1)
             assert rep.hvp_calls == len(jets)
-            assert rep.hvp_calls <= k * (q + 1) + m_trace
+            assert rep.hvp_calls <= k * (q + 1)
+        for m in (8, 16):
+            oracle = quadratic_oracle(a)
+            jets = count_jets(oracle)
+            hutchinson_trace(oracle, np.zeros(64), m, seed=1)
+            assert len(jets) == m
 
     def test_k_validation(self):
         oracle = quadratic_oracle(np.eye(2))

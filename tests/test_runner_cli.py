@@ -424,9 +424,9 @@ class TestProbeRunners:
         for row, seed in zip(init, (0, 3)):
             assert row.tobytes() == init_params(spec, seed).values.tobytes()
         rows = []
-        probed = runner._train(dict(cfg, eval_every=4, probe_q=3,
-                                    fair_compute=False),
-                               spec, train, test, (0, 3), rows)
+        probed = runner._trainer(dict(cfg, eval_every=4, probe_q=3,
+                                      fair_compute=False),
+                                 spec, train, test, (0, 3))(rows)
         assert len(rows) == 8
 
         def no_probes(*args, **kwargs):
@@ -517,11 +517,19 @@ class TestCli:
         "probe-moments eta=-1",
         "probe-moments rho_grid=0.1", "probe-moments rho_grid=0.1,0.1",
         "probe-moments rho_grid=", "probe-moments with_second=false",
+        "train method=foo", "train p=0", "train q=0", "train momentum=1.5",
+        "train schedule=bogus", "train lr=0", "train alpha=-1",
+        "train sampler=bogus", "spectrum sampler=bogus",
+        "probe-power sampler=bogus", "train lr=nan steps=2",
+        "spectrum lr=nan steps=2", "probe-power lr=nan steps=2",
+        "train alpha=nan method=eigensam steps=2",
     ])
     def test_config_error_leaves_no_artifact(self, tmp_path, capsys, case):
         # A model that does not fit the data, a step size that is not
-        # positive, and a rho grid with fewer than two distinct values (no
-        # slope to fit) are config errors before any artifact is written.
+        # positive, a rho grid with fewer than two distinct values (no
+        # slope to fit), and an optimizer or sampler value that the training
+        # run (or the training prefix of spectrum and probe-power) rejects
+        # are config errors before any artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2

@@ -321,7 +321,7 @@ class TestDriftAligned:
         tau = 0.5 * (norms[0] + norms[1])
         dd, _ = sde_coefficients(fam, x, 0.2, VARIANT_ALIGNED_RHO, "exact",
                                  tau=tau, q=q, seed=0)
-        spectra = [spectrum_deflated(o, x, k=2, q=q, seed=b, m_trace=0).hvp_calls
+        spectra = [spectrum_deflated(o, x, k=2, q=q, seed=b).hvp_calls
                    for b, o in enumerate(fam.oracles)]
         assert min(spectra) > 0
         assert dd.hvp_calls == len(fam) - 1 + sum(spectra)

@@ -42,6 +42,8 @@ PINNED = {
                                  "eval_every=10"), None),
     "moments-quartic1d": ("probe-moments", ("toy=quartic1d",), None),
     "moments-twobatch2d": ("probe-moments", ("toy=twobatch2d",), None),
+    "spectrum": ("spectrum", ("model_layers=2,16,2", "steps=50", "k=4",
+                              "m_trace=16"), "0,1"),
 }
 
 
