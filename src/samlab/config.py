@@ -56,7 +56,7 @@ _MODEL_DATA = {
     "data_n": (_positive_int, 256),
     "data_dim": (_positive_int, 2),
     "data_classes": (_positive_int, 2),
-    "data_margin": (float, 4.0),
+    "data_margin": (_nonnegative_float, 4.0),
     "data_seed": (_nonnegative_int, 0),
     "test_n": (_positive_int, 256),
     "idx_images": (str, ""),
@@ -79,7 +79,7 @@ _OPTIMIZER = {
     "p": (int, 100),
     "q": (int, 5),
     "momentum": (float, 0.9),
-    "weight_decay": (float, 5e-5),
+    "weight_decay": (_nonnegative_float, 5e-5),
     "schedule": (str, "cosine"),
     "grad_floor": (_positive_float, 1e-12),
 }

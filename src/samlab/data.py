@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine as eng
 from .errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 from .models import MlpSpec, mlp_builder, mlp_oracle
 from .rng import STREAM_BATCH, STREAM_DATA_TEST, STREAM_DATA_TRAIN, stream
@@ -164,20 +165,25 @@ class OracleFamily:
     Expectations weight each batch by its share of the dataset, so linear
     per-batch statistics average exactly to the full-dataset statistic.
 
-    ``stacks``, if given, is a callable that yields ``(batch indices,
-    builder)`` pairs covering every batch exactly once; each builder takes
-    a ``(len(indices), dim)`` leaf and returns the sum of those batches'
-    losses (see :func:`samlab.oracle.jet_pass`).
+    ``stacks`` is a callable that yields ``(batch indices, builder)`` pairs
+    covering every batch exactly once; each builder takes a
+    ``(len(indices), dim)`` leaf and returns the sum of those batches'
+    losses (see :func:`samlab.oracle.jet_pass`). By default each oracle is
+    a stack of its own. A stack is one exact tape pass, so every oracle
+    must be in exact mode.
     """
 
     def __init__(self, oracles: list, weights: np.ndarray, stacks=None):
         if len(oracles) != len(weights):
             raise ValueError("one weight per oracle required")
+        if any(o.mode != "exact" for o in oracles):
+            raise ValueError("a family takes exact-mode oracles only")
         self.oracles = list(oracles)
         self.weights = np.asarray(weights, dtype=np.float64)
         self.weights = self.weights / self.weights.sum()
-        self.stacks = stacks
         self.dim = oracles[0].dim
+        self.stacks = stacks or (lambda: ((np.array([b]), _unstacked(o))
+                                          for b, o in enumerate(self.oracles)))
 
     def __len__(self) -> int:
         return len(self.oracles)
@@ -196,30 +202,35 @@ class OracleFamily:
         return acc
 
 
-def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int,
-               mode: str = "exact") -> OracleFamily:
-    """Oracles over the enumeration partition; exact mode also stacks them."""
+def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:
+    """Oracles over the enumeration partition, stacked by row count. Stack
+    builders are made on demand, so a family holds no second copy of its
+    data."""
     parts = enumeration_batches(dataset.n, batch_size)
-    oracles = [mlp_oracle(spec, *dataset.take(idx), mode=mode) for idx in parts]
-    stacks = None
-    if mode == "exact":
-        stacks = functools.partial(_mlp_stacks, spec, dataset, parts)
+    oracles = [mlp_oracle(spec, *dataset.take(idx)) for idx in parts]
+    stack_rows = _stack_rows(spec, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
-                        stacks=stacks)
+                        stacks=lambda: ((ids, mlp_builder(spec, *dataset.take(rows)))
+                                        for ids, rows in stack_rows))
 
 
-def _mlp_stacks(spec: MlpSpec, dataset: Dataset, parts: list):
-    """Yield (batch indices, stacked builder): batches of one row count, at
-    most STACK_ELEMENTS worth per stack. Builders are made on demand, so a
-    family holds no second copy of its data."""
+def _stack_rows(spec: MlpSpec, parts: list) -> list:
+    """(batch indices, their (B, rows) data indices) per stack: batches of
+    one row count, at most STACK_ELEMENTS worth per stack."""
     sizes = np.array([len(p) for p in parts])
+    out = []
     for size in sorted(set(sizes.tolist()), reverse=True):
         ids = np.flatnonzero(sizes == size)
         per_stack = max(1, STACK_ELEMENTS // (spec.dim + size * sum(spec.layers)))
         for start in range(0, len(ids), per_stack):
             chunk = ids[start:start + per_stack]
-            rows = np.stack([parts[i] for i in chunk])
-            yield chunk, mlp_builder(spec, *dataset.take(rows))
+            out.append((chunk, np.stack([parts[i] for i in chunk])))
+    return out
+
+
+def _unstacked(oracle):
+    """The oracle's builder over a (1, dim) leaf: a stack of one batch."""
+    return lambda tape, leaf: oracle.builder(tape, eng.reshape(leaf, (oracle.dim,)))
 
 
 def analytic_family(oracles: list) -> OracleFamily:

@@ -47,7 +47,6 @@ class EigenEstimate:
     value: float | np.ndarray
     vector: np.ndarray
     residual: float | np.ndarray
-    iterations: int
     hvp_calls: int
 
     @property
@@ -132,7 +131,7 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
                               - lam[..., None] * v, axis=-1)
     if x.ndim == 1:
         lam, residual = float(lam), float(residual)
-    return EigenEstimate(lam, v, residual, iterations=q, hvp_calls=q + 2)
+    return EigenEstimate(lam, v, residual, hvp_calls=q + 2)
 
 
 def align(eps, v, floor: float = ALIGN_FLOOR) -> AlignmentReport:

@@ -51,6 +51,8 @@ class OptimizerConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.lr <= 0 or self.rho < 0 or self.alpha < 0:
             raise ValueError("lr must be positive; rho and alpha nonnegative")
+        if not self.weight_decay >= 0.0:
+            raise ValueError("weight_decay must be nonnegative")
         if self.refresh_every < 1 or self.power_iters < 1:
             raise ValueError("refresh_every and power_iters must be >= 1")
         if not 0.0 <= self.momentum < 1.0:

@@ -28,13 +28,12 @@ zero to terms 2-3 and to their centered covariance vectors.
 
 The per-batch vectors come from a gradient, then one jet along
 u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
-coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. In
-exact mode each is one tape pass; an fd-mode jet takes 2 or 5 gradients
-(:meth:`oracle.LossOracle.jet`). A family with stacks (every exact-mode
-``mlp_family``) runs each of the two passes once per stack, on a ``(B, d)``
-leaf holding x in every row, instead of once per batch; a stack holds as
-many batches of one row count as fit in ``data.STACK_ELEMENTS``. Other
-families loop over their oracles.
+coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. Each
+is one exact tape pass per stack of the family, on a ``(B, d)`` leaf whose
+row b is batch b's point: an ``mlp_family`` stack holds as many batches of
+one row count as fit in ``data.STACK_ELEMENTS``, and any other family has
+one batch per stack. The aligned term3 and the moment probe's one-step
+deltas come from the same per-stack passes.
 
 :func:`one_step_moment_probe` checks the weak order of the expansion: it
 compares the exact one-step mean and second moment of discrete SAM with
@@ -126,48 +125,39 @@ class SdeConfig:
         return self.rho > self.eta ** (1.0 / 3.0)
 
 
+def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
+                tangents: np.ndarray | None = None,
+                live: np.ndarray | None = None) -> list:
+    """Row b of each coefficient is batch b's adjoint jet at xs[b] along
+    tangents[b] (see :func:`oracle.jet_pass`), from one tape pass per stack.
+    A stack with no ``live`` row is skipped and its rows stay zero."""
+    coefs = [np.zeros((len(family), family.dim)) for _ in range(degree + 1)]
+    for ids, builder in family.stacks():
+        if live is not None and not live[ids].any():
+            continue
+        jet = jet_pass(builder, xs[ids], degree,
+                       None if tangents is None else tangents[ids], release=True)
+        for coef, rows in zip(coefs, jet):
+            coef[ids] = rows
+    return coefs
+
+
 def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                      tau: float) -> tuple:
     """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
     unless need_third), and the mask of the live batches, ||t1_b|| >= tau.
     t2_b = t3_b = 0 off the mask; each live batch costs one HVP (its jet)."""
-    if family.stacks is not None:
-        return _stacked_terms(family, x, need_third, tau)
-    degree = 2 if need_third else 1
-    t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
-    live = np.zeros(len(family), dtype=bool)
-    for b, oracle in enumerate(family.oracles):
-        g = t1s[b] = oracle.grad(x)
-        norm = np.linalg.norm(g)
-        if norm < tau:
-            continue
-        live[b] = True
-        jet = oracle.jet(x, g / norm, degree)
-        t2s[b] = jet[1]
-        if need_third:
-            t3s[b] = 2.0 * jet[2]
-    return t1s, t2s, t3s, live
-
-
-def _stacked_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
-                   tau: float) -> tuple:
-    """_per_batch_terms from two passes per stack."""
-    n, d, degree = len(family), family.dim, 2 if need_third else 1
-    t1s, t2s, t3s = (np.zeros((n, d)) for _ in range(3))
-    live = np.zeros(n, dtype=bool)
-    for ids, builder in family.stacks():
-        xs = np.tile(x, (len(ids), 1))
-        g = t1s[ids] = jet_pass(builder, xs, release=True)[0]
-        norms = np.array([np.linalg.norm(row) for row in g])
-        on = live[ids] = norms >= tau
-        if not on.any():
-            continue
-        units = np.zeros_like(g)
-        units[on] = g[on] / norms[on, None]
-        jet = jet_pass(builder, xs, degree, tangent=units, release=True)
-        t2s[ids[on]] = jet[1][on]
-        if need_third:
-            t3s[ids[on]] = 2.0 * jet[2][on]
+    xs = np.broadcast_to(x, (len(family), family.dim))
+    t1s = _batch_jets(family, xs)[0]
+    norms = np.array([np.linalg.norm(row) for row in t1s])
+    live = norms >= tau
+    units = np.zeros_like(t1s)
+    units[live] = t1s[live] / norms[live, None]
+    jet = _batch_jets(family, xs, 2 if need_third else 1, units, live)
+    t2s = np.where(live[:, None], jet[1], 0.0)
+    t3s = np.zeros_like(t1s)
+    if need_third:
+        t3s = np.where(live[:, None], 2.0 * jet[2], 0.0)
     return t1s, t2s, t3s, live
 
 
@@ -212,12 +202,11 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     ``order`` is 2, 3, "aligned-rho" or "aligned-rho2". The aligned orders
     take their drift from :func:`drift_aligned` (``q``, ``seed`` and
     ``check_gap`` go there) and always pair with the third-order diffusion.
-    On a stacked family the evaluation is two tape passes per stack: a
-    degree-0 pass whose adjoint rows are the batch gradients, then one pass
-    along the unit gradients (degree 1 for order 2 and for aligned orders
-    without diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b
-    and third_b(u_b, u_b) at any d. Both derivative modes run every order at
-    any d.
+    The evaluation is two tape passes per stack: a degree-0 pass whose
+    adjoint rows are the batch gradients, then one pass along the unit
+    gradients (degree 1 for order 2 and for aligned orders without
+    diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b and
+    third_b(u_b, u_b) at any d.
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
@@ -279,17 +268,18 @@ def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
 
-    Per batch, v1 comes from the top-2 Lanczos spectrum and s* from the
-    alignment sign of the batch gradient. ``check_gap`` only decides whether
-    a vanishing eigenvalue gap raises GapViolated; v1 is the same either way.
+    Per batch, v1 comes from the top-2 Lanczos spectrum of its oracle and s*
+    from the alignment sign of the batch gradient; term3 takes the rows
+    third_b(v1_b, v1_b) from one degree-2 pass per stack. ``check_gap``
+    only decides whether a vanishing eigenvalue gap raises GapViolated; v1
+    is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:
         raise ValueError(f"unknown aligned variant {variant!r}")
-    t1s, t2s_raw, _, live = terms
-    term2s, term3s = [], []
+    t1s, t2s, _, live = terms
+    term2s, vecs = t2s.copy(), np.zeros_like(t1s)
     hvp_calls = int(live.sum())
-    zero = np.zeros(family.dim)
     for b, oracle in enumerate(family.oracles):
         spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
                                  seed=seed + b)
@@ -299,15 +289,11 @@ def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
             if abs(lam1 - lam2) <= 1e-8 * max(1.0, abs(lam1)):
                 raise GapViolated(f"batch {b}: top eigenvalues "
                                   f"{lam1:.6g} and {lam2:.6g} coincide")
-        est_vec, est_val = spec.vectors[0], float(spec.values[0])
-        term3s.append(oracle.third_directional(x, est_vec))
-        if not live[b]:
-            term2s.append(zero)
-        elif variant == VARIANT_ALIGNED_RHO2:
-            s_star = float(align(t1s[b], est_vec).s_star)
-            term2s.append(s_star * est_val * est_vec)
-        else:
-            term2s.append(t2s_raw[b])
+        vecs[b] = spec.vectors[0]
+        if live[b] and variant == VARIANT_ALIGNED_RHO2:
+            s_star = float(align(t1s[b], vecs[b]).s_star)
+            term2s[b] = s_star * float(spec.values[0]) * vecs[b]
+    term3s = 2.0 * _batch_jets(family, np.broadcast_to(x, vecs.shape), 2, vecs)[2]
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(term2s),
                               term3=family.mean(term3s), rho=rho,
                               hvp_calls=hvp_calls)
@@ -345,11 +331,12 @@ def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
     """Compare exact one-step moments of the discrete algorithm against the
     drift/diffusion prediction, per rho, with fitted log-log slopes.
 
-    e1(rho) = || E[dx] + eta * drift ||; e2(rho) is the Frobenius error of
-    E[dx dx^T] against eta^2 (drift drift^T + Sigma), computed from factors
-    at any d: the error is F^T diag(c) F for the rows F = [dx_g; drift;
-    basis^T] and weights c = (w_g, -eta^2, -eta^2 vals), so with F^T = QR it
-    is || R diag(c) R^T ||_F.
+    The deltas dx_g = -eta grad f_g(x + rho u_g) come from one degree-0
+    pass per stack. e1(rho) = || E[dx] + eta * drift ||; e2(rho) is the
+    Frobenius error of E[dx dx^T] against eta^2 (drift drift^T + Sigma),
+    computed from factors at any d: the error is F^T diag(c) F for the rows
+    F = [dx_g; drift; basis^T] and weights c = (w_g, -eta^2, -eta^2 vals),
+    so with F^T = QR it is || R diag(c) R^T ||_F.
     """
     x = np.asarray(x, dtype=np.float64)
     rho_grid = [float(r) for r in rho_grid]
@@ -357,8 +344,8 @@ def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
     # The per-batch terms do not depend on rho, and order 2 reads only t1, t2.
     terms = _per_batch_terms(family, x, need_third=True, tau=tau)
     for rho in rho_grid:
-        deltas = np.array([-eta * oracle.grad(x + rho * sam_perturbation(g, tau))
-                           for oracle, g in zip(family.oracles, terms[0])])
+        xs = x + rho * sam_perturbation(terms[0], tau)
+        deltas = -eta * _batch_jets(family, xs)[0]
         mean_delta = family.mean(deltas)
         e1 = {}
         e2 = {}

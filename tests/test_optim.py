@@ -275,3 +275,6 @@ class TestValidation:
             OptimizerConfig("nope", lr=0.1)
         with pytest.raises(ValueError):
             OptimizerConfig("sgd", lr=0.1, rho=-0.1)
+        for decay in (-1e-4, float("nan")):
+            with pytest.raises(ValueError):
+                OptimizerConfig("sgd", lr=0.1, weight_decay=decay)

@@ -523,13 +523,16 @@ class TestCli:
         "probe-power sampler=bogus", "train lr=nan steps=2",
         "spectrum lr=nan steps=2", "probe-power lr=nan steps=2",
         "train alpha=nan method=eigensam steps=2",
+        "train weight_decay=nan steps=2", "train weight_decay=-1 steps=2",
+        "train data_margin=nan steps=2", "train data_margin=-1 steps=2",
     ])
     def test_config_error_leaves_no_artifact(self, tmp_path, capsys, case):
         # A model that does not fit the data, a step size that is not
         # positive, a rho grid with fewer than two distinct values (no
-        # slope to fit), and an optimizer or sampler value that the training
-        # run (or the training prefix of spectrum and probe-power) rejects
-        # are config errors before any artifact is written.
+        # slope to fit), a negative or NaN weight decay or data margin, and
+        # an optimizer or sampler value that the training run (or the
+        # training prefix of spectrum and probe-power) rejects are config
+        # errors before any artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2

@@ -1,19 +1,26 @@
-"""Stacked per-batch SDE terms against the per-oracle loop as reference.
+"""Stacked per-batch SDE terms against a per-oracle reference loop.
 
-An exact-mode ``mlp_family`` evaluates every batch of a stack on one tape;
-the same family without its stacks runs the per-oracle loop. Both must give
-the same per-batch vectors, live-batch mask, drift and diffusion.
+An ``mlp_family`` evaluates every batch of a stack on one tape; a family
+built from the same oracles without stacks runs one batch per stack. Both
+must agree with a loop of per-oracle ``grad`` and ``jet`` calls on the
+per-batch vectors and the live-batch mask, and with each other on the
+drift and diffusion.
 """
 
 import numpy as np
 import pytest
 
 import samlab.data
+import samlab.sde
 from helpers import dense_hessian
-from samlab.data import Dataset, OracleFamily, gen_synthetic, mlp_family
+from samlab.data import (Dataset, OracleFamily, analytic_family,
+                         enumeration_batches, gen_synthetic, mlp_family)
 from samlab.errors import NonFiniteLoss
-from samlab.models import MlpSpec, init_params
-from samlab.sde import _per_batch_terms, sde_coefficients
+from samlab.hessian import spectrum_deflated
+from samlab.models import MlpSpec, init_params, mlp_oracle
+from samlab.oracle import polynomial_oracle_1d
+from samlab.sde import (_per_batch_terms, drift_aligned, one_step_moment_probe,
+                        sde_coefficients)
 
 RTOL = 1e-12
 
@@ -30,16 +37,40 @@ def dataset(spec, n, seed=3):
                          1.0, seed)
 
 
-def stacked_and_looped(spec, ds, batch_size=32):
+def stacked_and_single(spec, ds, batch_size=32):
+    """The mlp_family and a family of the same oracles, one per stack."""
     stacked = mlp_family(spec, ds, batch_size)
-    plain = mlp_family(spec, ds, batch_size)
-    return stacked, OracleFamily(plain.oracles, plain.weights)
+    return stacked, OracleFamily(stacked.oracles, stacked.weights)
+
+
+def looped_terms(family, x, need_third, tau):
+    """_per_batch_terms from a per-oracle gradient, then a jet along the unit
+    gradient of each batch at or above the floor."""
+    t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
+    live = np.zeros(len(family), dtype=bool)
+    for b, oracle in enumerate(family.oracles):
+        g = t1s[b] = oracle.grad(x)
+        norm = np.linalg.norm(g)
+        if norm < tau:
+            continue
+        live[b] = True
+        jet = oracle.jet(x, g / norm, 2 if need_third else 1)
+        t2s[b] = jet[1]
+        if need_third:
+            t3s[b] = 2.0 * jet[2]
+    return t1s, t2s, t3s, live
 
 
 def assert_close(got, want):
     got, want = np.asarray(got), np.asarray(want)
     scale = max(np.abs(want).max(), 1e-300)
     assert np.abs(got - want).max() <= RTOL * scale
+
+
+def assert_terms_close(got, want):
+    for g, w in zip(got[:3], want[:3]):
+        assert_close(g, w)
+    np.testing.assert_array_equal(got[3], want[3])
 
 
 def floor_below_one_batch(family, x):
@@ -52,26 +83,26 @@ def floor_below_one_batch(family, x):
 @pytest.mark.parametrize("order", [2, 3])
 def test_stacked_terms_match_loop(case, order):
     spec, n = CASES[case]
-    stacked, looped = stacked_and_looped(spec, dataset(spec, n))
+    stacked, single = stacked_and_single(spec, dataset(spec, n))
     assert len(list(stacked.stacks())) == (1 if n % 32 == 0 else 2)
+    assert len(list(single.stacks())) == len(single)
     x = init_params(spec, 1).values
-    tau = floor_below_one_batch(looped, x)
+    tau = floor_below_one_batch(stacked, x)
+    want = looped_terms(stacked, x, order == 3, tau)
     got = _per_batch_terms(stacked, x, order == 3, tau)
-    want = _per_batch_terms(looped, x, order == 3, tau)
-    for g, w in zip(got[:3], want[:3]):
-        assert_close(g, w)
+    assert_terms_close(got, want)
+    assert_terms_close(_per_batch_terms(single, x, order == 3, tau), want)
     degenerate = [np.linalg.norm(g) < tau for g in want[0]]
     assert sum(degenerate) == 1
     np.testing.assert_array_equal(got[3], np.logical_not(degenerate))
-    np.testing.assert_array_equal(want[3], got[3])
     b = degenerate.index(True)
     assert not got[1][b].any() and not got[2][b].any()
 
     dd_s, dm_s = sde_coefficients(stacked, x, 0.2, order, "exact", tau=tau)
-    dd_l, dm_l = sde_coefficients(looped, x, 0.2, order, "exact", tau=tau)
-    assert_close(dd_s.combined(), dd_l.combined())
-    assert_close(dm_s.sigma, dm_l.sigma)
-    assert dd_s.hvp_calls == dd_l.hvp_calls == len(stacked) - 1
+    dd_1, dm_1 = sde_coefficients(single, x, 0.2, order, "exact", tau=tau)
+    assert_close(dd_s.combined(), dd_1.combined())
+    assert_close(dm_s.sigma, dm_1.sigma)
+    assert dd_s.hvp_calls == dd_1.hvp_calls == len(stacked) - 1
 
 
 def test_stack_budget_splits_and_matches_loop(monkeypatch):
@@ -79,57 +110,105 @@ def test_stack_budget_splits_and_matches_loop(monkeypatch):
     # full batches in a stack, so 7 full batches and the tail need 5 stacks.
     monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", 2000)
     spec, n = CASES["ce-ragged"]
-    stacked, looped = stacked_and_looped(spec, dataset(spec, n))
+    stacked = mlp_family(spec, dataset(spec, n), 32)
     stacks = [ids.tolist() for ids, _ in stacked.stacks()]
     assert stacks == [[0, 1], [2, 3], [4, 5], [6], [7]]
     x = init_params(spec, 1).values
-    tau = floor_below_one_batch(looped, x)
+    tau = floor_below_one_batch(stacked, x)
     got = _per_batch_terms(stacked, x, True, tau)
-    want = _per_batch_terms(looped, x, True, tau)
-    for g, w in zip(got[:3], want[:3]):
-        assert_close(g, w)
-    assert got[3].sum() == want[3].sum() == len(stacked) - 1
+    assert_terms_close(got, looped_terms(stacked, x, True, tau))
+    assert got[3].sum() == len(stacked) - 1
 
 
-def test_fd_family_loops_without_extra_gradients():
-    # An fd-mode family has no stacks; its loop takes one gradient per batch
-    # and one jet along the unit gradient, and agrees with the exact terms.
-    spec, n = CASES["ce-full"]
+def fd_oracles(spec, ds, batch_size=32):
+    return [mlp_oracle(spec, *ds.take(idx), mode="fd")
+            for idx in enumeration_batches(ds.n, batch_size)]
+
+
+def assert_fd_jets_match(terms, fd, x):
+    # fd-mode jets along each unit gradient: H u from a central pair, third
+    # from a second difference, so they agree to the fd truncation error.
+    t1s, t2s, t3s, live = terms
+    assert live.all()
+    for b, oracle in enumerate(fd):
+        _, hu, half_third = oracle.jet(x, t1s[b] / np.linalg.norm(t1s[b]), 2)
+        assert np.linalg.norm(hu - t2s[b]) <= 1e-6 * np.linalg.norm(t2s[b])
+        third = 2.0 * half_third
+        assert np.linalg.norm(third - t3s[b]) <= 1e-6 * np.linalg.norm(t3s[b])
+
+
+def test_stacked_rows_match_fd_jets():
+    spec, n = CASES["ce-ragged"]
     ds = dataset(spec, n)
-    fd = mlp_family(spec, ds, 32, mode="fd")
-    stacked, _ = stacked_and_looped(spec, ds)
-    assert fd.stacks is None
     x = init_params(spec, 1).values
-    grads = []
-    for oracle in fd.oracles:
-        oracle.grad = (lambda f: lambda x: grads.append(1) or f(x))(oracle.grad)
-    got = _per_batch_terms(fd, x, False, 1e-12)
-    want = _per_batch_terms(stacked, x, False, 1e-12)
-    # One gradient per batch, then the pair of the degree-1 jet.
-    assert len(grads) == 3 * len(fd)
-    assert got[3].sum() == want[3].sum() == len(fd)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-5, atol=1e-7)
-    # Order 3: the degree-2 jet adds the gradient at x and a second pair,
-    # 6 gradients per batch at any d.
-    del grads[:]
-    got = _per_batch_terms(fd, x, True, 1e-12)
-    want = _per_batch_terms(stacked, x, True, 1e-12)
-    assert len(grads) == 6 * len(fd)
-    assert got[3].sum() == want[3].sum() == len(fd)
-    for g, w in zip(got[1:3], want[1:3]):
-        assert np.linalg.norm(g - w) <= 1e-6 * np.linalg.norm(w)
+    terms = _per_batch_terms(mlp_family(spec, ds, 32), x, True, 1e-12)
+    assert_fd_jets_match(terms, fd_oracles(spec, ds), x)
+
+
+@pytest.mark.parametrize("oracle", [
+    mlp_oracle(MlpSpec((2, 4, 2)), np.ones((3, 2)), np.array([0, 1, 0]),
+               mode="fd"),
+    polynomial_oracle_1d([0.0, 0.0, 0.5], mode="fd"),
+], ids=["mlp", "poly"])
+def test_fd_oracle_in_family_raises(oracle):
+    # A stack is one exact tape pass, so an fd oracle would silently turn
+    # exact; the family refuses it.
+    with pytest.raises(ValueError, match="exact-mode"):
+        OracleFamily([oracle], np.ones(1))
+    with pytest.raises(ValueError, match="exact-mode"):
+        analytic_family([polynomial_oracle_1d([0.0, 0.0, 1.0]), oracle])
+
+
+def test_aligned_term3_matches_per_oracle_third():
+    # The ragged family has two stacks; term3 is the mean over batches of
+    # third_b(v1_b, v1_b) for the top Lanczos vector v1_b of each oracle.
+    spec, n = CASES["ce-ragged"]
+    family = mlp_family(spec, dataset(spec, n), 32)
+    assert len(list(family.stacks())) == 2
+    x = init_params(spec, 1).values
+    terms = _per_batch_terms(family, x, False, 1e-12)
+    dd = drift_aligned(family, x, terms, "aligned-rho", 0.2, q=10, seed=4)
+    thirds = [oracle.third_directional(
+                  x, spectrum_deflated(oracle, x, k=2, q=10, seed=4 + b).vectors[0])
+              for b, oracle in enumerate(family.oracles)]
+    assert_close(dd.term3, family.mean(thirds))
+
+
+def test_moment_probe_deltas_match_per_oracle_gradients(monkeypatch):
+    # After the two passes of the per-batch terms, each rho takes one
+    # degree-0 pass at x + rho u_b; row b must be batch b's gradient there.
+    spec, n = CASES["ce-ragged"]
+    family = mlp_family(spec, dataset(spec, n), 32)
+    x = init_params(spec, 1).values
+    tau = floor_below_one_batch(family, x)
+    calls, batch_jets = [], samlab.sde._batch_jets
+
+    def spy(*args, **kwargs):
+        out = batch_jets(*args, **kwargs)
+        calls.append((np.array(args[1]), out))
+        return out
+
+    monkeypatch.setattr(samlab.sde, "_batch_jets", spy)
+    rho_grid = (0.05, 0.1, 0.2)
+    one_step_moment_probe(family, x, 0.01, rho_grid, tau=tau)
+    assert len(calls) == 2 + len(rho_grid)
+    t1s, _, _, live = looped_terms(family, x, False, tau)
+    for rho, (xs, out) in zip(rho_grid, calls[2:]):
+        assert len(out) == 1
+        for b, oracle in enumerate(family.oracles):
+            u = t1s[b] / np.linalg.norm(t1s[b]) if live[b] else 0.0
+            assert_close(xs[b], x + rho * u)
+            assert_close(out[0][b], oracle.grad(xs[b]))
 
 
 def test_stacked_hvp_matches_dense_hessian():
     spec, n = CASES["ce-ragged"]
-    ds = dataset(spec, n)
-    stacked, looped = stacked_and_looped(spec, ds)
+    family = mlp_family(spec, dataset(spec, n), 32)
     x = init_params(spec, 2).values
-    t1s, t2s, _, _ = _per_batch_terms(stacked, x, False, 1e-12)
-    b = len(looped) - 1                    # the ragged tail batch
+    t1s, t2s, _, _ = _per_batch_terms(family, x, False, 1e-12)
+    b = len(family) - 1                    # the ragged tail batch
     u = t1s[b] / np.linalg.norm(t1s[b])
-    h = dense_hessian(looped.oracles[b], x)
+    h = dense_hessian(family.oracles[b], x)
     np.testing.assert_allclose(t2s[b], h @ u, rtol=1e-9, atol=1e-12)
 
 
@@ -138,42 +217,27 @@ def test_nonfinite_batch_raises():
     ds = dataset(spec, n)
     inputs = ds.inputs.copy()
     inputs[100, 0] = np.nan                # inside the fourth batch
-    stacked, looped = stacked_and_looped(spec, Dataset(inputs, ds.labels))
+    stacked, single = stacked_and_single(spec, Dataset(inputs, ds.labels))
     x = init_params(spec, 0).values
-    for family in (stacked, looped):
+    for family in (stacked, single):
         with pytest.raises(NonFiniteLoss):
             sde_coefficients(family, x, 0.2, 3, "none")
 
 
 @pytest.mark.parametrize("diffusion", ["none", "sampled", "exact"])
 def test_order3_runs_at_d746(diffusion):
-    # d = 746: exact mode takes the dense third-order vectors from the
-    # stacked degree-2 pass, fd mode from a 5-gradient jet per batch, and
-    # exact diffusion factors Sigma, at any d.
+    # d = 746: the dense third-order vectors come from the stacked degree-2
+    # pass and exact diffusion factors Sigma, at any d.
     spec = MlpSpec((12, 32, 10))
     ds = gen_synthetic(64, 12, 10, 1.0, 0)
-    stacked, looped = stacked_and_looped(spec, ds)
+    family = mlp_family(spec, ds, 32)
     x = init_params(spec, 0).values
     assert spec.dim == 746
-    got = _per_batch_terms(stacked, x, True, 1e-12)
-    want = _per_batch_terms(looped, x, True, 1e-12)
-    for g, w in zip(got[:3], want[:3]):
-        assert_close(g, w)
-    fd = mlp_family(spec, ds, 32, mode="fd")
-    w = np.random.default_rng(5).standard_normal(spec.dim)
-    for b, oracle in enumerate(fd.oracles):
-        u = got[0][b] / np.linalg.norm(got[0][b])
-        third = oracle.third_directional(x, u)
-        assert np.linalg.norm(third - got[2][b]) <= 1e-6 * np.linalg.norm(got[2][b])
-        along = oracle.third_directional_along(x, u, w)
-        assert float(w @ got[2][b]) == pytest.approx(along, rel=1e-6)
+    got = _per_batch_terms(family, x, True, 1e-12)
+    assert_terms_close(got, looped_terms(family, x, True, 1e-12))
+    assert_fd_jets_match(got, fd_oracles(spec, ds), x)
     for order in (3, "aligned-rho", "aligned-rho2"):
-        drifts = []
-        for family in (stacked, fd):
-            dd, noise = sde_coefficients(family, x, 0.2, order, diffusion)
-            drifts.append(dd.combined())
-            assert np.isfinite(drifts[-1]).all()
-            if noise is not None:
-                assert np.isfinite(noise.draw(0, 0)).all()
-        if order == 3:
-            assert np.linalg.norm(drifts[1] - drifts[0]) <= 1e-6 * np.linalg.norm(drifts[0])
+        dd, noise = sde_coefficients(family, x, 0.2, order, diffusion)
+        assert np.isfinite(dd.combined()).all()
+        if noise is not None:
+            assert np.isfinite(noise.draw(0, 0)).all()

@@ -42,6 +42,10 @@ PINNED = {
                                  "eval_every=10"), None),
     "moments-quartic1d": ("probe-moments", ("toy=quartic1d",), None),
     "moments-twobatch2d": ("probe-moments", ("toy=twobatch2d",), None),
+    "sde-aligned-none": ("simulate-sde", (
+        "model_layers=2,16,2", "data_n=100", "steps=3", "eval_every=1",
+        "diffusion=none", "processes=sde-aligned-rho2", "aligned_q=10",
+        "probe_q=10"), None),
     "spectrum": ("spectrum", ("model_layers=2,16,2", "steps=50", "k=4",
                               "m_trace=16"), "0,1"),
 }
