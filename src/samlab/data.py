@@ -221,11 +221,17 @@ def _stack_rows(spec: MlpSpec, parts: list) -> list:
     out = []
     for size in sorted(set(sizes.tolist()), reverse=True):
         ids = np.flatnonzero(sizes == size)
-        per_stack = max(1, STACK_ELEMENTS // (spec.dim + size * sum(spec.layers)))
+        per_stack = stack_capacity(spec, size)
         for start in range(0, len(ids), per_stack):
             chunk = ids[start:start + per_stack]
             out.append((chunk, np.stack([parts[i] for i in chunk])))
     return out
+
+
+def stack_capacity(spec: MlpSpec, rows: int) -> int:
+    """How many batches of ``rows`` data rows one stacked tape takes: as many
+    as fit in STACK_ELEMENTS, and at least one."""
+    return max(1, STACK_ELEMENTS // (spec.dim + rows * sum(spec.layers)))
 
 
 def _unstacked(oracle):

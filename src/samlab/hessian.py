@@ -84,12 +84,12 @@ def _as_array(x) -> np.ndarray:
 
 
 def _unit_start(dim: int, seed, substream: int, v0) -> np.ndarray:
-    """v0 normalized, else the seeded unit start; a sequence of seeds gives
-    one row per seed."""
+    """v0 normalized row by row, else the seeded unit start; a sequence of
+    seeds gives one row per seed. Any zero row of v0 raises DegenerateVector."""
     if v0 is not None:
         v0 = _as_array(v0)
-        n = np.linalg.norm(v0)
-        if n == 0.0:
+        n = np.linalg.norm(v0, axis=-1, keepdims=True)
+        if not n.all():
             raise DegenerateVector("start vector must be nonzero")
         return v0 / n
     if np.ndim(seed):
@@ -113,8 +113,9 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
 
     A stacked x of shape (S, d), on an oracle whose builder sums S per-row
     losses, with a sequence of S seeds, iterates every row at once: row s
-    starts from seed s's stream and each round is one stacked HVP. Any row
-    whose iterate vanishes raises ZeroIterate for all.
+    starts from seed s's stream, or from row s of an ``(S, d)`` v0, and
+    each round is one stacked HVP. Any row whose iterate vanishes raises
+    ZeroIterate for all.
     """
     if q < 1:
         raise ValueError("q must be >= 1")

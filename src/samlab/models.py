@@ -20,6 +20,7 @@ the stack axis in :mod:`samlab.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,10 @@ class MlpSpec:
         if self.head not in HEADS:
             raise ValueError(f"unknown loss head {self.head!r}")
 
-    @property
+    # Both are computed on first use and kept: every oracle build reads dim
+    # and every forward pass reads layout. The cache is not a field, so
+    # equality and hashing still see the three fields only.
+    @cached_property
     def layout(self) -> tuple:
         entries = []
         offset = 0
@@ -61,7 +65,7 @@ class MlpSpec:
             offset += fan_out
         return tuple(entries)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(int(np.prod(shape)) for _, shape, _ in self.layout)
 

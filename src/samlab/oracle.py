@@ -60,16 +60,18 @@ def _check_finite(*arrays) -> None:
 
 
 def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
-             release: bool = False) -> eng.Jet:
+             release: bool = False, with_loss: bool = False):
     """Adjoint jet of ``builder(tape, leaf)`` at the leaf x, from one tape pass.
 
     Degree 0 gives (grad,), degree 1 along the tangent u gives (grad, H u),
     degree 2 gives (grad, H u, third(u, u) / 2); see :func:`engine.backward`.
-    Raises NonFiniteLoss if the loss or any coefficient is not finite. With
-    a stacked leaf ``(B, d)`` and a builder that sums B per-batch losses,
-    row b of every coefficient is batch b's own. ``release`` empties the
-    tape once the sweep is done: its Tape<->Tensor reference cycles then
-    free the arrays at once instead of at the next cyclic collection.
+    With ``with_loss`` the result is ``(loss, jet)``, the loss being the
+    pass's own forward value, so no second pass is needed for it. Raises
+    NonFiniteLoss if the loss or any coefficient is not finite. With a
+    stacked leaf ``(B, d)`` and a builder that sums B per-batch losses, row
+    b of every coefficient is batch b's own. ``release`` empties the tape
+    once the sweep is done: its Tape<->Tensor reference cycles then free the
+    arrays at once instead of at the next cyclic collection.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tape = eng.Tape(degree=degree)
@@ -79,7 +81,7 @@ def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
     if release:
         tape.nodes.clear()
     _check_finite(out.value, *adj)
-    return adj
+    return (float(out.value), adj) if with_loss else adj
 
 
 class LossOracle:

@@ -6,41 +6,46 @@ returns the output path. Replicate seeds produce separate rows merged by
 (process, seed, step); identical configs reproduce identical bytes except
 for the wall-clock column.
 
-Every trajectory (a training run, discrete SAM, or an SDE process) goes
-through :func:`_trajectory`, the one loop that takes the metric rows and
-stops at the last step. It advances an ``(S, d)`` array whose row s belongs
-to seed s: a process only supplies ``advance(x, t) -> x`` and a function
-that gives each row's ``hvp_count`` so far. Training advances all seeds of
-a run in lockstep: each step samples every seed's batch, stacks them, and
-takes one optimizer step on one stacked oracle, so a tape pass serves every
-seed. SDE processes run one seed at a time (S = 1). Metric rows are taken
-per seed from its row, with ``wall_ms`` counted from the shared start. An
-error in any seed stops every seed, and the rows so far are written with
-an ``# error=`` line.
+Every run's trajectories (a training run's seeds, or every process and
+seed of an SDE simulation) go through one call of :func:`_trajectory`, the
+one loop that takes the metric rows and stops at the last step. It
+advances an ``(R, d)`` array whose row r belongs to the label ``(process,
+seed)``: a run only supplies ``advance(x, t) -> x`` and a function that
+gives each row's ``hvp_count`` so far. Training advances all seeds in
+lockstep: each step samples every seed's batch, stacks them, and takes one
+optimizer step on one stacked oracle, so a tape pass serves every seed.
+``simulate-sde`` steps each row with its own process: the discrete-SAM rows
+of all seeds take one stacked SAM step, and each SDE row its own
+integrator steps. The metric rows of all labels come from one
+:func:`_probe_row` call per probe step, with ``wall_ms`` counted from the
+shared start. An error in any row stops every row, and the rows so far are
+written with an ``# error=`` line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import engine as eng
 from . import sde as sde_mod
 from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
                      pac_bayes_bound)
 from .config import render
-from .data import (BatchSampler, Dataset, gen_synthetic, load_idx, mlp_family,
-                   sample_batch)
+from .data import (BatchSampler, Dataset, enumeration_batches, gen_synthetic,
+                   load_idx, mlp_family, sample_batch, stack_capacity)
 from .errors import ConfigError, SamlabError
 from .hessian import (align, hutchinson_trace, power_iteration,
                       spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
-from .models import MlpSpec, accuracy, init_params, mlp_oracle
+from .models import MlpSpec, accuracy, init_params, mlp_builder, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
-from .oracle import ParamVector
+from .oracle import LossOracle, ParamVector, jet_pass
 from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
@@ -84,64 +89,77 @@ def _datasets(config: dict) -> tuple:
     return spec, train, test
 
 
-def _probe_row(spec: MlpSpec, x: np.ndarray, t: int, process: str, seed: int,
-               train: Dataset, test: Dataset, hvp_count: int, probe_q: int,
-               started: float, release: bool = False) -> MetricRow:
-    """One full metric row; spectral quantities use the evaluation batch.
-    ``release`` frees the power iteration's tapes as it goes."""
-    pv = ParamVector(x, spec.layout)
-    train_oracle = mlp_oracle(spec, train.inputs, train.labels)
+def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
+               train: Dataset, test: Dataset, hvp_counts, probe_q: int,
+               started: float) -> list:
+    """The metric rows at step t of every ``labels[r] = (process, seed)``,
+    row r of ``xs`` being its parameters and ``hvp_counts[r]`` its count.
+
+    Losses, accuracy and the gradient norm are full-data passes, one per
+    row. ``lambda1`` and ``alignment`` use the evaluation batch and the
+    start vector that the row's seed draws at t. The rows are stacked as
+    far as ``data.stack_capacity`` allows, and each stack takes one stacked
+    power iteration and one stacked evaluation-batch gradient."""
+    train_builder = mlp_builder(spec, train.inputs, train.labels)
     test_oracle = mlp_oracle(spec, test.inputs, test.labels)
-    g_full = train_oracle.grad(x)
-
+    seeds = [seed for _, seed in labels]
     size = min(EVAL_BATCH_MAX, train.n)
-    idx = stream(seed, STREAM_EVAL_BATCH, t).choice(train.n, size=size,
-                                                    replace=False)
-    eval_oracle = mlp_oracle(spec, *train.take(idx))
-    v0 = stream(seed, STREAM_PROBE, t).standard_normal(spec.dim)
-    est = power_iteration(eval_oracle, x, q=probe_q, seed=seed, v0=v0,
-                          release=release)
-    g_eval = eval_oracle.grad(x)
-    if np.linalg.norm(g_eval) >= 1e-12:
-        alignment = align(g_eval, est.vector).value
-    else:
-        alignment = float("nan")
+    idx = np.stack([stream(seed, STREAM_EVAL_BATCH, t).choice(
+        train.n, size=size, replace=False) for seed in seeds])
+    v0 = np.stack([stream(seed, STREAM_PROBE, t).standard_normal(spec.dim)
+                   for seed in seeds])
+    lam1 = np.empty(len(labels))
+    alignment = np.full(len(labels), np.nan)
+    per_stack = stack_capacity(spec, size)
+    for lo in range(0, len(labels), per_stack):
+        part = slice(lo, lo + per_stack)
+        eval_oracle = mlp_oracle(spec, *train.take(idx[part]))
+        est = power_iteration(eval_oracle, xs[part], q=probe_q,
+                              seed=seeds[part], v0=v0[part], release=True)
+        lam1[part] = est.value
+        # Freed at once like the power iteration's tapes: a stacked tape
+        # left to the cyclic collector raised the peak memory.
+        g_eval = jet_pass(eval_oracle.builder, xs[part], release=True)[0]
+        for r, (g, v) in enumerate(zip(g_eval, est.vector), start=lo):
+            if np.linalg.norm(g) >= 1e-12:
+                alignment[r] = align(g, v).value
 
-    return MetricRow(
-        step=t, process=process, seed=seed,
-        train_loss=train_oracle.loss(x),
-        test_loss=test_oracle.loss(x),
-        test_accuracy=accuracy(spec, pv, test.inputs, test.labels),
-        param_norm=float(np.linalg.norm(x)),
-        grad_norm=float(np.linalg.norm(g_full)),
-        lambda1=est.value,
-        alignment=alignment,
-        hvp_count=hvp_count,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    rows = []
+    for r, ((process, seed), x) in enumerate(zip(labels, xs)):
+        train_loss, (g_full,) = jet_pass(train_builder, x, with_loss=True)
+        rows.append(MetricRow(
+            step=t, process=process, seed=seed,
+            train_loss=train_loss,
+            test_loss=test_oracle.loss(x),
+            test_accuracy=accuracy(spec, ParamVector(x, spec.layout),
+                                   test.inputs, test.labels),
+            param_norm=float(np.linalg.norm(x)),
+            grad_norm=float(np.linalg.norm(g_full)),
+            lambda1=float(lam1[r]),
+            alignment=float(alignment[r]),
+            hvp_count=int(hvp_counts[r]),
+            wall_ms=(time.perf_counter() - started) * 1000.0,
+        ))
+    return rows
 
 
 def _trajectory(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-                seeds: tuple, process: str, steps: int, advance, hvp_counts,
+                labels: tuple, steps: int, advance, hvp_counts,
                 rows: list | None) -> np.ndarray:
-    """Advance the rows of ``seeds``, row s from seed s's initialization, for
-    ``steps`` steps; append one metric row per seed every ``eval_every``
-    steps and at the last, with ``hvp_counts()[s]`` as seed s's count.
-    Returns the ``(S, d)`` end point. With ``rows=None`` no row is computed."""
-    x = np.stack([init_params(spec, seed).values for seed in seeds])
+    """Advance one row per ``labels[r] = (process, seed)``, row r from its
+    seed's initialization, for ``steps`` steps; every ``eval_every`` steps
+    and at the last, append the metric rows of every label (see
+    :func:`_probe_row`), with ``hvp_counts()[r]`` as row r's count.
+    Returns the ``(R, d)`` end point. With ``rows=None`` no row is
+    computed."""
+    x = np.stack([init_params(spec, seed).values for _, seed in labels])
     probe_at = (set() if rows is None else
                 set(range(0, steps + 1, config["eval_every"])) | {steps})
     started = time.perf_counter()
     for t in range(steps + 1):
         if t in probe_at:
-            counts = hvp_counts()
-            for s, seed in enumerate(seeds):
-                # The rows of several seeds run back to back; unreleased,
-                # all their power-iteration tapes would wait for the cyclic
-                # collector at once and raise the peak memory.
-                rows.append(_probe_row(spec, x[s], t, process, seed, train,
-                                       test, int(counts[s]), config["probe_q"],
-                                       started, release=len(seeds) > 1))
+            rows.extend(_probe_row(spec, x, t, labels, train, test,
+                                   hvp_counts(), config["probe_q"], started))
         if t == steps:
             break
         x = advance(x, t)
@@ -198,7 +216,8 @@ def _trainer(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
             x, state = optimizer_step(x, oracle, opt_cfg, state)
             return x
 
-        return _trajectory(config, spec, train, test, seeds, config["method"],
+        return _trajectory(config, spec, train, test,
+                           tuple((config["method"], seed) for seed in seeds),
                            steps, advance, lambda: state.hvp_count, rows)
     return run
 
@@ -219,21 +238,57 @@ _PROCESS_ORDER = {"sde2": 2, "sde3": 3,
                   "sde-aligned-rho2": sde_mod.VARIANT_ALIGNED_RHO2}
 
 
-def _sam_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, seed: int):
-    """(advance, hvp_counts): advance(x, t) takes one SAM step on a batch
-    drawn with probability equal to its weight, the discrete process the SDE
-    models approximate."""
+def _picked_oracle(spec: MlpSpec, train: Dataset, family, parts: list,
+                   picks: list) -> LossOracle:
+    """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
+    family, ``parts`` being the batches' data rows. A stack of one reads
+    its ``(1, d)`` leaf into that batch's own oracle, whose unstacked tape
+    is smaller. Otherwise batches of one row count share one stacked
+    builder; with several counts, each group reads its rows of the
+    ``(S, d)`` leaf through a constant 0/1 selection matrix, which copies
+    them exactly."""
+    if len(picks) == 1:
+        oracle = family.oracles[picks[0]]
+        return LossOracle(lambda tape, leaf: oracle.builder(
+            tape, eng.reshape(leaf, (spec.dim,))), spec.dim, spec.layout)
+    batches = [parts[b] for b in picks]
+    sizes = sorted({len(b) for b in batches})
+    if len(sizes) == 1:
+        return mlp_oracle(spec, *train.take(np.stack(batches)))
+    select = np.eye(len(batches))
+    groups = []
+    for size in sizes:
+        at = [s for s, b in enumerate(batches) if len(b) == size]
+        groups.append((select[at], mlp_builder(
+            spec, *train.take(np.stack([batches[s] for s in at])))))
+
+    def build(tape, leaf):
+        losses = [builder(tape, eng.matmul(tape.const(rows), leaf))
+                  for rows, builder in groups]
+        return functools.reduce(eng.add, losses)
+    return LossOracle(build, spec.dim, spec.layout)
+
+
+def _sam_rows(config: dict, sde_cfg: sde_mod.SdeConfig, spec: MlpSpec,
+              train: Dataset, family, seeds: tuple):
+    """(advance, hvp_counts) of discrete SAM for ``seeds`` in lockstep, the
+    process the SDE models approximate: advance(xs, t) takes one stacked
+    SAM step on the ``(S, d)`` rows, row s on the batch that seed s draws
+    with probability equal to its weight."""
     sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
                               schedule="constant", total_steps=sde_cfg.steps,
                               grad_floor=config["grad_floor"])
-    state = init_state(family.dim, seed)
+    parts = enumeration_batches(train.n, config["batch_size"])
+    state = init_state(family.dim, seeds)
 
-    def advance(x, t):
+    def advance(xs, t):
         nonlocal state
-        oracle = family.oracles[family.pick(seed, STREAM_BATCH, t)]
-        x, state = optimizer_step(x, oracle, sam_cfg, state)
-        return x
-    return advance, lambda: state.hvp_count[None]
+        picks = [family.pick(seed, STREAM_BATCH, t) for seed in seeds]
+        xs, state = optimizer_step(
+            xs, _picked_oracle(spec, train, family, parts, picks), sam_cfg,
+            state)
+        return xs
+    return advance, lambda: state.hvp_count
 
 
 def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
@@ -254,7 +309,7 @@ def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
                 seed, t * sde_cfg.substeps + j)
             x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
         return x
-    return advance, lambda: (hvps,)
+    return advance, lambda: hvps
 
 
 def _sde_config(config: dict) -> sde_mod.SdeConfig:
@@ -278,19 +333,35 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
     config_lines.append(f"rho_warning={'true' if sde_cfg.rho_warning else 'false'}")
 
     def fill(rows):
-        for seed in config["seeds"]:
-            for process in config["processes"]:
-                family = mlp_family(spec, train, config["batch_size"])
-                if process == "discrete-sam":
-                    advance, hvp_counts = _sam_process(config, sde_cfg,
-                                                       family, seed)
-                else:
-                    advance, hvp_counts = _sde_process(
-                        config, sde_cfg, family, _PROCESS_ORDER[process], seed)
-                _trajectory(config, spec, train, test, (seed,), process,
-                            sde_cfg.steps,
-                            lambda x, t: advance(x[0], t)[None],
-                            hvp_counts, rows)
+        family = mlp_family(spec, train, config["batch_size"])
+        labels = tuple((process, seed) for seed in config["seeds"]
+                       for process in config["processes"])
+        # (rows of x, advance over those rows, their HVP counts)
+        groups = []
+        sam = [r for r, (process, _) in enumerate(labels)
+               if process == "discrete-sam"]
+        if sam:
+            groups.append((sam, *_sam_rows(config, sde_cfg, spec, train, family,
+                                           tuple(labels[r][1] for r in sam))))
+        groups += [(r, *_sde_process(config, sde_cfg, family,
+                                     _PROCESS_ORDER[process], seed))
+                   for r, (process, seed) in enumerate(labels)
+                   if process != "discrete-sam"]
+
+        def advance(x, t):
+            out = np.empty_like(x)
+            for at, step, _ in groups:
+                out[at] = step(x[at], t)
+            return out
+
+        def hvp_counts():
+            counts = np.zeros(len(labels), dtype=np.int64)
+            for at, _, count in groups:
+                counts[at] = count()
+            return counts
+
+        _trajectory(config, spec, train, test, labels, sde_cfg.steps, advance,
+                    hvp_counts, rows)
 
     return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 

@@ -122,6 +122,27 @@ class TestPowerIteration:
             power_iteration(diagonal_oracle(curv), np.zeros((2, 2)), q=3,
                             seed=(0, 1))
 
+    def test_stacked_start_normalized_row_by_row(self):
+        # Row s of a stacked v0 is scaled to unit length on its own, so each
+        # row ends where a single run from that row ends, whatever the
+        # other rows' scale. Divided by the norm of the whole stack, the
+        # small row would underflow to a zero iterate.
+        curv = np.array([[3.0, -1.0, 0.5], [0.2, 1.0, -4.0]])
+        v0 = np.array([[1e-152, 2e-152, -1e-152], [5e152, -2e152, 1e152]])
+        est = power_iteration(diagonal_oracle(curv), np.zeros((2, 3)), q=1,
+                              seed=(0, 1), v0=v0)
+        for s in range(2):
+            one = power_iteration(diagonal_oracle(curv[s]), np.zeros(3), q=1,
+                                  seed=s, v0=v0[s])
+            np.testing.assert_allclose(est.vector[s], one.vector, rtol=1e-12)
+            np.testing.assert_allclose(est.value[s], one.value, rtol=1e-12)
+
+    def test_stacked_zero_start_row_raises(self):
+        v0 = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateVector):
+            power_iteration(diagonal_oracle(np.ones((2, 2))), np.zeros((2, 2)),
+                            q=3, seed=(0, 1), v0=v0)
+
 
 class TestAlign:
     def test_parallel(self):

@@ -37,6 +37,19 @@ class TestInitParams:
     def test_parameter_count_2_8_2(self):
         assert MlpSpec((2, 8, 2)).dim == 42
 
+    def test_layout_and_dim_computed_once(self):
+        spec = MlpSpec([2, 16, 2])
+        assert spec.layout == (("w0", (2, 16), 0), ("b0", (16,), 32),
+                               ("w1", (16, 2), 48), ("b1", (2,), 80))
+        assert spec.dim == 82
+        assert spec.layout is spec.layout
+        # The kept values are not fields: the spec stays frozen, equal to
+        # and hashed like a fresh spec of the same widths.
+        assert spec == MlpSpec((2, 16, 2))
+        assert hash(spec) == hash(MlpSpec((2, 16, 2)))
+        with pytest.raises(AttributeError):
+            spec.layers = (2, 2)
+
     def test_weight_range(self):
         spec = MlpSpec((10, 20, 5))
         named = by_layout(spec, init_params(spec, 0).values)

@@ -237,7 +237,9 @@ class TestLockstepSeeds:
 
         def faulty_oracle(spec, inputs, labels, **kwargs):
             oracle = real(spec, inputs, labels, **kwargs)
-            if np.ndim(inputs) != 3:
+            # Training oracles stack 8-row batches; the probe's stacked
+            # evaluation oracle has 16 rows per seed and is left alone.
+            if np.ndim(inputs) != 3 or np.shape(inputs)[1] != 8:
                 return oracle
             stacked_calls.append(1)
             if len(stacked_calls) < 4:
@@ -348,7 +350,9 @@ class TestRunSimulateSde:
         spec, train, _ = runner._datasets(cfg)
         family = mlp_family(spec, train, cfg["batch_size"])
         tau = cfg["grad_floor"]
-        variants = [sde.VARIANT_ALIGNED_RHO2 if i >= 4 else sde.VARIANT_ALIGNED_RHO
+        # The processes run in lockstep: each step takes both substeps of
+        # the first process, then both of the second.
+        variants = [sde.VARIANT_ALIGNED_RHO2 if i // 2 % 2 else sde.VARIANT_ALIGNED_RHO
                     for i in range(substeps)]
         for variant, (x, drift_vec), sigma in zip(variants, states, sigmas):
             terms = sde._per_batch_terms(family, x, True, tau)
@@ -377,6 +381,114 @@ class TestRunSimulateSde:
         ca = canonical_bytes(pa).replace(str(tmp_path / "a").encode(), b"OUT")
         cb = canonical_bytes(pb).replace(str(tmp_path / "b").encode(), b"OUT")
         assert ca == cb
+
+
+def assert_rows_close(rows, single):
+    """Every column but wall_ms within 1e-12 relative; ints exactly."""
+    assert len(rows) == len(single) > 1
+    for a, b in zip(rows, single):
+        for col in COLUMNS:
+            if col == "wall_ms":
+                continue
+            va, vb = getattr(a, col), getattr(b, col)
+            if isinstance(vb, float):
+                np.testing.assert_allclose(va, vb, rtol=1e-12, atol=0,
+                                           err_msg=col)
+            else:
+                assert va == vb, col
+
+
+class TestLockstepSde:
+    """simulate-sde advances every (process, seed) row on one trajectory and
+    takes the probe rows of all of them from stacked evaluations; each row
+    must be that of its own single run."""
+
+    @pytest.mark.parametrize("processes,extra", [
+        # 36 rows in batches of 8: the last batch has 4, and at step 5 only
+        # one seed's discrete-SAM pick is that batch.
+        ("discrete-sam,sde2,sde3", dict(data_n=36, steps=6, eval_every=2)),
+        ("discrete-sam,sde3", dict(data_n=32, steps=6, eval_every=3)),
+        ("sde-aligned-rho,sde-aligned-rho2",
+         dict(steps=2, eval_every=1, substeps=2, aligned_q=10))])
+    def test_rows_match_single_runs(self, tmp_path, processes, extra):
+        run_simulate_sde(sde_cfg(tmp_path / "all", seeds="0,1",
+                                 processes=processes, **extra))
+        _, rows, error = read_csv(tmp_path / "all" / "sde.csv")
+        assert error is None
+        for process in processes.split(","):
+            for seed in (0, 1):
+                out = tmp_path / f"{process}-{seed}"
+                run_simulate_sde(sde_cfg(out, seeds=seed, processes=process,
+                                         **extra))
+                _, single, _ = read_csv(out / "sde.csv")
+                assert_rows_close([r for r in rows if (r.process, r.seed)
+                                   == (process, seed)], single)
+
+    def test_nan_in_one_row_stops_every_row(self, tmp_path, monkeypatch):
+        # The rows step as (sde2, 0), (sde3, 0), (sde2, 1), (sde3, 1) after
+        # the stacked discrete-SAM rows; the 16th integrator call, at step 3,
+        # gives the (sde3, 1) row a NaN drift.
+        from samlab import sde
+
+        real = sde.euler_maruyama_step
+        calls = []
+
+        def nan_drift(x, sde_config, drift_vec, noise):
+            calls.append(1)
+            if len(calls) == 16:
+                drift_vec = np.full_like(drift_vec, np.nan)
+            return real(x, sde_config, drift_vec, noise)
+
+        monkeypatch.setattr(sde, "euler_maruyama_step", nan_drift)
+        code = main(["simulate-sde", "--out", str(tmp_path), "--seed", "0,1",
+                     "--set", "steps=6", "--set", "eval_every=1",
+                     "--set", "model_layers=2,4,2", "--set", "data_n=32",
+                     "--set", "test_n=16", "--set", "batch_size=8",
+                     "--set", "probe_q=3",
+                     "--set", "processes=discrete-sam,sde2,sde3"])
+        assert code == 3
+        _, rows, err = read_csv(tmp_path / "sde.csv")
+        assert [(r.process, r.seed, r.step) for r in rows] == [
+            (p, s, t) for p in ("discrete-sam", "sde2", "sde3")
+            for s in (0, 1) for t in range(4)]
+        assert err is not None and "NonFiniteState" in err
+
+    CFG = dict(seeds="0,1", processes="discrete-sam,sde2", steps=4,
+               eval_every=2)
+
+    @staticmethod
+    def counted_power_iterations(monkeypatch) -> list:
+        """(rows, HVPs per row) of each probe power iteration."""
+        real = runner.power_iteration
+        calls = []
+
+        def counted(oracle, x, *args, **kwargs):
+            est = real(oracle, x, *args, **kwargs)
+            calls.append((len(x), est.hvp_calls))
+            return est
+
+        monkeypatch.setattr(runner, "power_iteration", counted)
+        return calls
+
+    def test_one_power_iteration_per_probe_point(self, tmp_path, monkeypatch):
+        calls = self.counted_power_iterations(monkeypatch)
+        run_simulate_sde(sde_cfg(tmp_path, **self.CFG))
+        # Three probe points; four rows in one stack, probe_q + 2 HVPs each.
+        assert calls == [(4, 5 + 2)] * 3
+
+    def test_probe_stacks_give_the_one_stack_rows(self, tmp_path, monkeypatch):
+        import samlab.data
+
+        run_simulate_sde(sde_cfg(tmp_path / "one", **self.CFG))
+        _, one, _ = read_csv(tmp_path / "one" / "sde.csv")
+        calls = self.counted_power_iterations(monkeypatch)
+        # A probe row of 2,4,2 on 32 rows is 22 + 32 * 8 = 278 elements, so
+        # two rows fit in a stack; the family's batches still fit in one.
+        monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", 2 * 278)
+        run_simulate_sde(sde_cfg(tmp_path / "split", **self.CFG))
+        _, split, _ = read_csv(tmp_path / "split" / "sde.csv")
+        assert calls == [(2, 5 + 2)] * 6
+        assert_rows_close(split, one)
 
 
 class TestProbeRunners:

@@ -1,6 +1,7 @@
 """Digests of a pinned set of CLI runs, the byte gate for a refactor.
 
     python tools/pinned_digests.py
+    python tools/pinned_digests.py --against ../other-checkout
 
 runs each pinned ``samlab`` command, with the package from the ``src``
 directory next to this file, into its own temporary directory and prints
@@ -9,13 +10,27 @@ one ``name sha256[:16]`` line per artifact. A CSV is hashed through
 as written; in both the temporary directory is first replaced by a fixed
 token. Run it in two checkouts and diff the outputs. Exits 1 if any run
 fails.
+
+With ``--against CHECKOUT`` the same commands also run with the package
+from ``CHECKOUT/src``, in a subprocess. For every artifact whose digest
+differs, the line names the other digest and is followed by one
+``  column deviation`` line per column: the largest relative deviation
+``|a - b| / max(|a|, |b|)`` over its values (``inf`` where a value is
+missing or a string differs). A CSV column is a metric column (the
+wall-clock column left out), a JSON column a key path with list positions
+dropped, such as ``results.spectra[].eigenvalues[]``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from samlab.cli import main  # noqa: E402
-from samlab.metrics import canonical_bytes  # noqa: E402
+from samlab.metrics import COLUMNS, WALL_COLUMN, canonical_bytes, read_csv  # noqa: E402
 
 _SDE = ("model_layers=2,16,2", "data_n=256", "probe_q=10")
 
@@ -50,6 +65,9 @@ PINNED = {
                               "m_trace=16"), "0,1"),
 }
 
+_OTHER_MAIN = ("import sys; from samlab.cli import main; "
+               "raise SystemExit(main(sys.argv[1:]))")
+
 
 def digest(path: Path, out: Path) -> str:
     data = canonical_bytes(path) if path.suffix == ".csv" else path.read_bytes()
@@ -57,25 +75,101 @@ def digest(path: Path, out: Path) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run() -> int:
+def _argv(subcommand: str, sets: tuple, seed, out: Path) -> list:
+    argv = [subcommand, "--out", str(out)]
+    argv += [arg for item in sets for arg in ("--set", item)]
+    if seed is not None:
+        argv += ["--seed", seed]
+    return argv
+
+
+def _run_other(checkout: Path, argv: list) -> int:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    return subprocess.run([sys.executable, "-c", _OTHER_MAIN, *argv], env=env,
+                          stdout=subprocess.DEVNULL).returncode
+
+
+def _json_leaves(obj, path: str = ""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _json_leaves(value, path + "[]")
+    else:
+        yield path, obj
+
+
+def _columns(path: Path, out: Path) -> list:
+    """(column, value) pairs of an artifact, in file order."""
+    if path.suffix == ".csv":
+        rows = read_csv(path)[1]
+        return [(col, getattr(row, col)) for row in rows for col in COLUMNS
+                if col != WALL_COLUMN]
+    text = path.read_text().replace(str(out), "<out>")
+    return list(_json_leaves(json.loads(text)))
+
+
+def _deviation(a, b) -> float:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (a, b))
+    if a == b or (numbers and math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not numbers or math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def deviations(mine: Path, mine_out: Path, other: Path,
+               other_out: Path) -> dict:
+    """Largest relative deviation per column between two artifacts; the
+    column ``<structure>`` is inf when their columns do not line up."""
+    a, b = _columns(mine, mine_out), _columns(other, other_out)
+    if [col for col, _ in a] != [col for col, _ in b]:
+        return {"<structure>": math.inf}
+    worst: dict = {}
+    for (col, va), (_, vb) in zip(a, b):
+        worst[col] = max(worst.get(col, 0.0), _deviation(va, vb))
+    return worst
+
+
+def run(against: Path | None = None) -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, (subcommand, sets, seed) in PINNED.items():
             out = Path(tmp) / name
-            argv = [subcommand, "--out", str(out)]
-            argv += [arg for item in sets for arg in ("--set", item)]
-            if seed is not None:
-                argv += ["--seed", seed]
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
+                code = main(_argv(subcommand, sets, seed, out))
+            other_out = Path(tmp) / "against" / name
+            if code == 0 and against is not None:
+                code = _run_other(against, _argv(subcommand, sets, seed,
+                                                 other_out))
             if code != 0:
                 print(f"{name} FAILED", flush=True)
                 failed += 1
                 continue
             for path in sorted(out.iterdir()):
-                print(f"{name} {digest(path, out)}", flush=True)
+                mine = digest(path, out)
+                if against is None:
+                    print(f"{name} {mine}", flush=True)
+                    continue
+                other = other_out / path.name
+                theirs = digest(other, other_out) if other.exists() else "missing"
+                if mine == theirs:
+                    print(f"{name} {mine}", flush=True)
+                    continue
+                print(f"{name} {mine} != {theirs} in {against}", flush=True)
+                if not other.exists():
+                    continue
+                for col, dev in deviations(path, out, other,
+                                           other_out).items():
+                    print(f"  {col} {dev:.3g}", flush=True)
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", type=Path, default=None,
+                        help="another checkout to compare the artifacts with")
+    args = parser.parse_args()
+    raise SystemExit(run(args.against))
