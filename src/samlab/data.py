@@ -170,10 +170,12 @@ class OracleFamily:
     ``(len(indices), dim)`` leaf and returns the sum of those batches'
     losses (see :func:`samlab.oracle.jet_pass`). By default each oracle is
     a stack of its own. A stack is one exact tape pass, so every oracle
-    must be in exact mode.
+    must be in exact mode. ``parts``, for a family over a dataset, lists
+    each batch's data row indices.
     """
 
-    def __init__(self, oracles: list, weights: np.ndarray, stacks=None):
+    def __init__(self, oracles: list, weights: np.ndarray, stacks=None,
+                 parts=None):
         if len(oracles) != len(weights):
             raise ValueError("one weight per oracle required")
         if any(o.mode != "exact" for o in oracles):
@@ -182,7 +184,8 @@ class OracleFamily:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.weights = self.weights / self.weights.sum()
         self.dim = oracles[0].dim
-        self.stacks = stacks or (lambda: ((np.array([b]), _unstacked(o))
+        self.parts = parts
+        self.stacks = stacks or (lambda: ((np.array([b]), unstacked(o))
                                           for b, o in enumerate(self.oracles)))
 
     def __len__(self) -> int:
@@ -211,7 +214,8 @@ def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily
     stack_rows = _stack_rows(spec, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
                         stacks=lambda: ((ids, mlp_builder(spec, *dataset.take(rows)))
-                                        for ids, rows in stack_rows))
+                                        for ids, rows in stack_rows),
+                        parts=parts)
 
 
 def _stack_rows(spec: MlpSpec, parts: list) -> list:
@@ -234,7 +238,7 @@ def stack_capacity(spec: MlpSpec, rows: int) -> int:
     return max(1, STACK_ELEMENTS // (spec.dim + rows * sum(spec.layers)))
 
 
-def _unstacked(oracle):
+def unstacked(oracle):
     """The oracle's builder over a (1, dim) leaf: a stack of one batch."""
     return lambda tape, leaf: oracle.builder(tape, eng.reshape(leaf, (oracle.dim,)))
 

@@ -125,8 +125,13 @@ class LossOracle:
         _check_finite(out.value)
         return float(out.value)
 
-    def grad(self, x) -> np.ndarray:
-        return jet_pass(self.builder, self._as_array(x))[0]
+    def grad(self, x, release: bool = False, with_loss: bool = False):
+        """Gradient at x (row by row for stacked x) from one tape pass; with
+        ``with_loss`` the pair (loss, gradient), the loss being that pass's
+        forward value. ``release`` as in :func:`jet_pass`."""
+        out = jet_pass(self.builder, self._as_array(x), release=release,
+                       with_loss=with_loss)
+        return (out[0], out[1][0]) if with_loss else out[0]
 
     def jet(self, x, u, degree: int, release: bool = False) -> tuple:
         """Adjoint jet along u: (grad, H u) at degree 1 and, at degree 2,

@@ -37,15 +37,15 @@ from . import sde as sde_mod
 from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
                      pac_bayes_bound)
 from .config import render
-from .data import (BatchSampler, Dataset, enumeration_batches, gen_synthetic,
-                   load_idx, mlp_family, sample_batch, stack_capacity)
+from .data import (BatchSampler, Dataset, gen_synthetic, load_idx,
+                   mlp_family, sample_batch, stack_capacity, unstacked)
 from .errors import ConfigError, SamlabError
 from .hessian import (align, hutchinson_trace, power_iteration,
                       spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import MlpSpec, accuracy, init_params, mlp_builder, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
-from .oracle import LossOracle, ParamVector, jet_pass
+from .oracle import LossOracle, ParamVector
 from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
@@ -100,7 +100,7 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
     start vector that the row's seed draws at t. The rows are stacked as
     far as ``data.stack_capacity`` allows, and each stack takes one stacked
     power iteration and one stacked evaluation-batch gradient."""
-    train_builder = mlp_builder(spec, train.inputs, train.labels)
+    train_oracle = mlp_oracle(spec, train.inputs, train.labels)
     test_oracle = mlp_oracle(spec, test.inputs, test.labels)
     seeds = [seed for _, seed in labels]
     size = min(EVAL_BATCH_MAX, train.n)
@@ -119,14 +119,14 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
         lam1[part] = est.value
         # Freed at once like the power iteration's tapes: a stacked tape
         # left to the cyclic collector raised the peak memory.
-        g_eval = jet_pass(eval_oracle.builder, xs[part], release=True)[0]
+        g_eval = eval_oracle.grad(xs[part], release=True)
         for r, (g, v) in enumerate(zip(g_eval, est.vector), start=lo):
             if np.linalg.norm(g) >= 1e-12:
                 alignment[r] = align(g, v).value
 
     rows = []
     for r, ((process, seed), x) in enumerate(zip(labels, xs)):
-        train_loss, (g_full,) = jet_pass(train_builder, x, with_loss=True)
+        train_loss, g_full = train_oracle.grad(x, with_loss=True)
         rows.append(MetricRow(
             step=t, process=process, seed=seed,
             train_loss=train_loss,
@@ -238,26 +238,21 @@ _PROCESS_ORDER = {"sde2": 2, "sde3": 3,
                   "sde-aligned-rho2": sde_mod.VARIANT_ALIGNED_RHO2}
 
 
-def _picked_oracle(spec: MlpSpec, train: Dataset, family, parts: list,
+def _picked_oracle(spec: MlpSpec, train: Dataset, family,
                    picks: list) -> LossOracle:
     """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
-    family, ``parts`` being the batches' data rows. A stack of one reads
-    its ``(1, d)`` leaf into that batch's own oracle, whose unstacked tape
-    is smaller. Otherwise batches of one row count share one stacked
-    builder; with several counts, each group reads its rows of the
+    family. A stack of one reads its ``(1, d)`` leaf into that batch's own
+    oracle, whose unstacked tape is smaller. Otherwise the picked batches
+    are grouped by row count, and each group reads its rows of the
     ``(S, d)`` leaf through a constant 0/1 selection matrix, which copies
     them exactly."""
     if len(picks) == 1:
-        oracle = family.oracles[picks[0]]
-        return LossOracle(lambda tape, leaf: oracle.builder(
-            tape, eng.reshape(leaf, (spec.dim,))), spec.dim, spec.layout)
-    batches = [parts[b] for b in picks]
-    sizes = sorted({len(b) for b in batches})
-    if len(sizes) == 1:
-        return mlp_oracle(spec, *train.take(np.stack(batches)))
+        return LossOracle(unstacked(family.oracles[picks[0]]), spec.dim,
+                          spec.layout)
+    batches = [family.parts[b] for b in picks]
     select = np.eye(len(batches))
     groups = []
-    for size in sizes:
+    for size in sorted({len(b) for b in batches}):
         at = [s for s, b in enumerate(batches) if len(b) == size]
         groups.append((select[at], mlp_builder(
             spec, *train.take(np.stack([batches[s] for s in at])))))
@@ -278,14 +273,13 @@ def _sam_rows(config: dict, sde_cfg: sde_mod.SdeConfig, spec: MlpSpec,
     sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
                               schedule="constant", total_steps=sde_cfg.steps,
                               grad_floor=config["grad_floor"])
-    parts = enumeration_batches(train.n, config["batch_size"])
     state = init_state(family.dim, seeds)
 
     def advance(xs, t):
         nonlocal state
         picks = [family.pick(seed, STREAM_BATCH, t) for seed in seeds]
         xs, state = optimizer_step(
-            xs, _picked_oracle(spec, train, family, parts, picks), sam_cfg,
+            xs, _picked_oracle(spec, train, family, picks), sam_cfg,
             state)
         return xs
     return advance, lambda: state.hvp_count

@@ -228,6 +228,16 @@ class TestFamilyExpectations:
         full = mlp_oracle(spec, ds.inputs, ds.labels).grad(x)
         np.testing.assert_allclose(family.mean(per_batch), full, atol=1e-12)
 
+    def test_parts_are_each_batchs_data_rows(self):
+        spec = MlpSpec((2, 4, 2))
+        ds = gen_synthetic(22, 2, 2, 4.0, seed=2)
+        x = init_params(spec, 0).values
+        family = mlp_family(spec, ds, batch_size=8)
+        assert [p.tolist() for p in family.parts] == [
+            p.tolist() for p in enumeration_batches(22, 8)]
+        for oracle, rows in zip(family.oracles, family.parts):
+            assert oracle.loss(x) == mlp_oracle(spec, *ds.take(rows)).loss(x)
+
     def test_enumeration_batches_shapes(self):
         parts = enumeration_batches(10, 4)
         assert [len(p) for p in parts] == [4, 4, 2]

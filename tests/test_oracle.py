@@ -65,6 +65,22 @@ class TestGrad:
         fd = central_diff_grad(oracle.loss, x.values)
         assert np.linalg.norm(g - fd) / (1 + np.linalg.norm(g)) < 1e-5
 
+    def test_loss_beside_gradient_from_one_pass(self):
+        spec, ds, oracle, x = mlp_282()
+        loss, g = oracle.grad(x.values, with_loss=True)
+        assert loss == oracle.loss(x.values)
+        np.testing.assert_array_equal(g, oracle.grad(x.values))
+
+    def test_released_stacked_gradient_is_row_by_row(self):
+        spec, ds, _, _ = mlp_282()
+        xs = np.stack([init_params(spec, s).values for s in (0, 1)])
+        stacked = mlp_oracle(spec, np.stack([ds.inputs[:16], ds.inputs[16:]]),
+                             np.stack([ds.labels[:16], ds.labels[16:]]))
+        got = stacked.grad(xs, release=True)
+        for r, rows in enumerate((slice(0, 16), slice(16, 32))):
+            want = mlp_oracle(spec, ds.inputs[rows], ds.labels[rows]).grad(xs[r])
+            np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-15)
+
     def test_layout_preserved(self):
         spec, _, oracle, x = mlp_282()
         # ParamVector refuses a layout that does not cover the gradient.
