@@ -7,6 +7,7 @@ typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -30,6 +31,14 @@ def _at_least(conv, low, strict: bool = False):
             raise ValueError(f"must be {'>' if strict else '>='} {low}")
         return value
     return convert
+
+
+def _finite_float(text: str) -> float:
+    """A float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 _positive_int = _at_least(int, 1)
@@ -123,17 +132,17 @@ SCHEMAS = {
                     "n_starts": (_positive_int, 5),
                     "q_ref": (_positive_int, 500)},
     "bound": {"out": (str, "runs"),
-              "f_s": (float, REQUIRED),
-              "lambda1": (float, REQUIRED),
-              "x_norm": (float, REQUIRED),
+              "f_s": (_finite_float, REQUIRED),
+              "lambda1": (_finite_float, REQUIRED),
+              "x_norm": (_finite_float, REQUIRED),
               "d": (int, REQUIRED),
               "n": (int, REQUIRED),
-              "sigma": (float, REQUIRED),
-              "loss_bound": (float, REQUIRED),
-              "third_bound": (float, REQUIRED),
-              "delta": (float, REQUIRED)},
+              "sigma": (_finite_float, REQUIRED),
+              "loss_bound": (_finite_float, REQUIRED),
+              "third_bound": (_finite_float, REQUIRED),
+              "delta": (_finite_float, REQUIRED)},
     "align-range": {"out": (str, "runs"),
-                    "omega": (float, REQUIRED)},
+                    "omega": (_finite_float, REQUIRED)},
 }
 
 

@@ -5,9 +5,9 @@ holding the coefficients of a truncated Taylor expansion in one scalar
 parameter. Degree 0 is ordinary evaluation, degree 1 carries a tangent
 (forward-over-reverse: the backward sweep then yields Hessian-vector
 products), and degree 2 carries a second-order tangent whose backward sweep
-yields third-order directional derivatives. The backward rules are written in
-jet arithmetic over saved forward jets, so higher-order correctness needs no
-extra derivative formulas per op.
+yields third-order directional derivatives. Most backward rules are written
+in jet arithmetic over saved forward jets, so their higher-order correctness
+follows from the first-order rule.
 
 Shapes are static per tape, reductions run in numpy's fixed index order, and
 no randomness is involved, so repeated evaluation is bit-identical.
@@ -25,9 +25,13 @@ operands with equal leading axes, ``slice1d`` slices the last axis, and
 ``softmax_ce`` takes logits ``(..., n, C)`` with labels ``(..., n)`` and
 sums the per-batch mean losses over the leading axes.
 
-``gelu`` and ``softmax_ce`` are fused: each is one node whose forward jet
-and VJP are composed from the jet arithmetic below, so they need no
-derivative formulas beyond the first-order one they state.
+``gelu`` and ``softmax_ce`` are fused: each is one node. ``softmax_ce``
+composes its forward jet and VJP from the jet arithmetic below. ``gelu``
+states its derivatives f', f'' and f''' in closed form at the primal and
+builds both jets from them, in fewer array operations than tanh of a cubic
+composed from jet products. A constant's higher coefficients are one
+read-only zero, and ``matmul`` multiplies only the primal of a constant
+operand, such as an MLP's data input.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ MAX_DEGREE = 2
 # tanh-form GeLU constants
 GELU_C0 = 0.7978845608028654   # sqrt(2 / pi)
 GELU_C1 = 0.044715
+_GELU_C01 = GELU_C0 * GELU_C1
 
 Jet = tuple  # tuple[np.ndarray, ...], length degree + 1
 
@@ -104,17 +109,6 @@ def jdiv(a: Jet, b: Jet) -> Jet:
         out.append(c1)
     if len(a) > 2:
         out.append((a[2] - c0 * b[2] - out[1] * b[1]) / b[0])
-    return tuple(out)
-
-
-def jtanh(a: Jet) -> Jet:
-    t = np.tanh(a[0])
-    out = [t]
-    if len(a) > 1:
-        u = 1.0 - t * t
-        out.append(u * a[1])
-    if len(a) > 2:
-        out.append(u * a[2] - t * u * a[1] * a[1])
     return tuple(out)
 
 
@@ -212,7 +206,12 @@ class Tape:
         return Tensor(self, "leaf", tuple(coeffs), (), (), True)
 
     def const(self, value) -> Tensor:
-        return Tensor(self, "const", jet_const(value, self.degree), (), (), False)
+        """Non-differentiable input. Its higher coefficients are zero, held
+        as one read-only zero broadcast to its shape, so a tape keeps no
+        memory for them."""
+        v = np.asarray(value, dtype=np.float64)
+        zero = np.broadcast_to(0.0, v.shape)
+        return Tensor(self, "const", (v,) + (zero,) * self.degree, (), (), False)
 
 
 def _make(tape, op, jet, parents, vjps) -> Tensor:
@@ -258,8 +257,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes must be equal."""
+    """Matrix product over the last two axes; leading axes must be equal.
+
+    An operand that requires no grad is a constant, so its higher jet
+    coefficients are zero: only its primal multiplies the other operand's
+    coefficients, and it gets no VJP. An MLP's data input is one."""
     aj, bj = a.jet, b.jet
+    if not a.requires_grad:
+        a0T = aj[0].swapaxes(-1, -2)
+        return _make(a.tape, "matmul", tuple(aj[0] @ c for c in bj), (a, b),
+                     (None, lambda g: tuple(a0T @ c for c in g)))
+    if not b.requires_grad:
+        b0T = bj[0].swapaxes(-1, -2)
+        return _make(a.tape, "matmul", tuple(c @ bj[0] for c in aj), (a, b),
+                     (lambda g: tuple(c @ b0T for c in g), None))
     ajT = tuple(c.swapaxes(-1, -2) for c in aj)
     bjT = tuple(c.swapaxes(-1, -2) for c in bj)
     return _make(a.tape, "matmul", jmatmul(aj, bj), (a, b),
@@ -287,17 +298,38 @@ def pow_int(a: Tensor, p: int) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-form GeLU, f(a) = a (1 + t) / 2 with t = tanh(c0 a (1 + c1 a^2))."""
+    """Tanh-form GeLU, f(a) = a (1 + t) / 2 with t = tanh(u), u = c0 (a + c1 a^3).
+
+    The derivatives f', f'' and f''' at the primal a0 are closed-form in t,
+    each computed only if the tape's degree needs it. The forward jet is
+    (f, f' a1, f' a2 + f'' a1^2 / 2), and the VJP multiplies by the jet of
+    f', which is (f', f'' a1, f'' a2 + f''' a1^2 / 2).
+    """
     aj = a.jet
-    a2 = jmul(aj, aj)
-    t = jtanh(jmul(aj, _jplus(jscale(a2, GELU_C0 * GELU_C1), GELU_C0)))
-    half_1t = _jplus(jscale(t, 0.5), 0.5)
-    # f'(a) = (1 + t) / 2 + a (1 - t^2) c0 (1 + 3 c1 a^2) / 2, as a jet.
-    sech2 = _jplus(jneg(jmul(t, t)), 1.0)
-    dpoly = _jplus(jscale(a2, 1.5 * GELU_C0 * GELU_C1), 0.5 * GELU_C0)
-    fprime = jadd(half_1t, jmul(jmul(aj, sech2), dpoly))
-    return _make(a.tape, "gelu", jmul(aj, half_1t), (a,),
-                 (lambda g: jmul(g, fprime),))
+    a0 = aj[0]
+    sq = a0 * a0
+    t = np.tanh(a0 * (_GELU_C01 * sq + GELU_C0))
+    half = 0.5 * t + 0.5                               # (1 + t) / 2
+    s = 1.0 - t * t                                    # sech^2 u = t' / u'
+    du = (3.0 * _GELU_C01) * sq + GELU_C0              # u'
+    out = [a0 * half]
+    fp = [half + 0.5 * a0 * (s * du)]                  # f' = (1 + t)/2 + a t'/2
+    if len(aj) > 1:
+        # f'' = t' + a t''/2 = s p with p = u' + a u''/2 - a t u'^2
+        du2 = du * du
+        p = (6.0 * _GELU_C01) * sq + GELU_C0 - a0 * t * du2
+        f2 = s * p
+        out.append(fp[0] * aj[1])
+        fp.append(f2 * aj[1])
+    if len(aj) > 2:
+        # f''' = (s p)' = s (p' - 2 t u' p), with u'' = 6 c0 c1 a
+        dp = ((12.0 * _GELU_C01) * a0 * (1.0 - a0 * t * du)
+              - du2 * (t + a0 * s * du))
+        f3 = s * (dp - 2.0 * t * du * p)
+        out.append(fp[0] * aj[2] + 0.5 * fp[1] * aj[1])
+        fp.append(f2 * aj[2] + 0.5 * f3 * aj[1] * aj[1])
+    fp = tuple(fp)
+    return _make(a.tape, "gelu", tuple(out), (a,), (lambda g: jmul(g, fp),))
 
 
 def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:

@@ -14,7 +14,9 @@ eigenvalues of either sign at once, so equal-magnitude opposite-sign pairs
 no longer stall it, and it restarts after a breakdown to find repeated
 eigenvalues. Every reported pair's ``converged`` flag follows from an
 explicitly computed residual, so a pair the budget did not resolve is
-flagged rather than silently wrong.
+flagged rather than silently wrong. That residual takes no HVP beyond the
+basis: the Ritz vector's image is the same combination of the basis rows'
+stored HVPs.
 
 The Hessian trace is a separate probe, :func:`hutchinson_trace`. The
 ``spectrum`` runner calls it after the top-k spectrum, at the same point
@@ -98,6 +100,33 @@ def _unit_start(dim: int, seed, substream: int, v0) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def power_iterates(oracle: LossOracle, x, qs, seed,
+                   v0: np.ndarray | None = None, substream: int = 0,
+                   release: bool = False) -> list:
+    """The iterates of v <- Hv/||Hv|| after q rounds, for each q in ``qs``,
+    from one run of max(qs) rounds and max(qs) HVPs.
+
+    The start is as in :func:`power_iteration`, which takes its iterate
+    from this loop, so the iterate at q is bit for bit the vector of
+    ``power_iteration`` with that q. Any row whose iterate vanishes raises
+    ZeroIterate for all.
+    """
+    if min(qs) < 1:
+        raise ValueError("q must be >= 1")
+    x = _as_array(x)
+    v = _unit_start(oracle.dim, seed, substream, v0)
+    at = {}
+    for i in range(1, max(qs) + 1):
+        w = oracle.hvp(x, v, release=release)
+        norm = np.linalg.norm(w, axis=-1, keepdims=True)
+        if norm.min() < 1e-300:
+            raise ZeroIterate("numerically zero curvature along the iterate")
+        v = w / norm
+        if i in qs:
+            at[i] = v
+    return [at[q] for q in qs]
+
+
 def power_iteration(oracle: LossOracle, x, q: int, seed,
                     v0: np.ndarray | None = None, substream: int = 0,
                     release: bool = False) -> EigenEstimate:
@@ -117,16 +146,8 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
     each round is one stacked HVP. Any row whose iterate vanishes raises
     ZeroIterate for all.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     x = _as_array(x)
-    v = _unit_start(oracle.dim, seed, substream, v0)
-    for _ in range(q):
-        w = oracle.hvp(x, v, release=release)
-        norm = np.linalg.norm(w, axis=-1, keepdims=True)
-        if norm.min() < 1e-300:
-            raise ZeroIterate("numerically zero curvature along the iterate")
-        v = w / norm
+    v, = power_iterates(oracle, x, (q,), seed, v0, substream, release)
     lam = np.sum(v * oracle.hvp(x, v, release=release), axis=-1)
     residual = np.linalg.norm(oracle.hvp(x, v, release=release)
                               - lam[..., None] * v, axis=-1)
@@ -176,9 +197,13 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
     starts from the seeded vector of the next substream, orthogonalized
     against the basis. That finds repeated eigenvalues.
 
-    Each reported pair then costs one explicit HVP: its value is the
-    Rayleigh quotient, its residual ||Hv - lam v||, and ``converged``
-    follows from that residual. ``hvp_calls`` counts every HVP.
+    The HVP of each basis row is kept as returned, before it is
+    reorthogonalized. A reported Ritz vector y = sum_i s_i v_i then has the
+    image H y = sum_i s_i H v_i, so no pair costs a further HVP: its value is
+    the Rayleigh quotient, its residual ||Hy - lam y|| is computed from
+    those vectors (not the Lanczos estimate |beta s_m|), and ``converged``
+    follows from that residual. ``hvp_calls`` counts every HVP, one per
+    basis row.
     """
     dim = oracle.dim
     if not 1 <= k <= min(64, dim):
@@ -188,8 +213,10 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
     x = _as_array(x)
     cap = min(dim, k * q)
     basis = np.empty((0, dim))
+    images = np.empty((0, dim))     # H v of each basis row, as returned
     locked_vals: list = []          # Ritz pairs of exhausted blocks
-    locked_vecs: list = []
+    locked_vecs: list = []          # ... their vectors and their images
+    locked_imgs: list = []
     alphas: list = []               # tridiagonal of the current block
     betas: list = []
     start = restarts = 0            # current block's first basis row; restarts
@@ -197,6 +224,7 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
     while True:
         basis = np.vstack((basis, v))
         w = oracle.hvp(x, v)
+        images = np.vstack((images, w))
         alphas.append(float(v @ w))
         w = _reorthogonalize(w, basis)
         beta = float(np.linalg.norm(w))
@@ -218,6 +246,7 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
         if exhausted:
             locked_vals.extend(theta)
             locked_vecs.extend(s.T @ basis[start:])
+            locked_imgs.extend(s.T @ images[start:])
             restarts += 1
             v = _reorthogonalize(_unit_start(dim, seed, restarts, None), basis)
             norm = np.linalg.norm(v)
@@ -228,15 +257,14 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
         else:
             betas.append(beta)
             v = w / beta
-    calls = len(basis)
 
-    ritz = [locked_vecs[i] if i < len(locked_vals)
-            else s[:, i - len(locked_vals)] @ basis[start:] for i in top]
+    ritz = [(locked_vecs[i], locked_imgs[i]) if i < len(locked_vals)
+            else (s[:, i - len(locked_vals)] @ basis[start:],
+                  s[:, i - len(locked_vals)] @ images[start:]) for i in top]
     vectors, values, residuals = [], [], []
-    for y in ritz:
-        y = y / np.linalg.norm(y)
-        hy = oracle.hvp(x, y)
-        calls += 1
+    for y, hy in ritz:
+        norm = np.linalg.norm(y)
+        y, hy = y / norm, hy / norm
         lam = float(y @ hy)
         vectors.append(y)
         values.append(lam)
@@ -248,7 +276,7 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
                           residuals=residuals[order],
                           converged=(residuals <= CONVERGED_RTOL
                                      * np.maximum(1.0, np.abs(values)))[order],
-                          hvp_calls=calls)
+                          hvp_calls=len(basis))
 
 
 def hutchinson_trace(oracle: LossOracle, x, m: int, seed: int) -> tuple:

@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import engine as eng
+from .errors import NonFiniteLoss
 from .oracle import LossOracle, ParamVector
 from .rng import STREAM_INIT, stream
 
@@ -107,27 +108,29 @@ def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Te
     return eng.scale(eng.sum_all(eng.mul(diff, diff)), 0.5 / targets.shape[-2])
 
 
+def _loss_head(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
+    """``head(tape, logits)``: the loss node of the spec's head over the labels."""
+    if spec.head == "ce":
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.min() < 0 or labels.max() >= spec.layers[-1]:
+            raise ValueError("labels out of range for the output layer")
+        return lambda tape, logits: eng.softmax_ce(logits, labels)
+    targets = np.asarray(labels, dtype=np.float64)
+    if targets.ndim == inputs.ndim - 1:
+        targets = np.eye(spec.layers[-1])[targets.astype(np.int64)]
+    return lambda tape, logits: _mse_loss(tape, logits, targets)
+
+
 def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
     """Loss-graph builder over a data batch, for use in a LossOracle, or
     over stacked batches (see the module docstring)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[-1] != spec.layers[0]:
         raise ValueError("input width does not match the model spec")
-    if spec.head == "ce":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.min() < 0 or labels.max() >= spec.layers[-1]:
-            raise ValueError("labels out of range for the output layer")
+    head = _loss_head(spec, inputs, labels)
 
-        def build(tape, x):
-            return eng.softmax_ce(_forward_logits(tape, x, spec, inputs), labels)
-    else:
-        targets = np.asarray(labels, dtype=np.float64)
-        if targets.ndim == inputs.ndim - 1:
-            targets = np.eye(spec.layers[-1])[targets.astype(np.int64)]
-
-        def build(tape, x):
-            return _mse_loss(tape, _forward_logits(tape, x, spec, inputs), targets)
-
+    def build(tape, x):
+        return head(tape, _forward_logits(tape, x, spec, inputs))
     return build
 
 
@@ -144,10 +147,30 @@ def predict_logits(spec: MlpSpec, x: ParamVector, inputs: np.ndarray) -> np.ndar
     return _forward_logits(tape, leaf, spec, np.asarray(inputs, dtype=np.float64)).value
 
 
-def accuracy(spec: MlpSpec, x: ParamVector, inputs: np.ndarray,
-             labels: np.ndarray) -> float:
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         return float("nan")
-    logits = predict_logits(spec, x, inputs)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def accuracy(spec: MlpSpec, x: ParamVector, inputs: np.ndarray,
+             labels: np.ndarray) -> float:
+    return _accuracy(predict_logits(spec, x, inputs), labels)
+
+
+def loss_and_accuracy(spec: MlpSpec, x: np.ndarray, inputs: np.ndarray,
+                      labels: np.ndarray) -> tuple:
+    """(loss, accuracy) of the flat parameters x on a data batch, both from
+    one degree-0 pass: the loss of ``mlp_oracle(spec, inputs, labels)`` at
+    x and :func:`accuracy`, bit for bit. Raises NonFiniteLoss as
+    ``LossOracle.loss`` does."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    head = _loss_head(spec, inputs, labels)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tape = eng.Tape(degree=0)
+        logits = _forward_logits(tape, tape.leaf(x), spec, inputs)
+        loss = head(tape, logits)
+    if not np.isfinite(loss.value):
+        raise NonFiniteLoss("non-finite value in loss or derivative")
+    return float(loss.value), _accuracy(logits.value, labels)

@@ -40,12 +40,13 @@ from .config import render
 from .data import (BatchSampler, Dataset, gen_synthetic, load_idx,
                    mlp_family, sample_batch, stack_capacity, unstacked)
 from .errors import ConfigError, SamlabError
-from .hessian import (align, hutchinson_trace, power_iteration,
-                      spectrum_deflated)
+from .hessian import (align, hutchinson_trace, power_iterates,
+                      power_iteration, spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
-from .models import MlpSpec, accuracy, init_params, mlp_builder, mlp_oracle
+from .models import (MlpSpec, init_params, loss_and_accuracy, mlp_builder,
+                     mlp_oracle)
 from .optim import OptimizerConfig, init_state, step as optimizer_step
-from .oracle import LossOracle, ParamVector
+from .oracle import LossOracle
 from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
@@ -96,12 +97,14 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
     row r of ``xs`` being its parameters and ``hvp_counts[r]`` its count.
 
     Losses, accuracy and the gradient norm are full-data passes, one per
-    row. ``lambda1`` and ``alignment`` use the evaluation batch and the
-    start vector that the row's seed draws at t. The rows are stacked as
-    far as ``data.stack_capacity`` allows, and each stack takes one stacked
-    power iteration and one stacked evaluation-batch gradient."""
+    row: a gradient pass on the training set, whose forward value is
+    ``train_loss``, and one forward pass on the test set, whose logits give
+    both ``test_loss`` and ``test_accuracy``. ``lambda1`` and
+    ``alignment`` use the evaluation batch and the start vector that the
+    row's seed draws at t. The rows are stacked as far as
+    ``data.stack_capacity`` allows, and each stack takes one stacked power
+    iteration and one stacked evaluation-batch gradient."""
     train_oracle = mlp_oracle(spec, train.inputs, train.labels)
-    test_oracle = mlp_oracle(spec, test.inputs, test.labels)
     seeds = [seed for _, seed in labels]
     size = min(EVAL_BATCH_MAX, train.n)
     idx = np.stack([stream(seed, STREAM_EVAL_BATCH, t).choice(
@@ -127,12 +130,13 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
     rows = []
     for r, ((process, seed), x) in enumerate(zip(labels, xs)):
         train_loss, g_full = train_oracle.grad(x, with_loss=True)
+        test_loss, test_accuracy = loss_and_accuracy(spec, x, test.inputs,
+                                                     test.labels)
         rows.append(MetricRow(
             step=t, process=process, seed=seed,
             train_loss=train_loss,
-            test_loss=test_oracle.loss(x),
-            test_accuracy=accuracy(spec, ParamVector(x, spec.layout),
-                                   test.inputs, test.labels),
+            test_loss=test_loss,
+            test_accuracy=test_accuracy,
             param_norm=float(np.linalg.norm(x)),
             grad_norm=float(np.linalg.norm(g_full)),
             lambda1=float(lam1[r]),
@@ -443,20 +447,23 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
 
 def run_probe_power(config: dict, out_name: str = "power.json") -> Path:
     """Alignment of the power-iteration estimate with a converged reference,
-    as a function of the iteration budget q."""
+    as a function of the iteration budget q. Each start takes one run of
+    max(q_grid) rounds, read at every q of the grid (see
+    :func:`samlab.hessian.power_iterates`)."""
     spec, train, _test, xs = _trained_points(config)
     oracle = mlp_oracle(spec, train.inputs, train.labels)
     per_seed = []
     for seed, x in zip(config["seeds"], xs):
         ref = power_iteration(oracle, x, q=config["q_ref"], seed=seed,
                               v0=stream(seed, STREAM_PROBE, 0).standard_normal(spec.dim))
+        runs = [power_iterates(oracle, x, config["q_grid"], seed,
+                               v0=stream(seed, STREAM_PROBE, 1 + start)
+                               .standard_normal(spec.dim))
+                for start in range(config["n_starts"])]
         curves = []
-        for q in config["q_grid"]:
-            alignments = []
-            for start in range(config["n_starts"]):
-                v0 = stream(seed, STREAM_PROBE, 1 + start).standard_normal(spec.dim)
-                est = power_iteration(oracle, x, q=q, seed=seed, v0=v0)
-                alignments.append(align(est.vector, ref.vector).value)
+        for i, q in enumerate(config["q_grid"]):
+            alignments = [align(vectors[i], ref.vector).value
+                          for vectors in runs]
             curves.append({"q": q,
                            "mean_alignment": float(np.mean(alignments)),
                            "min_alignment": float(np.min(alignments)),

@@ -14,6 +14,24 @@ GELU_C0 = 0.7978845608028654
 GELU_C1 = 0.044715
 
 
+def gelu(a):
+    """Tanh-form GeLU, elementwise on a float or an array."""
+    return 0.5 * a * (1 + np.tanh(GELU_C0 * (a + GELU_C1 * a ** 3)))
+
+
+def central_diff_derivatives(fn, a):
+    """First, second and third derivatives of an elementwise function at a,
+    by central differences with steps 1e-5, 1e-4 and 1e-3 (larger steps for
+    higher orders, whose quotients amplify round-off more)."""
+    h = 1e-5
+    d1 = (fn(a + h) - fn(a - h)) / (2 * h)
+    h = 1e-4
+    d2 = (fn(a + h) - 2 * fn(a) + fn(a - h)) / h ** 2
+    h = 1e-3
+    d3 = (fn(a + 2 * h) - 2 * fn(a + h) + 2 * fn(a - h) - fn(a - 2 * h)) / (2 * h ** 3)
+    return d1, d2, d3
+
+
 def central_diff_grad(loss_fn, x, h=1e-5):
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
@@ -38,7 +56,7 @@ def straightline_mlp_loss(spec, params, inputs, labels):
         h = h @ w + b
         if i < n_layers - 1:
             if spec.activation == "gelu":
-                h = 0.5 * h * (1 + np.tanh(GELU_C0 * (h + GELU_C1 * h ** 3)))
+                h = gelu(h)
             else:
                 h = np.maximum(h, 0.0)
     if spec.head == "ce":

@@ -30,7 +30,6 @@ class TestJetArithmetic:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("fn,ref", [
-        (eng.jtanh, np.tanh),
         (eng.jexp, np.exp),
         (eng.jlog, np.log),
     ])

@@ -8,7 +8,8 @@ differences of its loss, and central differences of tape gradients and HVPs.
 import numpy as np
 import pytest
 
-from helpers import central_diff_grad, straightline_mlp_loss
+from helpers import (central_diff_derivatives, central_diff_grad, gelu,
+                     straightline_mlp_loss)
 from samlab import engine as eng
 from samlab.data import gen_synthetic, mlp_family
 from samlab.models import MlpSpec, init_params, mlp_builder, mlp_oracle
@@ -184,3 +185,91 @@ def test_one_hidden_layer_tape_nodes(activation, head, ops):
     assert tuple(node.op for node in tape.nodes) == want
     if (activation, head) == ("gelu", "ce"):
         assert len(tape.nodes) == 14
+
+
+def op_jets(op, coeffs, g):
+    """(forward jet, VJP of the adjoint jet g) of ``op`` applied to one
+    node whose jet is ``coeffs``."""
+    tape = eng.Tape(degree=len(coeffs) - 1)
+    a = eng.Tensor(tape, "leaf", tuple(coeffs), (), (), True)
+    out = op(a)
+    return out.jet, out.vjps[0](tuple(g))
+
+
+class TestGeluJets:
+    # 0 and +-1e-3 sit where u = c0 (a + c1 a^3) is near 0; at |a| >= 6,
+    # t = tanh(u) saturates and the derivatives vanish.
+    A0 = np.array([0.0, 1e-3, -1e-3, 0.5, -1.3, 2.7, -2.2, 6.0, -6.0, 8.0,
+                   -8.0, 30.0, -30.0])
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_forward_and_vjp_match_central_differences(self, degree):
+        rng = np.random.default_rng(degree)
+        coeffs = (self.A0,) + tuple(rng.standard_normal(self.A0.shape)
+                                    for _ in range(degree))
+        g = tuple(rng.standard_normal(self.A0.shape) for _ in range(degree + 1))
+        got, vjp = op_jets(eng.gelu, coeffs, g)
+        d1, d2, d3 = central_diff_derivatives(gelu, self.A0)
+        # The jet of f' along the input's jet, and the input's jet mapped
+        # through f, from the finite-difference derivatives.
+        fp = (d1, d2 * coeffs[1] if degree else None,
+              d2 * coeffs[2] + 0.5 * d3 * coeffs[1] ** 2 if degree > 1 else None)
+        want = (gelu(self.A0), d1 * coeffs[1] if degree else None,
+                d1 * coeffs[2] + 0.5 * d2 * coeffs[1] ** 2 if degree > 1 else None)
+        want_vjp = eng.jmul(g, fp[:degree + 1])
+        # Coefficient m of the forward jet involves f up to its m-th
+        # derivative, that of the VJP up to the (m+1)-th; the differences
+        # of order 0-3 are good to about 1e-15, 4e-11, 5e-8 and 4e-6.
+        tols = (1e-12, 1e-8, 1e-5, 1e-4)
+        assert len(got) == len(vjp) == degree + 1
+        for m in range(degree + 1):
+            np.testing.assert_allclose(got[m], want[m], rtol=0,
+                                       atol=tols[m])
+            np.testing.assert_allclose(vjp[m], want_vjp[m], rtol=0,
+                                       atol=tols[m + 1])
+
+    def test_saturated_inputs_are_exact(self):
+        # Where t rounds to +-1, f is a or 0 and f', f'', f''' are 1 or 0
+        # exactly, with no NaN from the vanishing sech^2.
+        a0 = np.array([30.0, -30.0, 1e3, -1e3])
+        ones = np.ones_like(a0)
+        got, vjp = op_jets(eng.gelu, (a0, ones, ones), (ones, ones, ones))
+        step = (a0 > 0).astype(np.float64)
+        for c, want in zip(got, (a0 * step, step, step)):
+            np.testing.assert_array_equal(c, want)
+        for c, want in zip(vjp, (step, step, step)):
+            np.testing.assert_array_equal(c, want)
+
+
+class TestConstantMatmul:
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_the_generic_product(self, degree, side):
+        # A constant operand (no grad) against the same values on a node
+        # that requires grad with zero higher coefficients, which takes the
+        # generic jet product: equal jets and an equal VJP for the weight.
+        rng = np.random.default_rng(degree)
+        data = rng.standard_normal((3, 64, 12))
+        weight = tuple(rng.standard_normal((3, 12, 8)) for _ in range(degree + 1))
+        if side == "right":
+            data, weight = data.swapaxes(-1, -2), tuple(
+                c.swapaxes(-1, -2) for c in weight)
+        shape = (3, 64, 8) if side == "left" else (3, 8, 64)
+        g = tuple(rng.standard_normal(shape) for _ in range(degree + 1))
+        results = []
+        for constant in (True, False):
+            tape = eng.Tape(degree=degree)
+            zeros = (np.zeros_like(data),) * degree
+            fixed = (tape.const(data) if constant else
+                     eng.Tensor(tape, "leaf", (data,) + zeros, (), (), True))
+            w = eng.Tensor(tape, "leaf", weight, (), (), True)
+            pair = (fixed, w) if side == "left" else (w, fixed)
+            out = eng.matmul(*pair)
+            slot = 1 if side == "left" else 0
+            results.append((out.jet, out.vjps[slot](g)))
+            if constant:
+                assert out.vjps[1 - slot] is None
+        (jet_c, vjp_c), (jet_g, vjp_g) = results
+        for got, want in zip(jet_c + vjp_c, jet_g + vjp_g):
+            np.testing.assert_allclose(got, want, rtol=1e-15,
+                                       atol=1e-15 * np.abs(want).max())

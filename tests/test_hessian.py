@@ -7,8 +7,9 @@ from helpers import count_jets, matrix_with_spectrum, random_symmetric
 from samlab.data import gen_synthetic
 from samlab.errors import DegenerateVector, ZeroIterate
 from samlab.hessian import (CONVERGED_RTOL, AlignmentReport, EigenEstimate,
-                            align, hutchinson_trace, power_iteration,
-                            sharpness_proxy, spectrum_deflated)
+                            align, hutchinson_trace, power_iterates,
+                            power_iteration, sharpness_proxy,
+                            spectrum_deflated)
 from samlab.models import MlpSpec, init_params, mlp_oracle
 from samlab.optim import OptimizerConfig, init_state, sam_step
 from samlab.oracle import quadratic_oracle
@@ -144,6 +145,29 @@ class TestPowerIteration:
                             q=3, seed=(0, 1), v0=v0)
 
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_iterates_are_the_power_iteration_vectors(self, stacked):
+        # One run of max(qs) rounds, read at every q of the grid, gives the
+        # vector of a separate power iteration at that q bit for bit.
+        if stacked:
+            curv = np.array([[3.0, -1.0, 0.5, 2.0], [0.2, 1.0, -4.0, 0.1]])
+            oracle, x = diagonal_oracle(curv), np.zeros((2, 4))
+            seed, v0 = (5, 9), None
+        else:
+            spec = MlpSpec((2, 8, 2))
+            ds = gen_synthetic(64, 2, 2, 4.0, seed=0)
+            oracle = mlp_oracle(spec, ds.inputs, ds.labels)
+            x, seed = init_params(spec, 0).values, 0
+            v0 = np.random.default_rng(1).standard_normal(spec.dim)
+        qs = (1, 3, 8, 13)
+        jets = count_jets(oracle)
+        vectors = power_iterates(oracle, x, qs, seed, v0=v0)
+        assert len(jets) == max(qs)
+        for q, v in zip(qs, vectors):
+            est = power_iteration(oracle, x, q=q, seed=seed, v0=v0)
+            assert v.tobytes() == est.vector.tobytes()
+
+
 class TestAlign:
     def test_parallel(self):
         v = np.array([1.0, 0.0])
@@ -241,6 +265,37 @@ class TestSpectrumDeflated:
         assert np.all(rep.converged)
         np.testing.assert_allclose(rep.vectors @ rep.vectors.T, np.eye(k),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["mlp", "random", "restart"])
+    def test_residuals_from_stored_hvps_match_fresh_ones(self, case):
+        # Each pair's image H y is combined from the HVPs of the basis rows,
+        # so the spectrum spends one HVP per basis row and none per pair,
+        # and a fresh HVP of the reported vector gives the same value and
+        # residual to round-off. "restart" reports the repeated top
+        # eigenvalue, whose second copy only a restarted block finds, so
+        # one pair comes from a locked block.
+        if case == "mlp":
+            spec = MlpSpec((2, 8, 2))
+            ds = gen_synthetic(64, 2, 2, 4.0, seed=0)
+            oracle = mlp_oracle(spec, ds.inputs, ds.labels)
+            x, k, q = init_params(spec, 0).values, 4, 10
+        elif case == "random":
+            oracle, x, k, q = (quadratic_oracle(random_symmetric(40, seed=2)),
+                               np.zeros(40), 5, 4)
+        else:
+            oracle, x, k, q = (quadratic_oracle(np.diag([3.0, 3.0, 2.0, 1.0,
+                                                         1.0, 0.5])),
+                               np.zeros(6), 2, 20)
+        jets = count_jets(oracle)
+        rep = spectrum_deflated(oracle, x, k=k, q=q, seed=0)
+        assert rep.hvp_calls == len(jets)
+        if case == "restart":
+            np.testing.assert_allclose(rep.values, [3.0, 3.0], atol=1e-12)
+        for lam, y, res in zip(rep.values, rep.vectors, rep.residuals):
+            hy = oracle.hvp(x, y)
+            tol = 1e-12 * max(1.0, abs(lam))
+            assert abs(float(y @ hy) - lam) <= tol
+            assert abs(float(np.linalg.norm(hy - lam * y)) - res) <= tol
 
     def test_hvp_calls_counted_and_capped(self):
         a = matrix_with_spectrum(10.0 * 0.9 ** np.arange(64), seed=10)

@@ -15,6 +15,11 @@ from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
 
 
+# A complete, valid set of bound inputs.
+BOUND = ("f_s=0.1 lambda1=10 x_norm=10 d=100 n=10000 sigma=0.01 "
+         "loss_bound=1 third_bound=1 delta=0.05")
+
+
 def train_cfg(tmp_path, **overrides):
     raw = {"steps": "20", "eval_every": "10", "seeds": "0", "out": str(tmp_path),
            "model_layers": "2,4,2", "data_n": "32", "test_n": "16",
@@ -549,6 +554,26 @@ class TestProbeRunners:
         assert xs.shape == (2, spec.dim)
         assert xs.tobytes() == probed.tobytes()
 
+    def test_probe_row_takes_test_loss_and_accuracy_from_one_pass(self):
+        # Both test columns come from one forward pass on the test set; they
+        # equal the separate loss and accuracy passes bit for bit.
+        from samlab.models import accuracy, mlp_oracle
+        from samlab.oracle import ParamVector
+
+        for head in ("ce", "mse"):
+            cfg = train_cfg("unused", loss_head=head, seeds="0,4")
+            spec, train, test = runner._datasets(cfg)
+            xs = np.stack([init_params(spec, s).values + 0.3 * s
+                           for s in (0, 4)])
+            rows = runner._probe_row(spec, xs, 0, (("sam", 0), ("sam", 4)),
+                                     train, test, (0, 0), 3, 0.0)
+            oracle = mlp_oracle(spec, test.inputs, test.labels)
+            for row, x in zip(rows, xs):
+                assert row.test_loss == oracle.loss(x)
+                want = accuracy(spec, ParamVector(x, spec.layout),
+                                test.inputs, test.labels)
+                assert row.test_accuracy == want
+
     def test_power_curve_json(self, tmp_path):
         from samlab.runner import run_probe_power
 
@@ -637,14 +662,18 @@ class TestCli:
         "train alpha=nan method=eigensam steps=2",
         "train weight_decay=nan steps=2", "train weight_decay=-1 steps=2",
         "train data_margin=nan steps=2", "train data_margin=-1 steps=2",
+        f"bound {BOUND} f_s=nan", f"bound {BOUND} lambda1=inf",
+        f"bound {BOUND} sigma=nan", f"bound {BOUND} x_norm=nan",
+        "align-range omega=nan",
     ])
     def test_config_error_leaves_no_artifact(self, tmp_path, capsys, case):
         # A model that does not fit the data, a step size that is not
         # positive, a rho grid with fewer than two distinct values (no
-        # slope to fit), a negative or NaN weight decay or data margin, and
-        # an optimizer or sampler value that the training run (or the
-        # training prefix of spectrum and probe-power) rejects are config
-        # errors before any artifact is written.
+        # slope to fit), a negative or NaN weight decay or data margin, an
+        # optimizer or sampler value that the training run (or the
+        # training prefix of spectrum and probe-power) rejects, and a
+        # non-finite input of bound or align-range are config errors
+        # before any artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2

@@ -63,6 +63,9 @@ PINNED = {
         "probe_q=10"), None),
     "spectrum": ("spectrum", ("model_layers=2,16,2", "steps=50", "k=4",
                               "m_trace=16"), "0,1"),
+    "probe-power": ("probe-power", ("model_layers=2,16,2", "steps=20",
+                                    "q_grid=1,3,8", "n_starts=2",
+                                    "q_ref=100"), None),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
