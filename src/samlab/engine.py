@@ -12,12 +12,12 @@ follows from the first-order rule.
 Shapes are static per tape, reductions run in numpy's fixed index order, and
 no randomness is involved, so repeated evaluation is bit-identical.
 
-The twelve ops are ``add``, ``sub``, ``mul``, ``scale``, ``matmul``,
-``relu``, ``pow_int``, ``gelu``, ``softmax_ce``, ``sum_all``, ``slice1d``
-and ``reshape``. Every one takes leading stack axes, which evaluate several
-independent graphs on one tape in the manner of vmap: a leaf of shape
-``(B, d)`` holds B parameter vectors, and a scalar output that sums B
-per-row losses has row b of its adjoint jet equal to row b's own jet.
+The thirteen ops are ``add``, ``sub``, ``mul``, ``scale``, ``matmul``,
+``dense``, ``relu``, ``pow_int``, ``gelu``, ``softmax_ce``, ``sum_all``,
+``slice1d`` and ``reshape``. Every one takes leading stack axes, which
+evaluate several independent graphs on one tape in the manner of vmap: a
+leaf of shape ``(B, d)`` holds B parameter vectors, and a scalar output that
+sums B per-row losses has row b of its adjoint jet equal to row b's own jet.
 ``add``/``sub``/``mul`` broadcast as numpy does and reduce back in the VJP;
 ``scale``, ``relu``, ``pow_int`` and ``gelu`` are elementwise; ``reshape``
 and ``sum_all`` take any shape. ``matmul`` multiplies the last two axes of
@@ -25,13 +25,16 @@ operands with equal leading axes, ``slice1d`` slices the last axis, and
 ``softmax_ce`` takes logits ``(..., n, C)`` with labels ``(..., n)`` and
 sums the per-batch mean losses over the leading axes.
 
-``gelu`` and ``softmax_ce`` are fused: each is one node. ``softmax_ce``
-composes its forward jet and VJP from the jet arithmetic below. ``gelu``
-states its derivatives f', f'' and f''' in closed form at the primal and
-builds both jets from them, in fewer array operations than tanh of a cubic
-composed from jet products. A constant's higher coefficients are one
-read-only zero, and ``matmul`` multiplies only the primal of a constant
-operand, such as an MLP's data input.
+``dense``, ``gelu`` and ``softmax_ce`` are fused: each is one node.
+``dense`` is an MLP layer ``h @ W + b`` that reads W and b as views of a
+flat parameter leaf, with the arithmetic of ``slice1d``, ``reshape``,
+``matmul`` and ``add`` composed. ``softmax_ce`` composes its forward jet
+and VJP from the jet arithmetic below. ``gelu`` states its derivatives f',
+f'' and f''' in closed form at the primal and builds both jets from them,
+in fewer array operations than tanh of a cubic composed from jet products.
+A constant's higher coefficients are one read-only zero, and ``matmul`` and
+``dense`` multiply only the primal of a constant operand, such as an MLP's
+data input.
 """
 
 from __future__ import annotations
@@ -275,6 +278,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bjT = tuple(c.swapaxes(-1, -2) for c in bj)
     return _make(a.tape, "matmul", jmatmul(aj, bj), (a, b),
                  (lambda g: jmatmul(g, bjT), lambda g: jmatmul(ajT, g)))
+
+
+def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
+    """One affine layer, ``h @ W + b``, as one node. W ``(fan_in, fan_out)``
+    and then b ``(fan_out,)`` are views of each jet coefficient of x,
+    starting at ``offset`` on its last axis; leading axes of x are stack
+    axes, and h then has the same ones.
+
+    The arithmetic is that of ``slice1d``, ``reshape``, ``matmul`` and
+    ``add`` composed, bit for bit, without their nodes: a constant h
+    multiplies only its primal, and x's adjoint is one zero array per
+    coefficient with ``h^T g`` in the W block and ``g`` summed over rows in
+    the b block."""
+    fan_in, fan_out = shape
+    full = x.shape
+    lead = full[:-1]
+    mid = offset + fan_in * fan_out
+    stop = mid + fan_out
+    wj = tuple(c[..., offset:mid].reshape(lead + shape) for c in x.jet)
+    bj = tuple(c[..., None, mid:stop] for c in x.jet)
+    hj, const = h.jet, not h.requires_grad
+    hjT = tuple(c.swapaxes(-1, -2) for c in hj)
+    out = tuple(hj[0] @ c for c in wj) if const else jmatmul(hj, wj)
+
+    def vjp_h(g):
+        return jmatmul(g, tuple(c.swapaxes(-1, -2) for c in wj))
+
+    def vjp_x(g):
+        gw = tuple(hjT[0] @ c for c in g) if const else jmatmul(hjT, g)
+        adj = []
+        for cw, cg in zip(gw, g):
+            z = np.zeros(full)
+            z[..., offset:mid] = cw.reshape(lead + (mid - offset,))
+            z[..., mid:stop] = cg.sum(axis=-2)
+            adj.append(z)
+        return tuple(adj)
+
+    return _make(x.tape, "dense", jadd(out, bj), (h, x),
+                 (None if const else vjp_h, vjp_x))
 
 
 def relu(a: Tensor) -> Tensor:

@@ -8,8 +8,10 @@ for optimizer-level runs only.
 Loss heads: softmax cross-entropy over integer labels (the fused
 :func:`samlab.engine.softmax_ce`, one tape node), and mean squared error
 ``sum((pred - target)^2) / (2 n)`` over vector targets (integer labels are
-one-hot encoded for the MSE head). A one-hidden-layer GeLU/CE loss tape has
-14 nodes.
+one-hot encoded for the MSE head). Each layer is one
+:func:`samlab.engine.dense` node, which reads its weights and biases from
+the flat parameter leaf, so a one-hidden-layer GeLU/CE loss tape has 6
+nodes, stacked or not.
 
 A builder over stacked batches, inputs ``(B, n, in)`` with labels ``(B, n)``
 or targets ``(B, n, out)``, takes a ``(B, d)`` parameter leaf and returns
@@ -87,17 +89,9 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
 def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
                     inputs: np.ndarray) -> eng.Tensor:
     h = tape.const(inputs)
-    lead = x.shape[:-1]
     n_layers = len(spec.layers) - 1
-    for i, (name_w, shape, offset) in enumerate(spec.layout[::2]):
-        fan_in, fan_out = shape
-        w = eng.reshape(eng.slice1d(x, offset, offset + fan_in * fan_out),
-                        lead + shape)
-        b_off = offset + fan_in * fan_out
-        b = eng.slice1d(x, b_off, b_off + fan_out)
-        if lead:
-            b = eng.reshape(b, lead + (1, fan_out))
-        h = eng.add(eng.matmul(h, w), b)
+    for i, (_, shape, offset) in enumerate(spec.layout[::2]):
+        h = eng.dense(h, x, offset, shape)
         if i < n_layers - 1:
             h = eng.gelu(h) if spec.activation == "gelu" else eng.relu(h)
     return h

@@ -59,11 +59,12 @@ class TestBackward:
         assert float(jet[2][0]) == pytest.approx(3.0)    # third(u, u) / 2
 
     def test_every_op_matches_central_differences(self):
-        # One graph over all twelve ops: slice1d, reshape, a matmul with a
+        # One graph over all thirteen ops: slice1d, reshape, a matmul with a
         # leading stack axis, add, sub, mul (broadcast over that axis),
-        # scale, relu, pow_int, gelu, softmax_ce and sum_all.
+        # scale, relu, pow_int, gelu, softmax_ce, sum_all, and a dense layer
+        # over a differentiable input that reads the last 10 coordinates.
         rng = np.random.default_rng(3)
-        x0 = rng.standard_normal(14)
+        x0 = rng.standard_normal(24)
         mat = rng.standard_normal((2, 3, 4))
         bias = rng.standard_normal(4)
         labels = np.array([[0, 3], [2, 1]])
@@ -77,8 +78,10 @@ class TestBackward:
             ce = eng.softmax_ce(eng.gelu(z), labels)
             gated = eng.mul(eng.relu(z), b_rows)
             cubic = eng.sum_all(eng.pow_int(b, 3))
+            y = eng.dense(eng.reshape(z, (4, 4)), x, 14, (4, 2))    # (4, 2)
             return eng.add(eng.add(ce, eng.scale(eng.sum_all(gated), 0.5)),
-                           eng.scale(cubic, 0.1))
+                           eng.add(eng.scale(cubic, 0.1),
+                                   eng.scale(eng.sum_all(eng.mul(y, y)), 0.05)))
 
         def loss(v):
             tape = eng.Tape(degree=0)
@@ -86,8 +89,9 @@ class TestBackward:
 
         tape, leaf, out = scalar_graph(build, x0)
         kinds = {node.op for node in tape.nodes} - {"leaf", "const"}
-        assert kinds == {"slice", "reshape", "matmul", "add", "sub", "mul",
-                         "scale", "relu", "pow3", "gelu", "softmax_ce", "sum"}
+        assert kinds == {"slice", "reshape", "matmul", "dense", "add", "sub",
+                         "mul", "scale", "relu", "pow3", "gelu", "softmax_ce",
+                         "sum"}
         g = eng.backward(out, [leaf])[0][0]
         np.testing.assert_allclose(g, central_diff_grad(loss, x0, h=1e-6),
                                    rtol=2e-5, atol=2e-8)

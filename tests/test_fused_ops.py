@@ -173,18 +173,21 @@ class TestSoftmaxCe:
     ("gelu", "mse", ("gelu", "const", "sub", "mul", "sum", "scale")),
 ])
 def test_one_hidden_layer_tape_nodes(activation, head, ops):
-    # Guards the fused ops: a one-hidden-layer GeLU/CE loss tape has 14
-    # nodes, against 31 for the composite tanh-GeLU and log-sum-exp graphs.
+    # Guards the fused ops: a one-hidden-layer GeLU/CE loss tape has 6
+    # nodes, against 31 for the composite tanh-GeLU and log-sum-exp graphs
+    # and per-layer slice/reshape/matmul/add nodes. A stacked tape has the
+    # same nodes: its stack axis adds no reshape.
     spec = MlpSpec((12, 32, 10), activation, head)
-    build = mlp_builder(spec, np.zeros((32, 12)), np.arange(32) % 10)
-    tape = eng.Tape(degree=0)
-    build(tape, tape.leaf(np.zeros(spec.dim)))
-    layer = ("slice", "reshape", "slice", "matmul", "add")
-    act, *loss = ops
-    want = ("leaf", "const") + layer + (act,) + layer + tuple(loss)
-    assert tuple(node.op for node in tape.nodes) == want
-    if (activation, head) == ("gelu", "ce"):
-        assert len(tape.nodes) == 14
+    for lead in ((), (2,)):
+        build = mlp_builder(spec, np.zeros(lead + (32, 12)),
+                            np.resize(np.arange(32) % 10, lead + (32,)))
+        tape = eng.Tape(degree=0)
+        build(tape, tape.leaf(np.zeros(lead + (spec.dim,))))
+        act, *loss = ops
+        want = ("leaf", "const", "dense", act, "dense") + tuple(loss)
+        assert tuple(node.op for node in tape.nodes) == want
+        if (activation, head) == ("gelu", "ce"):
+            assert len(tape.nodes) == 6
 
 
 def op_jets(op, coeffs, g):
@@ -273,3 +276,55 @@ class TestConstantMatmul:
         for got, want in zip(jet_c + vjp_c, jet_g + vjp_g):
             np.testing.assert_allclose(got, want, rtol=1e-15,
                                        atol=1e-15 * np.abs(want).max())
+
+
+class TestDense:
+    # A layer (4, 3) at offset 5 of a 27-coordinate leaf, with 7 coordinates
+    # after its bias, so an adjoint written outside the layer's 15 shows.
+    OFFSET, SHAPE, D = 5, (4, 3), 27
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["flat", "stacked"])
+    @pytest.mark.parametrize("input_kind", ["const", "leaf"])
+    def test_matches_the_composite_layer_bit_for_bit(self, degree, lead,
+                                                     input_kind):
+        # dense against slice1d/reshape/matmul/add over the same jets: equal
+        # forward jets, and equal adjoint jets for the leaf and the input
+        # after a backward sweep through a square, whose adjoint has
+        # nonzero coefficients at every degree.
+        rng = np.random.default_rng(degree)
+        x_jet = tuple(rng.standard_normal(lead + (self.D,))
+                      for _ in range(degree + 1))
+        h_jet = tuple(rng.standard_normal(lead + (6, self.SHAPE[0]))
+                      for _ in range(degree + 1))
+        fan_in, fan_out = self.SHAPE
+        mid = self.OFFSET + fan_in * fan_out
+        results = []
+        for fused in (True, False):
+            tape = eng.Tape(degree=degree)
+            x = eng.Tensor(tape, "leaf", x_jet, (), (), True)
+            h = (tape.const(h_jet[0]) if input_kind == "const" else
+                 eng.Tensor(tape, "leaf", h_jet, (), (), True))
+            if fused:
+                out = eng.dense(h, x, self.OFFSET, self.SHAPE)
+                # A constant input gets no VJP, as in matmul.
+                assert (out.vjps[0] is None) == (input_kind == "const")
+            else:
+                w = eng.reshape(eng.slice1d(x, self.OFFSET, mid),
+                                lead + self.SHAPE)
+                b = eng.slice1d(x, mid, mid + fan_out)
+                if lead:
+                    b = eng.reshape(b, lead + (1, fan_out))
+                out = eng.add(eng.matmul(h, w), b)
+            loss = eng.sum_all(eng.mul(out, out))
+            wrt = [x] if input_kind == "const" else [x, h]
+            results.append((out.jet, eng.backward(loss, wrt)))
+        (jet_f, adj_f), (jet_c, adj_c) = results
+        assert len(jet_f) == len(jet_c) == degree + 1
+        for got, want in zip(jet_f, jet_c):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        for got_adj, want_adj in zip(adj_f, adj_c):
+            for got, want in zip(got_adj, want_adj):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)

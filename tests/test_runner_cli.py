@@ -15,6 +15,8 @@ from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
 
 
+# A small model and data set for the MLP runners.
+SMALL = "model_layers=2,4,2 data_n=32 test_n=16"
 # A complete, valid set of bound inputs.
 BOUND = ("f_s=0.1 lambda1=10 x_norm=10 d=100 n=10000 sigma=0.01 "
          "loss_bound=1 third_bound=1 delta=0.05")
@@ -152,8 +154,8 @@ class TestRunTrain:
 
         cfg = train_cfg(tmp_path, steps=500, eval_every=500, data_margin=8.0,
                         lr=0.2, data_n=64, test_n=64)
-        spec, train, _test, xs = _trained_points(cfg)
-        pv = ParamVector(xs[0], spec.layout)
+        spec, train, _test, points = _trained_points(cfg)
+        pv = ParamVector(points()[0], spec.layout)
         assert accuracy(spec, pv, train.inputs, train.labels) == 1.0
         run_train(cfg)
         _, rows, _ = read_csv(tmp_path / "train.csv")
@@ -537,8 +539,8 @@ class TestProbeRunners:
                                    "data_n": "32", "test_n": "16",
                                    "batch_size": "8", "steps": "12",
                                    "seeds": "0,3"})
-        spec, train, test, init = runner._trained_points(dict(cfg, steps=0))
-        for row, seed in zip(init, (0, 3)):
+        spec, train, test, points = runner._trained_points(dict(cfg, steps=0))
+        for row, seed in zip(points(), (0, 3)):
             assert row.tobytes() == init_params(spec, seed).values.tobytes()
         rows = []
         probed = runner._trainer(dict(cfg, eval_every=4, probe_q=3,
@@ -550,7 +552,7 @@ class TestProbeRunners:
             raise AssertionError("_trained_points computed a probe row")
 
         monkeypatch.setattr(runner, "_probe_row", no_probes)
-        _spec, _train, _test, xs = runner._trained_points(cfg)
+        xs = runner._trained_points(cfg)[3]()
         assert xs.shape == (2, spec.dim)
         assert xs.tobytes() == probed.tobytes()
 
@@ -703,6 +705,53 @@ class TestCli:
                      "--set", "data_n=16", "--set", "test_n=16",
                      "--set", "batch_size=8", "--set", "probe_q=3"])
         assert code == 3
+
+    @pytest.mark.parametrize("case,name,results,error", [
+        ("spectrum lr=1e6 steps=20 " + SMALL, "spectrum.json",
+         {"spectra": []}, "NonFiniteLoss"),
+        ("probe-power lr=1e6 steps=20 " + SMALL, "power.json",
+         {"power_curves": []}, "NonFiniteLoss"),
+        ("probe-moments toy=quartic1d x0=1e100", "moments.json", {},
+         "NonFiniteLoss"),
+        (f"bound {BOUND} sigma=-1", "bound.json", {}, "DomainError"),
+    ], ids=["spectrum", "probe-power", "probe-moments", "bound"])
+    def test_numeric_error_leaves_a_json_report(self, tmp_path, capsys, case,
+                                                name, results, error):
+        # A training prefix that diverges, a toy point whose loss overflows,
+        # or bound inputs outside its domain: exit 3, and the report holds
+        # the results so far and the error.
+        subcommand, *sets = case.split()
+        args = [item for kv in sets for item in ("--set", kv)]
+        assert main([subcommand, "--out", str(tmp_path), *args]) == 3
+        assert error in capsys.readouterr().err
+        payload = json.loads((tmp_path / name).read_text())
+        assert payload["results"] == results
+        assert payload["error"].startswith(error + ": ")
+        assert payload["config"]["out"] == str(tmp_path)
+
+    def test_json_report_keeps_the_seeds_before_an_error(self, tmp_path,
+                                                         monkeypatch):
+        sets = SMALL.split() + ["k=2", "spectrum_q=20", "m_trace=4"]
+        args = [item for kv in sets for item in ("--set", kv)]
+        assert main(["spectrum", "--out", str(tmp_path / "ok"),
+                     "--seed", "0,1", *args]) == 0
+        whole = json.loads((tmp_path / "ok" / "spectrum.json").read_text())
+        assert "error" not in whole
+        real = runner.spectrum_deflated
+        calls = []
+
+        def fail_on_second_seed(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ZeroIterate("forced on the second seed")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(runner, "spectrum_deflated", fail_on_second_seed)
+        assert main(["spectrum", "--out", str(tmp_path / "bad"),
+                     "--seed", "0,1", *args]) == 3
+        payload = json.loads((tmp_path / "bad" / "spectrum.json").read_text())
+        assert payload["results"]["spectra"] == whole["results"]["spectra"][:1]
+        assert payload["error"] == "ZeroIterate: forced on the second seed"
 
     def test_bound_and_align_range(self, tmp_path):
         sets = ["--set", "f_s=0.1", "--set", "lambda1=10", "--set", "x_norm=10",

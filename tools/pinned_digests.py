@@ -66,6 +66,10 @@ PINNED = {
     "probe-power": ("probe-power", ("model_layers=2,16,2", "steps=20",
                                     "q_grid=1,3,8", "n_starts=2",
                                     "q_ref=100"), None),
+    "train-relu-mse": ("train", ("activation=relu", "loss_head=mse",
+                                 "steps=30", "eval_every=10"), None),
+    "sde-mse": ("simulate-sde", _SDE + ("loss_head=mse", "steps=10",
+                                        "eval_every=5"), None),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
