@@ -213,8 +213,10 @@ class Tape:
         as one read-only zero broadcast to its shape, so a tape keeps no
         memory for them."""
         v = np.asarray(value, dtype=np.float64)
-        zero = np.broadcast_to(0.0, v.shape)
-        return Tensor(self, "const", (v,) + (zero,) * self.degree, (), (), False)
+        jet = (v,)
+        if self.degree:
+            jet += (np.broadcast_to(0.0, v.shape),) * self.degree
+        return Tensor(self, "const", jet, (), (), False)
 
 
 def _make(tape, op, jet, parents, vjps) -> Tensor:

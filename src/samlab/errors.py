@@ -14,7 +14,7 @@ class NonFiniteLoss(SamlabError):
 
 
 class NonFiniteState(SamlabError):
-    """An integrator state left the finite range."""
+    """An integrator state or a probe's error left the finite range."""
 
 
 class ZeroDirection(SamlabError):

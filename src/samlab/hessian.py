@@ -101,8 +101,7 @@ def _unit_start(dim: int, seed, substream: int, v0) -> np.ndarray:
 
 
 def power_iterates(oracle: LossOracle, x, qs, seed,
-                   v0: np.ndarray | None = None, substream: int = 0,
-                   release: bool = False) -> list:
+                   v0: np.ndarray | None = None, substream: int = 0) -> list:
     """The iterates of v <- Hv/||Hv|| after q rounds, for each q in ``qs``,
     from one run of max(qs) rounds and max(qs) HVPs.
 
@@ -117,7 +116,7 @@ def power_iterates(oracle: LossOracle, x, qs, seed,
     v = _unit_start(oracle.dim, seed, substream, v0)
     at = {}
     for i in range(1, max(qs) + 1):
-        w = oracle.hvp(x, v, release=release)
+        w = oracle.hvp(x, v)
         norm = np.linalg.norm(w, axis=-1, keepdims=True)
         if norm.min() < 1e-300:
             raise ZeroIterate("numerically zero curvature along the iterate")
@@ -128,17 +127,12 @@ def power_iterates(oracle: LossOracle, x, qs, seed,
 
 
 def power_iteration(oracle: LossOracle, x, q: int, seed,
-                    v0: np.ndarray | None = None, substream: int = 0,
-                    release: bool = False) -> EigenEstimate:
+                    v0: np.ndarray | None = None,
+                    substream: int = 0) -> EigenEstimate:
     """q rounds of v <- Hv/||Hv|| from a seeded random unit start.
 
     Uses exactly q + 2 HVPs: q iterations, one for the Rayleigh quotient,
-    and one more for the residual. With ``release`` each HVP's tape is
-    freed as soon as its result is out instead of waiting for the cyclic
-    garbage collector (see :func:`samlab.oracle.jet_pass`). That lowers the
-    peak where tapes of several iterations would pile up, but memory freed
-    at once can go back to the operating system and be page-faulted in
-    again by the next passes, so it is not the default.
+    and one more for the residual.
 
     A stacked x of shape (S, d), on an oracle whose builder sums S per-row
     losses, with a sequence of S seeds, iterates every row at once: row s
@@ -147,10 +141,9 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
     ZeroIterate for all.
     """
     x = _as_array(x)
-    v, = power_iterates(oracle, x, (q,), seed, v0, substream, release)
-    lam = np.sum(v * oracle.hvp(x, v, release=release), axis=-1)
-    residual = np.linalg.norm(oracle.hvp(x, v, release=release)
-                              - lam[..., None] * v, axis=-1)
+    v, = power_iterates(oracle, x, (q,), seed, v0, substream)
+    lam = np.sum(v * oracle.hvp(x, v), axis=-1)
+    residual = np.linalg.norm(oracle.hvp(x, v) - lam[..., None] * v, axis=-1)
     if x.ndim == 1:
         lam, residual = float(lam), float(residual)
     return EigenEstimate(lam, v, residual, hvp_calls=q + 2)

@@ -178,7 +178,7 @@ def eigen_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
     hvp_used = 0
     if v is None or (t1 - 1) % cfg.refresh_every == 0:
         est = power_iteration(oracle, x, cfg.power_iters, seed=state.seed,
-                              substream=t1, release=True)
+                              substream=t1)
         v = est.vector
         hvp_used = est.hvp_calls
     eps = eigen_sam_perturbation(oracle.grad(x), v, cfg.alpha, cfg.grad_floor)

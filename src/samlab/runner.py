@@ -119,11 +119,9 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
         part = slice(lo, lo + per_stack)
         eval_oracle = mlp_oracle(spec, *train.take(idx[part]))
         est = power_iteration(eval_oracle, xs[part], q=probe_q,
-                              seed=seeds[part], v0=v0[part], release=True)
+                              seed=seeds[part], v0=v0[part])
         lam1[part] = est.value
-        # Freed at once like the power iteration's tapes: a stacked tape
-        # left to the cyclic collector raised the peak memory.
-        g_eval = eval_oracle.grad(xs[part], release=True)
+        g_eval = eval_oracle.grad(xs[part])
         for r, (g, v) in enumerate(zip(g_eval, est.vector), start=lo):
             if np.linalg.norm(g) >= 1e-12:
                 alignment[r] = align(g, v).value

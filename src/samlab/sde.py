@@ -136,7 +136,7 @@ def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
         if live is not None and not live[ids].any():
             continue
         jet = jet_pass(builder, xs[ids], degree,
-                       None if tangents is None else tangents[ids], release=True)
+                       None if tangents is None else tangents[ids])
         for coef, rows in zip(coefs, jet):
             coef[ids] = rows
     return coefs
@@ -336,26 +336,33 @@ def one_step_moment_probe(family: OracleFamily, x, eta: float, rho_grid,
     Frobenius error of E[dx dx^T] against eta^2 (drift drift^T + Sigma),
     computed from factors at any d: the error is F^T diag(c) F for the rows
     F = [dx_g; drift; basis^T] and weights c = (w_g, -eta^2, -eta^2 vals),
-    so with F^T = QR it is || R diag(c) R^T ||_F.
+    so with F^T = QR it is || R diag(c) R^T ||_F. Raises NonFiniteState if
+    an error is not finite, as when eta^2 overflows.
     """
     x = np.asarray(x, dtype=np.float64)
+    eta = np.float64(eta)
     rho_grid = [float(r) for r in rho_grid]
     rows = []
     # The per-batch terms do not depend on rho, and order 2 reads only t1, t2.
     terms = _per_batch_terms(family, x, need_third=True, tau=tau)
     for rho in rho_grid:
         xs = x + rho * sam_perturbation(terms[0], tau)
-        deltas = -eta * _batch_jets(family, xs)[0]
-        mean_delta = family.mean(deltas)
         e1 = {}
         e2 = {}
-        for order in (3, 2):
-            d = drift(family, terms, order, rho).combined()
-            e1[order] = float(np.linalg.norm(mean_delta + eta * d))
-            dm = sigma_exact(family, terms, rho, order=order)
-            r = np.linalg.qr(np.vstack([deltas, d, dm.basis.T]).T, mode="r")
-            c = np.concatenate([family.weights, [-eta ** 2], -eta ** 2 * dm.vals])
-            e2[order] = float(np.linalg.norm((r * c) @ r.T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            deltas = -eta * _batch_jets(family, xs)[0]
+            mean_delta = family.mean(deltas)
+            for order in (3, 2):
+                d = drift(family, terms, order, rho).combined()
+                e1[order] = float(np.linalg.norm(mean_delta + eta * d))
+                dm = sigma_exact(family, terms, rho, order=order)
+                r = np.linalg.qr(np.vstack([deltas, d, dm.basis.T]).T, mode="r")
+                c = np.concatenate([family.weights, [-eta ** 2],
+                                    -eta ** 2 * dm.vals])
+                e2[order] = float(np.linalg.norm((r * c) @ r.T))
+        if not np.all(np.isfinite([*e1.values(), *e2.values()])):
+            raise NonFiniteState(f"one-step moment error at rho={rho} is not "
+                                 f"finite (eta={eta:g})")
         rows.append(MomentProbeRow(rho, e1[3], e1[2], e2[3], e2[2]))
     return MomentProbeReport(
         rows=tuple(rows),

@@ -1,5 +1,7 @@
 """Loss oracle queries: examples, invariants, and error paths."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from samlab import engine as eng
 from samlab.data import gen_synthetic
 from samlab.errors import NonFiniteLoss, ZeroDirection
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.oracle import (EPS0_FIRST, LossOracle, ParamVector,
+from samlab.oracle import (EPS0_FIRST, LossOracle, ParamVector, jet_pass,
                            polynomial_oracle_1d, quadratic_oracle)
 
 
@@ -71,12 +73,12 @@ class TestGrad:
         assert loss == oracle.loss(x.values)
         np.testing.assert_array_equal(g, oracle.grad(x.values))
 
-    def test_released_stacked_gradient_is_row_by_row(self):
+    def test_stacked_gradient_is_row_by_row(self):
         spec, ds, _, _ = mlp_282()
         xs = np.stack([init_params(spec, s).values for s in (0, 1)])
         stacked = mlp_oracle(spec, np.stack([ds.inputs[:16], ds.inputs[16:]]),
                              np.stack([ds.labels[:16], ds.labels[16:]]))
-        got = stacked.grad(xs, release=True)
+        got = stacked.grad(xs)
         for r, rows in enumerate((slice(0, 16), slice(16, 32))):
             want = mlp_oracle(spec, ds.inputs[rows], ds.labels[rows]).grad(xs[r])
             np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-15)
@@ -252,6 +254,32 @@ class TestDeterminism:
         assert oracle.loss(x.values) == oracle.loss(x.values)
         assert oracle.grad(x.values).tobytes() == oracle.grad(x.values).tobytes()
         assert oracle.hvp(x.values, v).tobytes() == oracle.hvp(x.values, v).tobytes()
+
+
+class TestTapeLifetime:
+    def test_at_most_one_finished_tape_is_alive(self):
+        # A tape is a Tape<->Tensor reference cycle. With the cyclic
+        # collector off, only jet_pass itself can free the tapes of its
+        # earlier passes.
+        spec, ds, oracle, x = mlp_282()
+        v = np.linspace(-1, 1, spec.dim)
+        tape = eng.Tape(degree=1)
+        oracle.builder(tape, tape.leaf(x.values, tangent=v))
+        per_tape = len(tape.nodes)
+        tape.nodes.clear()
+        first = jet_pass(oracle.builder, x.values, 1, v)
+        kept = [c.copy() for c in first]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                jet_pass(oracle.builder, x.values, 1, v)
+            live = sum(isinstance(o, eng.Tensor) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert live <= per_tape
+        for got, want in zip(first, kept):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestParamVector:

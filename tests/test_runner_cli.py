@@ -713,13 +713,17 @@ class TestCli:
          {"power_curves": []}, "NonFiniteLoss"),
         ("probe-moments toy=quartic1d x0=1e100", "moments.json", {},
          "NonFiniteLoss"),
+        ("probe-moments toy=quartic1d eta=1e200", "moments.json", {},
+         "NonFiniteState"),
         (f"bound {BOUND} sigma=-1", "bound.json", {}, "DomainError"),
-    ], ids=["spectrum", "probe-power", "probe-moments", "bound"])
+    ], ids=["spectrum", "probe-power", "probe-moments", "probe-moments-eta",
+            "bound"])
     def test_numeric_error_leaves_a_json_report(self, tmp_path, capsys, case,
                                                 name, results, error):
         # A training prefix that diverges, a toy point whose loss overflows,
-        # or bound inputs outside its domain: exit 3, and the report holds
-        # the results so far and the error.
+        # a step size whose square overflows, or bound inputs outside its
+        # domain: exit 3, and the report holds the results so far and the
+        # error.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 3
