@@ -29,8 +29,7 @@ POLICY_ENUMERATION = "full-enumeration"
 POLICIES = (POLICY_SHUFFLE, POLICY_REPLACEMENT, POLICY_ENUMERATION)
 
 # Per-coefficient size of a stacked tape, in float64 elements of the leaf and
-# the activations: B * (dim + rows * sum(layer widths)) stays under this, so a
-# stack takes as many batches as fit and a large model runs one per tape.
+# the activations (see stack_plan): a large model runs one batch per tape.
 STACK_ELEMENTS = 1 << 16
 
 
@@ -168,10 +167,11 @@ class OracleFamily:
     ``stacks`` is a callable that yields ``(batch indices, builder)`` pairs
     covering every batch exactly once; each builder takes a
     ``(len(indices), dim)`` leaf and returns the sum of those batches'
-    losses (see :func:`samlab.oracle.jet_pass`). By default each oracle is
-    a stack of its own. A stack is one exact tape pass, so every oracle
-    must be in exact mode. ``parts``, for a family over a dataset, lists
-    each batch's data row indices.
+    losses (see :func:`samlab.oracle.jet_pass`). A family over a dataset
+    (:func:`mlp_family`) stacks its batches as :func:`stack_plan` decides,
+    and ``parts`` lists each batch's data row indices. By default each
+    oracle is a stack of its own. A stack is one exact tape pass, so every
+    oracle must be in exact mode.
     """
 
     def __init__(self, oracles: list, weights: np.ndarray, stacks=None,
@@ -206,36 +206,34 @@ class OracleFamily:
 
 
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:
-    """Oracles over the enumeration partition, stacked by row count. Stack
-    builders are made on demand, so a family holds no second copy of its
-    data."""
+    """Oracles over the enumeration partition, stacked by
+    :func:`stack_plan`. The plan is made once and each stack's builder on
+    demand, so a family holds no second copy of its data."""
     parts = enumeration_batches(dataset.n, batch_size)
     oracles = [mlp_oracle(spec, *dataset.take(idx)) for idx in parts]
-    stack_rows = _stack_rows(spec, parts)
+    plan = stack_plan(spec, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
                         stacks=lambda: ((ids, mlp_builder(spec, *dataset.take(rows)))
-                                        for ids, rows in stack_rows),
+                                        for ids, rows in plan),
                         parts=parts)
 
 
-def _stack_rows(spec: MlpSpec, parts: list) -> list:
-    """(batch indices, their (B, rows) data indices) per stack: batches of
-    one row count, at most STACK_ELEMENTS worth per stack."""
-    sizes = np.array([len(p) for p in parts])
-    out = []
+def stack_plan(spec: MlpSpec, index_sets) -> list:
+    """Which data index sets share a stacked tape of the model: one
+    ``(positions, rows)`` pair per tape, ``positions`` indexing
+    ``index_sets`` and ``rows`` the ``(B, n)`` stack of those sets. Sets
+    are grouped by row count n, largest first, and each group is cut in
+    order into tapes of B * (dim + n * sum(layer widths)) <= STACK_ELEMENTS,
+    at least one set per tape. Every position is in exactly one tape."""
+    sizes = np.array([len(s) for s in index_sets])
+    plan = []
     for size in sorted(set(sizes.tolist()), reverse=True):
-        ids = np.flatnonzero(sizes == size)
-        per_stack = stack_capacity(spec, size)
-        for start in range(0, len(ids), per_stack):
-            chunk = ids[start:start + per_stack]
-            out.append((chunk, np.stack([parts[i] for i in chunk])))
-    return out
-
-
-def stack_capacity(spec: MlpSpec, rows: int) -> int:
-    """How many batches of ``rows`` data rows one stacked tape takes: as many
-    as fit in STACK_ELEMENTS, and at least one."""
-    return max(1, STACK_ELEMENTS // (spec.dim + rows * sum(spec.layers)))
+        at = np.flatnonzero(sizes == size)
+        per_tape = max(1, STACK_ELEMENTS // (spec.dim + size * sum(spec.layers)))
+        for lo in range(0, len(at), per_tape):
+            chunk = at[lo:lo + per_tape]
+            plan.append((chunk, np.stack([index_sets[i] for i in chunk])))
+    return plan
 
 
 def unstacked(oracle):

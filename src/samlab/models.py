@@ -27,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import engine as eng
-from .errors import NonFiniteLoss
-from .oracle import LossOracle, ParamVector
+from .oracle import LossOracle, ParamVector, _tape_pass
 from .rng import STREAM_INIT, stream
 
 ACTIVATIONS = ("gelu", "relu")
@@ -130,15 +129,7 @@ def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
 
 def mlp_oracle(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray,
                mode: str = "exact") -> LossOracle:
-    return LossOracle(mlp_builder(spec, inputs, labels), spec.dim,
-                      layout=spec.layout, mode=mode)
-
-
-def predict_logits(spec: MlpSpec, x: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Plain forward pass for metrics; no tape kept."""
-    tape = eng.Tape(degree=0)
-    leaf = tape.leaf(x.values)
-    return _forward_logits(tape, leaf, spec, np.asarray(inputs, dtype=np.float64)).value
+    return LossOracle(mlp_builder(spec, inputs, labels), spec.dim, mode=mode)
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -150,21 +141,27 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def accuracy(spec: MlpSpec, x: ParamVector, inputs: np.ndarray,
              labels: np.ndarray) -> float:
-    return _accuracy(predict_logits(spec, x, inputs), labels)
+    """Share of rows whose largest logit is their integer label (NaN for
+    vector targets), from one degree-0 pass. Raises NonFiniteLoss if a
+    logit is not finite."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    logits, = _tape_pass(lambda tape, leaf: (
+        _forward_logits(tape, leaf, spec, inputs).value,), x.values)
+    return _accuracy(logits, labels)
 
 
 def loss_and_accuracy(spec: MlpSpec, x: np.ndarray, inputs: np.ndarray,
                       labels: np.ndarray) -> tuple:
     """(loss, accuracy) of the flat parameters x on a data batch, both from
     one degree-0 pass: the loss of ``mlp_oracle(spec, inputs, labels)`` at
-    x and :func:`accuracy`, bit for bit. Raises NonFiniteLoss as
-    ``LossOracle.loss`` does."""
+    x and :func:`accuracy`, bit for bit. Raises NonFiniteLoss if the loss
+    or a logit is not finite."""
     inputs = np.asarray(inputs, dtype=np.float64)
     head = _loss_head(spec, inputs, labels)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tape = eng.Tape(degree=0)
-        logits = _forward_logits(tape, tape.leaf(x), spec, inputs)
-        loss = head(tape, logits)
-    if not np.isfinite(loss.value):
-        raise NonFiniteLoss("non-finite value in loss or derivative")
-    return float(loss.value), _accuracy(logits.value, labels)
+
+    def run(tape, leaf):
+        logits = _forward_logits(tape, leaf, spec, inputs)
+        return head(tape, logits).value, logits.value
+
+    loss, logits = _tape_pass(run, x)
+    return float(loss), _accuracy(logits, labels)

@@ -59,21 +59,16 @@ def _check_finite(*arrays) -> None:
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 
-# The tape of the last pass, emptied when the next pass ends; see jet_pass.
+# The tape of the last pass, emptied when the next pass ends; see _tape_pass.
 _held_tape = None
 
 
-def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
-             with_loss: bool = False):
-    """Adjoint jet of ``builder(tape, leaf)`` at the leaf x, from one tape pass.
-
-    Degree 0 gives (grad,), degree 1 along the tangent u gives (grad, H u),
-    degree 2 gives (grad, H u, third(u, u) / 2); see :func:`engine.backward`.
-    With ``with_loss`` the result is ``(loss, jet)``, the loss being the
-    pass's own forward value, so no second pass is needed for it. Raises
-    NonFiniteLoss if the loss or any coefficient is not finite. With a
-    stacked leaf ``(B, d)`` and a builder that sums B per-batch losses, row
-    b of every coefficient is batch b's own.
+def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
+               tangent=None) -> tuple:
+    """The arrays ``run(tape, leaf)`` returns, from one tape pass of the
+    given degree at the leaf x with its tangent. Raises NonFiniteLoss if
+    any of them is not finite. Every pass of an oracle or a model, forward
+    only or not, is one call of this.
 
     Tape lifetime: the tape of this pass is kept, and the tape of the pass
     before it is emptied, so at most one finished tape is alive in the
@@ -96,14 +91,33 @@ def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
     global _held_tape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tape = eng.Tape(degree=degree)
-        leaf = tape.leaf(x, tangent=tangent)
-        out = builder(tape, leaf)
-        adj = eng.backward(out, [leaf])[0]
+        values = run(tape, tape.leaf(x, tangent=tangent))
     if _held_tape is not None:
         _held_tape.nodes.clear()
     _held_tape = tape
-    _check_finite(out.value, *adj)
-    return (float(out.value), adj) if with_loss else adj
+    _check_finite(*values)
+    return values
+
+
+def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
+             with_loss: bool = False):
+    """Adjoint jet of ``builder(tape, leaf)`` at the leaf x, from one tape pass.
+
+    Degree 0 gives (grad,), degree 1 along the tangent u gives (grad, H u),
+    degree 2 gives (grad, H u, third(u, u) / 2); see :func:`engine.backward`.
+    With ``with_loss`` the result is ``(loss, jet)``, the loss being the
+    pass's own forward value, so no second pass is needed for it. Raises
+    NonFiniteLoss if the loss or any coefficient is not finite. With a
+    stacked leaf ``(B, d)`` and a builder that sums B per-batch losses, row
+    b of every coefficient is batch b's own. The tape is kept until the
+    next pass (see :func:`_tape_pass`).
+    """
+    def run(tape, leaf):
+        out = builder(tape, leaf)
+        return (out.value, *eng.backward(out, [leaf])[0])
+
+    values = _tape_pass(run, x, degree, tangent)
+    return (float(values[0]), values[1:]) if with_loss else values[1:]
 
 
 class LossOracle:
@@ -114,13 +128,11 @@ class LossOracle:
     a pure function of the query point.
     """
 
-    def __init__(self, builder: Callable, dim: int, layout: tuple = (),
-                 mode: str = "exact"):
+    def __init__(self, builder: Callable, dim: int, mode: str = "exact"):
         if mode not in ("exact", "fd"):
             raise ValueError(f"unknown derivative mode {mode!r}")
         self.builder = builder
         self.dim = dim
-        self.layout = layout
         self.mode = mode
 
     # -- helpers ------------------------------------------------------------
@@ -140,12 +152,9 @@ class LossOracle:
     # -- queries ------------------------------------------------------------
 
     def loss(self, x) -> float:
-        x = self._as_array(x)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tape = eng.Tape(degree=0)
-            out = self.builder(tape, tape.leaf(x))
-        _check_finite(out.value)
-        return float(out.value)
+        loss, = _tape_pass(lambda tape, leaf: (self.builder(tape, leaf).value,),
+                           self._as_array(x))
+        return float(loss)
 
     def grad(self, x, with_loss: bool = False):
         """Gradient at x (row by row for stacked x) from one tape pass; with

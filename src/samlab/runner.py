@@ -39,7 +39,7 @@ from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
                      pac_bayes_bound)
 from .config import render
 from .data import (BatchSampler, Dataset, gen_synthetic, load_idx,
-                   mlp_family, sample_batch, stack_capacity, unstacked)
+                   mlp_family, sample_batch, stack_plan)
 from .errors import ConfigError, SamlabError
 from .hessian import (align, hutchinson_trace, power_iterates,
                       power_iteration, spectrum_deflated)
@@ -102,8 +102,8 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
     ``train_loss``, and one forward pass on the test set, whose logits give
     both ``test_loss`` and ``test_accuracy``. ``lambda1`` and
     ``alignment`` use the evaluation batch and the start vector that the
-    row's seed draws at t. The rows are stacked as far as
-    ``data.stack_capacity`` allows, and each stack takes one stacked power
+    row's seed draws at t. The rows' evaluation batches are stacked as
+    :func:`data.stack_plan` decides, and each stack takes one stacked power
     iteration and one stacked evaluation-batch gradient."""
     train_oracle = mlp_oracle(spec, train.inputs, train.labels)
     seeds = [seed for _, seed in labels]
@@ -114,15 +114,13 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
                    for seed in seeds])
     lam1 = np.empty(len(labels))
     alignment = np.full(len(labels), np.nan)
-    per_stack = stack_capacity(spec, size)
-    for lo in range(0, len(labels), per_stack):
-        part = slice(lo, lo + per_stack)
-        eval_oracle = mlp_oracle(spec, *train.take(idx[part]))
-        est = power_iteration(eval_oracle, xs[part], q=probe_q,
-                              seed=seeds[part], v0=v0[part])
-        lam1[part] = est.value
-        g_eval = eval_oracle.grad(xs[part])
-        for r, (g, v) in enumerate(zip(g_eval, est.vector), start=lo):
+    for at, rows in stack_plan(spec, idx):
+        eval_oracle = mlp_oracle(spec, *train.take(rows))
+        est = power_iteration(eval_oracle, xs[at], q=probe_q,
+                              seed=[seeds[r] for r in at], v0=v0[at])
+        lam1[at] = est.value
+        g_eval = eval_oracle.grad(xs[at])
+        for r, g, v in zip(at, g_eval, est.vector):
             if np.linalg.norm(g) >= 1e-12:
                 alignment[r] = align(g, v).value
 
@@ -244,29 +242,23 @@ _PROCESS_ORDER = {"sde2": 2, "sde3": 3,
 def _picked_oracle(spec: MlpSpec, train: Dataset, family,
                    picks: list) -> LossOracle:
     """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
-    family. A stack of one reads its ``(1, d)`` leaf into that batch's own
-    oracle. That needs no new builder, no selection product and no batched
-    matmuls, and takes about a quarter less time per SAM step on a small
-    model than a group of one. Otherwise the picked batches are grouped by
-    row count, and each group reads its rows of the
-    ``(S, d)`` leaf through a constant 0/1 selection matrix, which copies
-    them exactly."""
-    if len(picks) == 1:
-        return LossOracle(unstacked(family.oracles[picks[0]]), spec.dim,
-                          spec.layout)
-    batches = [family.parts[b] for b in picks]
-    select = np.eye(len(batches))
-    groups = []
-    for size in sorted({len(b) for b in batches}):
-        at = [s for s, b in enumerate(batches) if len(b) == size]
-        groups.append((select[at], mlp_builder(
-            spec, *train.take(np.stack([batches[s] for s in at])))))
+    family, its tapes as :func:`data.stack_plan` decides. A plan of one
+    tape, such as a single pick or picks of one row count, is the plain
+    stacked oracle over those batches. A plan of more tapes reads each
+    tape's rows of the ``(S, d)`` leaf through a constant 0/1 selection
+    matrix, which copies them exactly, and sums the tapes' losses."""
+    plan = stack_plan(spec, [family.parts[b] for b in picks])
+    if len(plan) == 1:
+        return mlp_oracle(spec, *train.take(plan[0][1]))
+    select = np.eye(len(picks))
+    tapes = [(select[at], mlp_builder(spec, *train.take(rows)))
+             for at, rows in plan]
 
     def build(tape, leaf):
         losses = [builder(tape, eng.matmul(tape.const(rows), leaf))
-                  for rows, builder in groups]
+                  for rows, builder in tapes]
         return functools.reduce(eng.add, losses)
-    return LossOracle(build, spec.dim, spec.layout)
+    return LossOracle(build, spec.dim)
 
 
 def _sam_rows(config: dict, sde_cfg: sde_mod.SdeConfig, spec: MlpSpec,

@@ -30,9 +30,9 @@ The per-batch vectors come from a gradient, then one jet along
 u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
 coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. Each
 is one exact tape pass per stack of the family, on a ``(B, d)`` leaf whose
-row b is batch b's point: an ``mlp_family`` stack holds as many batches of
-one row count as fit in ``data.STACK_ELEMENTS``, and any other family has
-one batch per stack. The aligned term3 and the moment probe's one-step
+row b is batch b's point: an ``mlp_family`` stacks its batches as
+:func:`data.stack_plan` decides, and any other family has one batch per
+stack. The aligned term3 and the moment probe's one-step
 deltas come from the same per-stack passes.
 
 :func:`one_step_moment_probe` checks the weak order of the expansion: it

@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+import samlab.data
 from samlab.data import (POLICY_ENUMERATION, POLICY_REPLACEMENT, POLICY_SHUFFLE,
                          BatchSampler, Dataset, enumeration_batches,
-                         gen_synthetic, load_idx, mlp_family, sample_batch)
+                         gen_synthetic, load_idx, mlp_family, sample_batch,
+                         stack_plan)
 from samlab.errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 from samlab.models import MlpSpec, init_params, mlp_oracle
 from samlab.rng import STREAM_BATCH, stream
@@ -243,3 +245,38 @@ class TestFamilyExpectations:
         assert [len(p) for p in parts] == [4, 4, 2]
         with pytest.raises(EmptyDataset):
             enumeration_batches(0, 4)
+
+
+class TestStackPlan:
+    SPEC = MlpSpec((2, 16, 2))  # 82 + n * 20 elements per set of n rows
+
+    def assert_valid_plan(self, plan, index_sets):
+        positions = np.concatenate([at for at, _ in plan]).tolist()
+        assert sorted(positions) == list(range(len(index_sets)))
+        for at, rows in plan:
+            sizes = {len(index_sets[i]) for i in at}
+            assert len(sizes) == 1
+            np.testing.assert_array_equal(
+                rows, np.stack([index_sets[i] for i in at]))
+            per_set = self.SPEC.dim + sizes.pop() * sum(self.SPEC.layers)
+            assert len(at) == 1 or len(at) * per_set <= samlab.data.STACK_ELEMENTS
+
+    @pytest.mark.parametrize("n,picks,budget,want", [
+        # The family case: 7 full batches of 32 (722 elements each, two per
+        # tape at 2000) and a tail of 26 rows on a tape of its own.
+        (250, None, 2000, [[0, 1], [2, 3], [4, 5], [6], [7]]),
+        # Repeated, ragged picks on 32, 32, 32, 4 rows: the 32-row pick
+        # first, then the three 4-row picks on one tape.
+        (100, [3, 3, 0, 3], None, [[2], [0, 1, 3]]),
+        # A budget below one set still gives each set a tape.
+        (100, [3, 3, 0, 3], 100, [[2], [0], [1], [3]]),
+    ])
+    def test_positions_sizes_and_capacity(self, monkeypatch, n, picks, budget,
+                                          want):
+        if budget is not None:
+            monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", budget)
+        parts = enumeration_batches(n, 32)
+        index_sets = parts if picks is None else [parts[b] for b in picks]
+        plan = stack_plan(self.SPEC, index_sets)
+        assert [at.tolist() for at, _ in plan] == want
+        self.assert_valid_plan(plan, index_sets)

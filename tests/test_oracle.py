@@ -9,7 +9,8 @@ from helpers import central_diff_grad, straightline_mlp_loss, zoo_oracle, zoo_sp
 from samlab import engine as eng
 from samlab.data import gen_synthetic
 from samlab.errors import NonFiniteLoss, ZeroDirection
-from samlab.models import MlpSpec, init_params, mlp_oracle
+from samlab.models import (MlpSpec, accuracy, init_params, loss_and_accuracy,
+                           mlp_oracle)
 from samlab.oracle import (EPS0_FIRST, LossOracle, ParamVector, jet_pass,
                            polynomial_oracle_1d, quadratic_oracle)
 
@@ -82,11 +83,6 @@ class TestGrad:
         for r, rows in enumerate((slice(0, 16), slice(16, 32))):
             want = mlp_oracle(spec, ds.inputs[rows], ds.labels[rows]).grad(xs[r])
             np.testing.assert_allclose(got[r], want, rtol=1e-12, atol=1e-15)
-
-    def test_layout_preserved(self):
-        spec, _, oracle, x = mlp_282()
-        # ParamVector refuses a layout that does not cover the gradient.
-        assert ParamVector(oracle.grad(x), oracle.layout).layout == x.layout
 
 
 class TestHvp:
@@ -280,6 +276,27 @@ class TestTapeLifetime:
         assert live <= per_tape
         for got, want in zip(first, kept):
             np.testing.assert_array_equal(got, want)
+
+    def test_forward_only_passes_keep_one_tape(self):
+        spec, ds, oracle, x = mlp_282()
+        tape = eng.Tape()
+        oracle.builder(tape, tape.leaf(x.values))
+        per_tape = len(tape.nodes)
+        tape.nodes.clear()
+        want = (loss_and_accuracy(spec, x.values, ds.inputs, ds.labels),
+                oracle.loss(x), accuracy(spec, x, ds.inputs, ds.labels))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                got = (loss_and_accuracy(spec, x.values, ds.inputs, ds.labels),
+                       oracle.loss(x), accuracy(spec, x, ds.inputs, ds.labels))
+                assert got == want
+            live = sum(isinstance(o, eng.Tensor) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert live <= per_tape
+        assert want[0] == (want[1], want[2])
 
 
 class TestParamVector:

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from samlab import engine as eng
+from samlab import runner
 from samlab.cli import main
 from samlab.config import SCHEMAS, parse_config_file, render, resolve
-from samlab import runner
+from samlab.data import gen_synthetic, mlp_family
 from samlab.errors import ConfigError, NonFiniteLoss, ZeroIterate
 from samlab.metrics import COLUMNS, canonical_bytes, read_csv
-from samlab.models import init_params
+from samlab.models import MlpSpec, init_params, mlp_builder
 from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
 
@@ -236,7 +238,6 @@ class TestLockstepSeeds:
         # oracle sees its parameters scaled by row_scale: NaN makes its loss
         # non-finite, 0 makes its Hessian vanish, so the Eigen-SAM refresh
         # at t1 = 4 (p = 3) meets a zero iterate. Seed 0 is unaffected.
-        from samlab import engine as eng
         from samlab.oracle import LossOracle
 
         real = runner.mlp_oracle
@@ -256,7 +257,7 @@ class TestLockstepSeeds:
 
             def build(tape, x):
                 return oracle.builder(tape, eng.mul(x, tape.const(scale)))
-            return LossOracle(build, oracle.dim, oracle.layout)
+            return LossOracle(build, oracle.dim)
 
         monkeypatch.setattr(runner, "mlp_oracle", faulty_oracle)
         code = main(["train", "--out", str(tmp_path), "--seed", "0,1",
@@ -403,6 +404,48 @@ def assert_rows_close(rows, single):
                                            err_msg=col)
             else:
                 assert va == vb, col
+
+
+class TestPickedOracle:
+    """The discrete-SAM oracle of one lockstep step, on the 32, 32, 32 and 4
+    row batches of 100 rows."""
+
+    SPEC = MlpSpec((2, 16, 2))
+
+    def family(self):
+        train = gen_synthetic(100, 2, 2, 1.0, 0)
+        return train, mlp_family(self.SPEC, train, 32)
+
+    @pytest.mark.parametrize("picks", [[1], [3], [0, 2, 0]])
+    def test_one_tape_plan_is_the_plain_stacked_oracle(self, picks):
+        train, family = self.family()
+        oracle = runner._picked_oracle(self.SPEC, train, family, picks)
+        plain = mlp_builder(self.SPEC, *train.take(
+            np.stack([family.parts[b] for b in picks])))
+        xs = np.zeros((len(picks), self.SPEC.dim))
+        ops = tape_ops(oracle.builder, xs)
+        assert ops == tape_ops(plain, xs)
+        assert "matmul" not in ops
+
+    def test_mixed_plan_rows_are_each_batchs_own(self):
+        train, family = self.family()
+        picks = [3, 3, 0, 3]
+        oracle = runner._picked_oracle(self.SPEC, train, family, picks)
+        xs = np.stack([init_params(self.SPEC, s).values for s in range(4)])
+        loss, grads = oracle.grad(xs, with_loss=True)
+        assert "matmul" in tape_ops(oracle.builder, xs)
+        own = [family.oracles[b].grad(x, with_loss=True)
+               for b, x in zip(picks, xs)]
+        for g, (_, want) in zip(grads, own):
+            np.testing.assert_array_equal(g, want)
+        assert loss == pytest.approx(sum(l for l, _ in own), rel=1e-15)
+
+
+def tape_ops(build, xs):
+    """The op of each node on the tape that ``build`` records at xs."""
+    tape = eng.Tape()
+    build(tape, tape.leaf(xs))
+    return [node.op for node in tape.nodes]
 
 
 class TestLockstepSde:

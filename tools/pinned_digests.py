@@ -70,6 +70,11 @@ PINNED = {
                                  "steps=30", "eval_every=10"), None),
     "sde-mse": ("simulate-sde", _SDE + ("loss_head=mse", "steps=10",
                                         "eval_every=5"), None),
+    # Three seeds on batches of 32, 32, 32 and 4 rows: lockstep discrete-SAM
+    # steps whose picks share one row count and steps whose picks do not.
+    "sde-sam-seeds": ("simulate-sde", (
+        "model_layers=2,16,2", "data_n=100", "processes=discrete-sam,sde2",
+        "steps=20", "eval_every=5", "probe_q=10"), "0,1,2"),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
