@@ -198,11 +198,9 @@ class OracleFamily:
         idx = int(np.searchsorted(np.cumsum(self.weights), u, side="right"))
         return min(idx, len(self.weights) - 1)
 
-    def mean(self, per_batch: list) -> np.ndarray:
-        acc = self.weights[0] * np.asarray(per_batch[0], dtype=np.float64)
-        for w, v in zip(self.weights[1:], per_batch[1:]):
-            acc = acc + w * np.asarray(v, dtype=np.float64)
-        return acc
+    def mean(self, rows: np.ndarray) -> np.ndarray:
+        """The weighted mean of per-batch rows ``(B, d)``."""
+        return (self.weights[:, None] * rows).sum(axis=0)
 
 
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:

@@ -35,6 +35,25 @@ in fewer array operations than tanh of a cubic composed from jet products.
 A constant's higher coefficients are one read-only zero, and ``matmul`` and
 ``dense`` multiply only the primal of a constant operand, such as an MLP's
 data input.
+
+Record and push. Each op has one rule in two parts. The primal part runs
+when the node is made: it computes coefficient 0 and the factors of the
+rule that depend only on the primal point. The tangent part computes
+coefficients 1..k from the parents' jets; a tape of degree k runs it right
+after the primal part. The VJP ``vjp(g, lo)`` of a node gives coefficients
+lo..k of its parent's adjoint from the node's adjoint jet g. A tape thus
+*records* its point: every node's coefficient 0 and factors, and, after
+:func:`backward`, coefficient 0 of the adjoints a push reads (those of the
+leaves and of every node whose VJP is not linear). :meth:`Tape.push` then
+seeds a new tangent at that point and runs only the tangent parts, and the
+next :func:`backward` sweeps coefficients 1..k only (lo = 1), reading
+coefficient 0 from the record. So an HVP at a recorded point is one
+tangent sweep each way over a fixed linearisation. The factors kept are
+GeLU's f' (with f'' and f''' once a degree has needed them, t until then),
+softmax_ce's exponentials, sums and quotient, ReLU's mask, pow_int's powers
+and dense's transposed primal input. Coefficient m of every rule depends on
+coefficients 0..m of its inputs only, so a push gives a fresh pass's
+coefficients bit for bit.
 """
 
 from __future__ import annotations
@@ -76,16 +95,11 @@ def jscale(a: Jet, c: float) -> Jet:
     return tuple(c * x for x in a)
 
 
-def _jplus(a: Jet, c: float) -> Jet:
-    """a + c for a constant c: only the primal coefficient moves."""
-    return (a[0] + c,) + a[1:]
-
-
-def jmul(a: Jet, b: Jet) -> Jet:
-    """Truncated product: coefficient m is sum of a_i * b_j over i + j = m."""
-    k = len(a) - 1
+def jmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
+    """Coefficients lo..k of the truncated product: coefficient m is the
+    sum of a_i * b_j over i + j = m."""
     out = []
-    for m in range(k + 1):
+    for m in range(lo, len(a)):
         acc = a[0] * b[m]
         for i in range(1, m + 1):
             acc = acc + a[i] * b[m - i]
@@ -93,10 +107,10 @@ def jmul(a: Jet, b: Jet) -> Jet:
     return tuple(out)
 
 
-def jmatmul(a: Jet, b: Jet) -> Jet:
-    k = len(a) - 1
+def jmatmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
+    """Coefficients lo..k of the truncated matrix product."""
     out = []
-    for m in range(k + 1):
+    for m in range(lo, len(a)):
         acc = a[0] @ b[m]
         for i in range(1, m + 1):
             acc = acc + a[i] @ b[m - i]
@@ -104,19 +118,20 @@ def jmatmul(a: Jet, b: Jet) -> Jet:
     return tuple(out)
 
 
-def jdiv(a: Jet, b: Jet) -> Jet:
-    c0 = a[0] / b[0]
+def jdiv(a: Jet, b: Jet, c0=None) -> Jet:
+    """a / b; ``c0`` is a[0] / b[0] where it is already known."""
+    c0 = a[0] / b[0] if c0 is None else c0
     out = [c0]
     if len(a) > 1:
-        c1 = (a[1] - c0 * b[1]) / b[0]
-        out.append(c1)
+        out.append((a[1] - c0 * b[1]) / b[0])
     if len(a) > 2:
         out.append((a[2] - c0 * b[2] - out[1] * b[1]) / b[0])
     return tuple(out)
 
 
-def jexp(a: Jet) -> Jet:
-    e = np.exp(a[0])
+def jexp(a: Jet, e=None) -> Jet:
+    """exp(a); ``e`` is exp(a[0]) where it is already known."""
+    e = np.exp(a[0]) if e is None else e
     out = [e]
     if len(a) > 1:
         out.append(e * a[1])
@@ -125,23 +140,15 @@ def jexp(a: Jet) -> Jet:
     return tuple(out)
 
 
-def jlog(a: Jet) -> Jet:
-    out = [np.log(a[0])]
+def jlog(a: Jet, log0=None) -> Jet:
+    """log(a); ``log0`` is log(a[0]) where it is already known."""
+    out = [np.log(a[0]) if log0 is None else log0]
     if len(a) > 1:
         r = a[1] / a[0]
         out.append(r)
     if len(a) > 2:
         out.append(a[2] / a[0] - 0.5 * r * r)
     return tuple(out)
-
-
-def jpow_int(a: Jet, p: int) -> Jet:
-    if p < 1:
-        raise ValueError("pow_int requires integer power >= 1")
-    out = a
-    for _ in range(p - 1):
-        out = jmul(out, a)
-    return out
 
 
 def _reduce_to(arr: np.ndarray, shape: tuple) -> np.ndarray:
@@ -161,22 +168,35 @@ def jreduce_to(a: Jet, shape: tuple) -> Jet:
     return tuple(_reduce_to(x, shape) for x in a)
 
 
+def _transposed(a: Jet) -> list:
+    return [c.swapaxes(-1, -2) for c in a]
+
+
 # ---------------------------------------------------------------------------
 # tape and nodes
 # ---------------------------------------------------------------------------
 
 class Tensor:
-    """One node on a tape: a jet value plus links for the backward sweep."""
+    """One node on a tape: a jet value plus links for the backward sweep.
 
-    __slots__ = ("tape", "idx", "op", "jet", "parents", "vjps", "requires_grad")
+    ``tangent()`` is the tangent part of the node's rule, None for leaves
+    and constants, whose higher coefficients the tape seeds. A ``linear``
+    node's VJPs map each adjoint coefficient on its own, so a push needs
+    no coefficient 0 of its adjoint."""
 
-    def __init__(self, tape, op, jet, parents, vjps, requires_grad):
+    __slots__ = ("tape", "idx", "op", "jet", "parents", "vjps",
+                 "requires_grad", "tangent", "linear")
+
+    def __init__(self, tape, op, jet, parents, vjps, requires_grad,
+                 tangent=None, linear=False):
         self.tape = tape
         self.op = op
         self.jet = jet
         self.parents = parents
         self.vjps = vjps
         self.requires_grad = requires_grad
+        self.tangent = tangent
+        self.linear = linear
         self.idx = len(tape.nodes)
         tape.nodes.append(self)
 
@@ -190,38 +210,74 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of operations; creation order is topological order."""
+    """Ordered record of operations; creation order is topological order.
+
+    ``adjoint`` is None until :func:`backward` sweeps the tape, then the
+    output's index and, per node, coefficient 0 of its adjoint: None for a
+    linear node and where the output does not reach."""
 
     def __init__(self, degree: int = 0):
-        if not 0 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
+        _check_degree(degree)
         self.degree = degree
         self.nodes: list[Tensor] = []
+        self.adjoint = None
+
+    def _seeds(self, v: np.ndarray, tangent) -> tuple:
+        """A leaf's coefficients 1..degree: the tangent, then zeros."""
+        return tuple(np.zeros_like(v) if t is None
+                     else np.asarray(t, dtype=np.float64)
+                     for t in (tangent, None)[: self.degree])
+
+    def _zeros(self, v: np.ndarray) -> tuple:
+        """A constant's coefficients 1..degree: one read-only zero, so a
+        tape keeps no memory for them."""
+        return (np.broadcast_to(0.0, v.shape),) * self.degree if self.degree else ()
 
     def leaf(self, value, tangent=None) -> Tensor:
         """Differentiable input. The tangent seeds the jet's first-order
         coefficient; the second-order one is zero."""
         v = np.asarray(value, dtype=np.float64)
-        coeffs = [v]
-        for t in (tangent, None)[: self.degree]:
-            coeffs.append(np.zeros_like(v) if t is None
-                          else np.asarray(t, dtype=np.float64))
-        return Tensor(self, "leaf", tuple(coeffs), (), (), True)
+        return Tensor(self, "leaf", (v,) + self._seeds(v, tangent), (), (),
+                      True)
 
     def const(self, value) -> Tensor:
-        """Non-differentiable input. Its higher coefficients are zero, held
-        as one read-only zero broadcast to its shape, so a tape keeps no
-        memory for them."""
+        """Non-differentiable input; its higher coefficients are zero."""
         v = np.asarray(value, dtype=np.float64)
-        jet = (v,)
-        if self.degree:
-            jet += (np.broadcast_to(0.0, v.shape),) * self.degree
-        return Tensor(self, "const", jet, (), (), False)
+        return Tensor(self, "const", (v,) + self._zeros(v), (), (), False)
+
+    def push(self, leaf: Tensor, tangent, degree: int) -> None:
+        """Seed ``leaf`` with the tangent (any other leaf with zero) at the
+        recorded point and sweep coefficients 1..degree of every node's jet
+        by its tangent part; coefficient 0 and the factors stay as
+        recorded. The next :func:`backward` then sweeps coefficients
+        1..degree only."""
+        _check_degree(degree)
+        self.degree = degree
+        for node in self.nodes:
+            v = node.jet[0]
+            if node.tangent is not None:
+                node.jet = (v,) + node.tangent()
+            elif node.requires_grad:
+                node.jet = (v,) + self._seeds(v, tangent if node is leaf else None)
+            else:
+                node.jet = (v,) + self._zeros(v)
 
 
-def _make(tape, op, jet, parents, vjps) -> Tensor:
+def _check_degree(degree: int) -> None:
+    if not 0 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
+
+
+def _make(tape, op, primal, parents, vjps, tangent,
+          linear: bool = False) -> Tensor:
+    """A node from the primal part of its rule; a tape of degree > 0 runs
+    the tangent part at once."""
     rg = any(p.requires_grad for p in parents)
-    return Tensor(tape, op, jet, tuple(parents), tuple(vjps), rg)
+    node = Tensor(tape, op, (primal,), tuple(parents), tuple(vjps), rg,
+                  tangent, linear)
+    if tape.degree:
+        node.jet += tangent()
+    return node
 
 
 def _wrap(tape, x):
@@ -235,30 +291,34 @@ def _wrap(tape, x):
 def add(a: Tensor, b) -> Tensor:
     b = _wrap(a.tape, b)
     sa, sb = a.shape, b.shape
-    return _make(a.tape, "add", jadd(a.jet, b.jet), (a, b),
-                 (lambda g: jreduce_to(g, sa), lambda g: jreduce_to(g, sb)))
+    return _make(a.tape, "add", a.jet[0] + b.jet[0], (a, b),
+                 (lambda g, lo=0: jreduce_to(g[lo:], sa),
+                  lambda g, lo=0: jreduce_to(g[lo:], sb)),
+                 lambda: jadd(a.jet[1:], b.jet[1:]), linear=True)
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _wrap(a.tape, b)
     sa, sb = a.shape, b.shape
-    return _make(a.tape, "sub", jsub(a.jet, b.jet), (a, b),
-                 (lambda g: jreduce_to(g, sa),
-                  lambda g: jreduce_to(jneg(g), sb)))
+    return _make(a.tape, "sub", a.jet[0] - b.jet[0], (a, b),
+                 (lambda g, lo=0: jreduce_to(g[lo:], sa),
+                  lambda g, lo=0: jreduce_to(jneg(g[lo:]), sb)),
+                 lambda: jsub(a.jet[1:], b.jet[1:]), linear=True)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(a.tape, b)
     sa, sb = a.shape, b.shape
-    aj, bj = a.jet, b.jet
-    return _make(a.tape, "mul", jmul(aj, bj), (a, b),
-                 (lambda g: jreduce_to(jmul(g, bj), sa),
-                  lambda g: jreduce_to(jmul(g, aj), sb)))
+    return _make(a.tape, "mul", a.jet[0] * b.jet[0], (a, b),
+                 (lambda g, lo=0: jreduce_to(jmul(g, b.jet, lo), sa),
+                  lambda g, lo=0: jreduce_to(jmul(g, a.jet, lo), sb)),
+                 lambda: jmul(a.jet, b.jet, 1))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _make(a.tape, "scale", jscale(a.jet, c), (a,),
-                 (lambda g: jscale(g, c),))
+    return _make(a.tape, "scale", c * a.jet[0], (a,),
+                 (lambda g, lo=0: jscale(g[lo:], c),),
+                 lambda: jscale(a.jet[1:], c), linear=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -267,19 +327,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     An operand that requires no grad is a constant, so its higher jet
     coefficients are zero: only its primal multiplies the other operand's
     coefficients, and it gets no VJP. An MLP's data input is one."""
-    aj, bj = a.jet, b.jet
+    a0, b0 = a.jet[0], b.jet[0]
     if not a.requires_grad:
-        a0T = aj[0].swapaxes(-1, -2)
-        return _make(a.tape, "matmul", tuple(aj[0] @ c for c in bj), (a, b),
-                     (None, lambda g: tuple(a0T @ c for c in g)))
+        a0T = a0.swapaxes(-1, -2)
+        return _make(a.tape, "matmul", a0 @ b0, (a, b),
+                     (None, lambda g, lo=0: tuple(a0T @ c for c in g[lo:])),
+                     lambda: tuple(a0 @ c for c in b.jet[1:]), linear=True)
     if not b.requires_grad:
-        b0T = bj[0].swapaxes(-1, -2)
-        return _make(a.tape, "matmul", tuple(c @ bj[0] for c in aj), (a, b),
-                     (lambda g: tuple(c @ b0T for c in g), None))
-    ajT = tuple(c.swapaxes(-1, -2) for c in aj)
-    bjT = tuple(c.swapaxes(-1, -2) for c in bj)
-    return _make(a.tape, "matmul", jmatmul(aj, bj), (a, b),
-                 (lambda g: jmatmul(g, bjT), lambda g: jmatmul(ajT, g)))
+        b0T = b0.swapaxes(-1, -2)
+        return _make(a.tape, "matmul", a0 @ b0, (a, b),
+                     (lambda g, lo=0: tuple(c @ b0T for c in g[lo:]), None),
+                     lambda: tuple(c @ b0 for c in a.jet[1:]), linear=True)
+    return _make(a.tape, "matmul", a0 @ b0, (a, b),
+                 (lambda g, lo=0: jmatmul(g, _transposed(b.jet), lo),
+                  lambda g, lo=0: jmatmul(_transposed(a.jet), g, lo)),
+                 lambda: jmatmul(a.jet, b.jet, 1))
 
 
 def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
@@ -298,27 +360,36 @@ def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
     lead = full[:-1]
     mid = offset + fan_in * fan_out
     stop = mid + fan_out
-    wj = tuple(c[..., offset:mid].reshape(lead + shape) for c in x.jet)
-    bj = tuple(c[..., None, mid:stop] for c in x.jet)
-    hj, const = h.jet, not h.requires_grad
-    hjT = tuple(c.swapaxes(-1, -2) for c in hj)
-    out = tuple(hj[0] @ c for c in wj) if const else jmatmul(hj, wj)
+    h0, const = h.jet[0], not h.requires_grad
+    h0T = h0.swapaxes(-1, -2)
 
-    def vjp_h(g):
-        return jmatmul(g, tuple(c.swapaxes(-1, -2) for c in wj))
+    def weight(c):
+        return c[..., offset:mid].reshape(lead + shape)
 
-    def vjp_x(g):
-        gw = tuple(hjT[0] @ c for c in g) if const else jmatmul(hjT, g)
+    def tangent():
+        wj = [weight(c) for c in x.jet]
+        out = (tuple(h0 @ c for c in wj[1:]) if const
+               else jmatmul(h.jet, wj, 1))
+        return jadd(out, [c[..., None, mid:stop] for c in x.jet[1:]])
+
+    def vjp_h(g, lo=0):
+        return jmatmul(g, [weight(c).swapaxes(-1, -2) for c in x.jet], lo)
+
+    def vjp_x(g, lo=0):
+        gw = (tuple(h0T @ c for c in g[lo:]) if const
+              else jmatmul(_transposed(h.jet), g, lo))
         adj = []
-        for cw, cg in zip(gw, g):
+        for cw, cg in zip(gw, g[lo:]):
             z = np.zeros(full)
             z[..., offset:mid] = cw.reshape(lead + (mid - offset,))
             z[..., mid:stop] = cg.sum(axis=-2)
             adj.append(z)
         return tuple(adj)
 
-    return _make(x.tape, "dense", jadd(out, bj), (h, x),
-                 (None if const else vjp_h, vjp_x))
+    x0 = x.jet[0]
+    return _make(x.tape, "dense", h0 @ weight(x0) + x0[..., None, mid:stop],
+                 (h, x), (None if const else vjp_h, vjp_x), tangent,
+                 linear=const)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -326,54 +397,99 @@ def relu(a: Tensor) -> Tensor:
     # coefficients share one mask. ReLU has no Taylor expansion at the kink;
     # an input of exactly 0 takes the zero branch.
     mask = (a.jet[0] > 0.0).astype(np.float64)
-    return _make(a.tape, "relu", tuple(c * mask for c in a.jet), (a,),
-                 (lambda g: tuple(c * mask for c in g),))
+    return _make(a.tape, "relu", a.jet[0] * mask, (a,),
+                 (lambda g, lo=0: tuple(c * mask for c in g[lo:]),),
+                 lambda: tuple(c * mask for c in a.jet[1:]), linear=True)
 
 
 def pow_int(a: Tensor, p: int) -> Tensor:
-    aj = a.jet
+    """a^p by repeated jet products; the VJP multiplies by the jet of
+    p a^(p-1), the product chain's second-to-last jet."""
+    if p < 1:
+        raise ValueError("pow_int requires integer power >= 1")
+    a0 = a.jet[0]
+    powers = [a0]                                      # a^1 .. a^p at a0
+    for _ in range(p - 1):
+        powers.append(powers[-1] * a0)
+    slope = [float(p) * powers[-2]] if p > 1 else []   # jet of p a^(p-1)
 
-    def vjp(g):
-        if p == 1:
-            return g
-        return jmul(g, jscale(jpow_int(aj, p - 1), float(p)))
+    def tangent():
+        aj = a.jet
+        out = aj
+        for i in range(1, p):
+            if i == p - 1:
+                slope[1:] = jscale(out[1:], float(p))
+            out = (powers[i],) + jmul(out, aj, 1)
+        return out[1:]
 
-    return _make(a.tape, f"pow{p}", jpow_int(aj, p), (a,), (vjp,))
+    def vjp(g, lo=0):
+        return jmul(g, slope, lo) if p > 1 else g[lo:]
+
+    return _make(a.tape, f"pow{p}", powers[-1], (a,), (vjp,), tangent,
+                 linear=p == 1)
+
+
+def _gelu_factors(a0: np.ndarray, t=None) -> tuple:
+    """(a^2, t, sech^2 u, u') at a0 for the tanh-form GeLU, t = tanh(u) with
+    u = c0 (a + c1 a^3); t is computed unless given."""
+    sq = a0 * a0
+    if t is None:
+        t = np.tanh(a0 * (_GELU_C01 * sq + GELU_C0))
+    return sq, t, 1.0 - t * t, (3.0 * _GELU_C01) * sq + GELU_C0
+
+
+def _gelu_higher(a0, sq, t, s, du, k: int) -> list:
+    """f'' and, at k = 2, f''' at a0 (none at k = 0), from _gelu_factors."""
+    if not k:
+        return []
+    # f'' = t' + a t''/2 = s p with p = u' + a u''/2 - a t u'^2
+    du2 = du * du
+    p = (6.0 * _GELU_C01) * sq + GELU_C0 - a0 * t * du2
+    out = [s * p]
+    if k > 1:
+        # f''' = (s p)' = s (p' - 2 t u' p), with u'' = 6 c0 c1 a
+        dp = ((12.0 * _GELU_C01) * a0 * (1.0 - a0 * t * du)
+              - du2 * (t + a0 * s * du))
+        out.append(s * (dp - 2.0 * t * du * p))
+    return out
 
 
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form GeLU, f(a) = a (1 + t) / 2 with t = tanh(u), u = c0 (a + c1 a^3).
 
-    The derivatives f', f'' and f''' at the primal a0 are closed-form in t,
-    each computed only if the tape's degree needs it. The forward jet is
-    (f, f' a1, f' a2 + f'' a1^2 / 2), and the VJP multiplies by the jet of
-    f', which is (f', f'' a1, f'' a2 + f''' a1^2 / 2).
+    The derivatives f', f'' and f''' at the primal a0 are closed-form in t.
+    The node keeps f', f'' and f''' once a degree has needed them, and t
+    until then: a push that first needs f'' makes it from t, and one that
+    first needs f''' after f'' recomputes t. The forward jet is (f, f' a1,
+    f' a2 + f'' a1^2 / 2), and the VJP multiplies by the jet of f', which
+    is (f', f'' a1, f'' a2 + f''' a1^2 / 2).
     """
-    aj = a.jet
-    a0 = aj[0]
-    sq = a0 * a0
-    t = np.tanh(a0 * (_GELU_C01 * sq + GELU_C0))
+    a0 = a.jet[0]
+    sq, t, s, du = _gelu_factors(a0)
     half = 0.5 * t + 0.5                               # (1 + t) / 2
-    s = 1.0 - t * t                                    # sech^2 u = t' / u'
-    du = (3.0 * _GELU_C01) * sq + GELU_C0              # u'
-    out = [a0 * half]
     fp = [half + 0.5 * a0 * (s * du)]                  # f' = (1 + t)/2 + a t'/2
-    if len(aj) > 1:
-        # f'' = t' + a t''/2 = s p with p = u' + a u''/2 - a t u'^2
-        du2 = du * du
-        p = (6.0 * _GELU_C01) * sq + GELU_C0 - a0 * t * du2
-        f2 = s * p
-        out.append(fp[0] * aj[1])
-        fp.append(f2 * aj[1])
-    if len(aj) > 2:
-        # f''' = (s p)' = s (p' - 2 t u' p), with u'' = 6 c0 c1 a
-        dp = ((12.0 * _GELU_C01) * a0 * (1.0 - a0 * t * du)
-              - du2 * (t + a0 * s * du))
-        f3 = s * (dp - 2.0 * t * du * p)
-        out.append(fp[0] * aj[2] + 0.5 * fp[1] * aj[1])
-        fp.append(f2 * aj[2] + 0.5 * f3 * aj[1] * aj[1])
-    fp = tuple(fp)
-    return _make(a.tape, "gelu", tuple(out), (a,), (lambda g: jmul(g, fp),))
+    f23 = _gelu_higher(a0, sq, t, s, du, a.tape.degree)
+    if f23:
+        t = None
+
+    def tangent():
+        nonlocal t
+        aj = a.jet
+        if len(f23) < len(aj) - 1:
+            f23[:] = _gelu_higher(a0, *_gelu_factors(a0, t), len(aj) - 1)
+            t = None
+        del fp[1:]
+        out = []
+        if len(aj) > 1:
+            out.append(fp[0] * aj[1])
+            fp.append(f23[0] * aj[1])
+        if len(aj) > 2:
+            out.append(fp[0] * aj[2] + 0.5 * fp[1] * aj[1])
+            fp.append(f23[0] * aj[2] + 0.5 * f23[1] * aj[1] * aj[1])
+        return tuple(out)
+
+    return _make(a.tape, "gelu", a0 * half, (a,),
+                 (lambda g, lo=0: jmul(g, fp, lo),), tangent)
 
 
 def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
@@ -387,48 +503,74 @@ def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels, dtype=np.int64)
     where = (*np.indices(labels.shape, sparse=True), labels)
     n = labels.shape[-1]
-    zj = z.jet
-    m = zj[0].max(axis=-1, keepdims=True)
-    e = jexp(_jplus(zj, -m))
-    s = tuple(c.sum(axis=-1, keepdims=True) for c in e)
-    lse = _jplus(jlog(s), m)
-    out = tuple(np.asarray((l[..., 0] - c[where]).sum() / n)
-                for l, c in zip(lse, zj))
+    z0 = z.jet[0]
+    m = z0.max(axis=-1, keepdims=True)
+    e = [np.exp(z0 + -m)]                 # jet of exp(z - m)
+    s = [e[0].sum(axis=-1, keepdims=True)]
+    log_s = np.log(s[0])
+    # softmax(z0) less the one-hot, and softmax(z0), each made when a VJP
+    # first needs it
+    dsoft = soft = None
 
-    def vjp(g):
-        p = jdiv(e, s)
-        p[0][where] -= 1.0
-        return jmul(jscale(g, 1.0 / n), p)
+    def loss(lse, zc):
+        return np.asarray((lse[..., 0] - zc[where]).sum() / n)
 
-    return _make(z.tape, "softmax_ce", out, (z,), (vjp,))
+    def tangent():
+        zj = z.jet
+        # The shift by m moves coefficient 0 only, so z's higher
+        # coefficients are those of z - m.
+        e[1:] = jexp(zj, e[0])[1:]
+        s[1:] = [c.sum(axis=-1, keepdims=True) for c in e[1:]]
+        return tuple(loss(c, zc) for c, zc in zip(jlog(s, log_s)[1:], zj[1:]))
+
+    def vjp(g, lo=0):
+        nonlocal dsoft, soft
+        if dsoft is None:
+            dsoft = e[0] / s[0]
+            dsoft[where] -= 1.0
+        p = (dsoft,)
+        if len(g) > 1:
+            if soft is None:
+                soft = e[0] / s[0]
+            p += jdiv(e, s, soft)[1:]
+        return jmul(jscale(g, 1.0 / n), p, lo)
+
+    return _make(z.tape, "softmax_ce", loss(log_s + m, z0), (z,), (vjp,),
+                 tangent)
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.shape
-    return _make(a.tape, "sum", tuple(np.asarray(c.sum()) for c in a.jet), (a,),
-                 (lambda g: tuple(np.broadcast_to(c, shape).copy() for c in g),))
+    return _make(a.tape, "sum", np.asarray(a.jet[0].sum()), (a,),
+                 (lambda g, lo=0: tuple(np.broadcast_to(c, shape).copy()
+                                        for c in g[lo:]),),
+                 lambda: tuple(np.asarray(c.sum()) for c in a.jet[1:]),
+                 linear=True)
 
 
 def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice [start, stop) of the last axis."""
     shape = a.shape
 
-    def vjp(g):
+    def vjp(g, lo=0):
         out = []
-        for c in g:
+        for c in g[lo:]:
             z = np.zeros(shape)
             z[..., start:stop] = c
             out.append(z)
         return tuple(out)
 
-    return _make(a.tape, "slice", tuple(c[..., start:stop] for c in a.jet), (a,),
-                 (vjp,))
+    return _make(a.tape, "slice", a.jet[0][..., start:stop], (a,), (vjp,),
+                 lambda: tuple(c[..., start:stop] for c in a.jet[1:]),
+                 linear=True)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.shape
-    return _make(a.tape, "reshape", tuple(c.reshape(shape) for c in a.jet), (a,),
-                 (lambda g: tuple(c.reshape(old) for c in g),))
+    return _make(a.tape, "reshape", a.jet[0].reshape(shape), (a,),
+                 (lambda g, lo=0: tuple(c.reshape(old) for c in g[lo:]),),
+                 lambda: tuple(c.reshape(shape) for c in a.jet[1:]),
+                 linear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,28 +583,47 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
     Coefficient i of the returned jet for leaf x is (1/i!) d^i/de^i of the
     gradient map evaluated along the tangents seeded into x. Degree 1 thus
     yields (grad, H v); degree 2 yields (grad, H u, third(u, u) / 2).
+
+    The first sweep from an output records coefficient 0 of the adjoints a
+    push reads in ``tape.adjoint``; a later sweep from it, after
+    :meth:`Tape.push`, computes coefficients 1..k only and reads
+    coefficient 0 from the record.
     """
     if output.value.shape != ():
         raise ValueError("backward expects a scalar output node")
     tape = output.tape
+    k = tape.degree
+    recorded = tape.adjoint is not None and tape.adjoint[0] == output.idx
+    lo = int(recorded)
+    adj0 = tape.adjoint[1] if recorded else [None] * len(tape.nodes)
     adj: list[Jet | None] = [None] * len(tape.nodes)
-    adj[output.idx] = jet_const(1.0, tape.degree)
-    for node in reversed(tape.nodes):
+    adj[output.idx] = jet_const(1.0, k)[lo:]
+    for node in reversed(tape.nodes if lo <= k else ()):
         g = adj[node.idx]
-        if g is None or not node.requires_grad or not node.parents:
+        if g is None:
+            continue
+        if lo:
+            g = (adj0[node.idx],) + g
+        elif not node.linear:
+            adj0[node.idx] = g[0]
+        if not node.requires_grad or not node.parents:
             continue
         # Consumed once passed to the parents; leaves keep theirs.
         adj[node.idx] = None
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.requires_grad:
                 continue
-            contrib = vjp(g)
-            if adj[parent.idx] is None:
-                adj[parent.idx] = contrib
-            else:
-                adj[parent.idx] = jadd(adj[parent.idx], contrib)
+            contrib = vjp(g, lo)
+            i = parent.idx
+            adj[i] = contrib if adj[i] is None else jadd(adj[i], contrib)
+    tape.adjoint = (output.idx, adj0)
     out = []
     for leaf in wrt:
-        g = adj[leaf.idx]
-        out.append(g if g is not None else jet_const(np.zeros(leaf.shape), tape.degree))
+        g0 = adj0[leaf.idx]
+        if g0 is None:
+            out.append(jet_const(np.zeros(leaf.shape), k))
+        elif lo:
+            out.append((g0,) + (adj[leaf.idx] if k else ()))
+        else:
+            out.append(adj[leaf.idx])
     return out

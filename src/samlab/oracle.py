@@ -4,8 +4,10 @@ A :class:`LossOracle` bundles a loss graph builder with a derivative mode.
 Its one derivative primitive is :meth:`LossOracle.jet`, the Taylor
 coefficients (grad, H u, third(u, u) / 2) of t -> grad f(x + t u); the HVP
 and the third-order queries read their coefficient of it. Exact mode takes
-the jet from one pass over the recorded tape (tangent-carrying forward pass,
-then a backward sweep). Finite-difference mode takes it from exact
+the jet from one tape pass (tangent-carrying forward pass, then a backward
+sweep); at the point of the pass before it, with the same builder, the pass
+pushes that recorded tape and sweeps only the tangent coefficients (see
+:func:`jet_pass`). Finite-difference mode takes it from exact
 gradients along u, with steps ``EPS0_FIRST * (1 + ||x||)`` for H u and
 ``EPS0_THIRD * (1 + ||x||)`` for third(u, u): 5 gradients for a dense
 third-order vector at any d. Repeated queries at the same point are
@@ -59,27 +61,39 @@ def _check_finite(*arrays) -> None:
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 
-# The tape of the last pass, emptied when the next pass ends; see _tape_pass.
+def _quiet():
+    """numpy's floating-point warnings off for a pass, whose non-finite
+    values raise NonFiniteLoss instead."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+# The record: the tape of the last pass, emptied when the next pass that
+# makes a new tape ends (see _tape_pass), and the builder and point at which
+# jet_pass may push it, or None.
 _held_tape = None
+_recorded_at = None
 
 
 def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
                tangent=None) -> tuple:
-    """The arrays ``run(tape, leaf)`` returns, from one tape pass of the
-    given degree at the leaf x with its tangent. Raises NonFiniteLoss if
-    any of them is not finite. Every pass of an oracle or a model, forward
-    only or not, is one call of this.
+    """The arrays ``run(tape, leaf)`` returns, from one pass on a new tape
+    of the given degree at the leaf x with its tangent. Raises
+    NonFiniteLoss if any of them is not finite. Every pass of an oracle or
+    a model that records a new tape, forward only or not, is one call of
+    this; a pass at the recorded point pushes the held tape instead (see
+    :func:`jet_pass`).
 
-    Tape lifetime: the tape of this pass is kept, and the tape of the pass
-    before it is emptied, so at most one finished tape is alive in the
-    process. A tape is a Tape<->Tensor reference cycle, which left alone
-    only the cyclic collector frees, so dead tapes pile up in between.
-    Emptying a tape at the end of its own pass frees as much but is slower:
-    glibc trims the freed arrays off the top of the heap and the next pass
-    page-faults them back in. While the current tape is alive, the previous
-    one's memory is a hole below it, which the next pass reuses. On a loop
-    of 1024-row ``12,32,10`` HVPs (Xeon, single-threaded OpenBLAS, glibc
-    2.36) the three policies read, per pass and at peak:
+    Tape lifetime: the new tape becomes the record, the one tape held, and
+    the tape held before it is emptied, so at most one finished tape is
+    alive in the process. A tape is a Tape<->Tensor reference cycle, which
+    left alone only the cyclic collector frees, so dead tapes pile up in
+    between. Emptying a tape at the end of its own pass frees as much but
+    is slower: glibc trims the freed arrays off the top of the heap and the
+    next pass page-faults them back in. While the current tape is alive,
+    the previous one's memory is a hole below it, which the next pass
+    reuses. On a loop of 1024-row ``12,32,10`` HVPs at changing points
+    (Xeon, single-threaded OpenBLAS, glibc 2.36) the three policies read,
+    per pass and at peak:
 
     - left to the collector: 28 faults, 1.9-2.0 ms, 87.6 MB;
     - emptied after its own pass: 832 faults, 2.9-3.1 ms, 39.6 MB;
@@ -88,13 +102,13 @@ def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
     Emptying a tape only drops its references, so the arrays a pass returned
     stay as they are.
     """
-    global _held_tape
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    global _held_tape, _recorded_at
+    with _quiet():
         tape = eng.Tape(degree=degree)
         values = run(tape, tape.leaf(x, tangent=tangent))
     if _held_tape is not None:
         _held_tape.nodes.clear()
-    _held_tape = tape
+    _held_tape, _recorded_at = tape, None
     _check_finite(*values)
     return values
 
@@ -109,15 +123,38 @@ def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
     pass's own forward value, so no second pass is needed for it. Raises
     NonFiniteLoss if the loss or any coefficient is not finite. With a
     stacked leaf ``(B, d)`` and a builder that sums B per-batch losses, row
-    b of every coefficient is batch b's own. The tape is kept until the
-    next pass (see :func:`_tape_pass`).
-    """
-    def run(tape, leaf):
-        out = builder(tape, leaf)
-        return (out.value, *eng.backward(out, [leaf])[0])
+    b of every coefficient is batch b's own.
 
-    values = _tape_pass(run, x, degree, tangent)
-    return (float(values[0]), values[1:]) if with_loss else values[1:]
+    A pass at the recorded point, the same builder object and the same
+    bytes of x as the held tape's pass, pushes that tape along the new
+    tangent (see :meth:`engine.Tape.push`): the loss, the gradient and
+    every point-only factor come from the record, and only coefficients
+    1..degree are swept. A pass anywhere else records anew (see
+    :func:`_tape_pass`), and becomes the record only if all it returns is
+    finite. The record keeps its own copy of x, and the caller gets its
+    own copy of the gradient.
+    """
+    global _recorded_at
+    x = np.array(x, dtype=np.float64)
+    at = (x.shape, x.tobytes())
+    if (_recorded_at is not None and _recorded_at[0] is builder
+            and _recorded_at[1] == at):
+        tape = _held_tape
+        leaf, out = tape.nodes[0], tape.nodes[tape.adjoint[0]]
+        with _quiet():
+            tape.push(leaf, tangent, degree)
+            jet = eng.backward(out, [leaf])[0]
+        _check_finite(*jet[1:])
+        loss = out.value
+    else:
+        def run(tape, leaf):
+            out = builder(tape, leaf)
+            return (out.value, *eng.backward(out, [leaf])[0])
+
+        loss, *jet = _tape_pass(run, x, degree, tangent)
+        _recorded_at = (builder, at)
+    jet = (jet[0].copy(), *jet[1:])
+    return (float(loss), jet) if with_loss else jet
 
 
 class LossOracle:

@@ -32,8 +32,9 @@ coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. Each
 is one exact tape pass per stack of the family, on a ``(B, d)`` leaf whose
 row b is batch b's point: an ``mlp_family`` stacks its batches as
 :func:`data.stack_plan` decides, and any other family has one batch per
-stack. The aligned term3 and the moment probe's one-step
-deltas come from the same per-stack passes.
+stack. The jet pass of a stack pushes the tape its gradient pass recorded,
+so it sweeps only the tangent coefficients. The aligned term3 and the
+moment probe's one-step deltas come from the same per-stack passes.
 
 :func:`one_step_moment_probe` checks the weak order of the expansion: it
 compares the exact one-step mean and second moment of discrete SAM with
@@ -146,18 +147,26 @@ def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                      tau: float) -> tuple:
     """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
     unless need_third), and the mask of the live batches, ||t1_b|| >= tau.
-    t2_b = t3_b = 0 off the mask; each live batch costs one HVP (its jet)."""
-    xs = np.broadcast_to(x, (len(family), family.dim))
-    t1s = _batch_jets(family, xs)[0]
-    norms = np.array([np.linalg.norm(row) for row in t1s])
-    live = norms >= tau
-    units = np.zeros_like(t1s)
-    units[live] = t1s[live] / norms[live, None]
-    jet = _batch_jets(family, xs, 2 if need_third else 1, units, live)
-    t2s = np.where(live[:, None], jet[1], 0.0)
-    t3s = np.zeros_like(t1s)
-    if need_third:
-        t3s = np.where(live[:, None], 2.0 * jet[2], 0.0)
+    t2_b = t3_b = 0 off the mask; each live batch costs one HVP (its jet).
+    Each stack takes its gradient and then, if a row is live, its jet with
+    the same builder at the same point, so the jet pass is a push of the
+    gradient pass's record."""
+    t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
+    live = np.zeros(len(family), dtype=bool)
+    for ids, builder in family.stacks():
+        xs = np.broadcast_to(x, (len(ids), family.dim))
+        g = jet_pass(builder, xs)[0]
+        norms = np.array([np.linalg.norm(row) for row in g])
+        on = norms >= tau
+        t1s[ids], live[ids] = g, on
+        if not on.any():
+            continue
+        units = np.zeros_like(g)
+        units[on] = g[on] / norms[on, None]
+        jet = jet_pass(builder, xs, 2 if need_third else 1, units)
+        t2s[ids] = np.where(on[:, None], jet[1], 0.0)
+        if need_third:
+            t3s[ids] = np.where(on[:, None], 2.0 * jet[2], 0.0)
     return t1s, t2s, t3s, live
 
 
@@ -202,9 +211,9 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     ``order`` is 2, 3, "aligned-rho" or "aligned-rho2". The aligned orders
     take their drift from :func:`drift_aligned` (``q``, ``seed`` and
     ``check_gap`` go there) and always pair with the third-order diffusion.
-    The evaluation is two tape passes per stack: a degree-0 pass whose
-    adjoint rows are the batch gradients, then one pass along the unit
-    gradients (degree 1 for order 2 and for aligned orders without
+    The evaluation is two passes per stack: a degree-0 tape pass whose
+    adjoint rows are the batch gradients, then a push of its record along
+    the unit gradients (degree 1 for order 2 and for aligned orders without
     diffusion, degree 2 otherwise) whose adjoint rows give H_b u_b and
     third_b(u_b, u_b) at any d.
 

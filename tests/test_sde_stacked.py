@@ -175,8 +175,9 @@ def test_aligned_term3_matches_per_oracle_third():
 
 
 def test_moment_probe_deltas_match_per_oracle_gradients(monkeypatch):
-    # After the two passes of the per-batch terms, each rho takes one
-    # degree-0 pass at x + rho u_b; row b must be batch b's gradient there.
+    # The per-batch terms take their passes through jet_pass itself; each
+    # rho then takes one degree-0 pass at x + rho u_b, and row b must be
+    # batch b's gradient there.
     spec, n = CASES["ce-ragged"]
     family = mlp_family(spec, dataset(spec, n), 32)
     x = init_params(spec, 1).values
@@ -191,9 +192,9 @@ def test_moment_probe_deltas_match_per_oracle_gradients(monkeypatch):
     monkeypatch.setattr(samlab.sde, "_batch_jets", spy)
     rho_grid = (0.05, 0.1, 0.2)
     one_step_moment_probe(family, x, 0.01, rho_grid, tau=tau)
-    assert len(calls) == 2 + len(rho_grid)
+    assert len(calls) == len(rho_grid)
     t1s, _, _, live = looped_terms(family, x, False, tau)
-    for rho, (xs, out) in zip(rho_grid, calls[2:]):
+    for rho, (xs, out) in zip(rho_grid, calls):
         assert len(out) == 1
         for b, oracle in enumerate(family.oracles):
             u = t1s[b] / np.linalg.norm(t1s[b]) if live[b] else 0.0

@@ -63,6 +63,11 @@ PINNED = {
         "probe_q=10"), None),
     "spectrum": ("spectrum", ("model_layers=2,16,2", "steps=50", "k=4",
                               "m_trace=16"), "0,1"),
+    # Dozens of ReLU/MSE HVPs at one point: pushes through relu, sub, mul,
+    # sum_all and scale.
+    "spectrum-relu-mse": ("spectrum", (
+        "model_layers=2,16,2", "activation=relu", "loss_head=mse", "k=2",
+        "m_trace=8"), None),
     "probe-power": ("probe-power", ("model_layers=2,16,2", "steps=20",
                                     "q_grid=1,3,8", "n_starts=2",
                                     "q_ref=100"), None),
