@@ -205,10 +205,12 @@ class OracleFamily:
 
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:
     """Oracles over the enumeration partition, stacked by
-    :func:`stack_plan`. The plan is made once and each stack's builder on
-    demand, so a family holds no second copy of its data."""
+    :func:`stack_plan`. Each part is a contiguous range, so its oracle
+    holds a view of the data; the plan is made once and each stack's
+    builder on demand, so a family holds no second copy of its data."""
     parts = enumeration_batches(dataset.n, batch_size)
-    oracles = [mlp_oracle(spec, *dataset.take(idx)) for idx in parts]
+    oracles = [mlp_oracle(spec, *dataset.take(slice(idx[0], idx[-1] + 1)))
+               for idx in parts]
     plan = stack_plan(spec, parts)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
                         stacks=lambda: ((ids, mlp_builder(spec, *dataset.take(rows)))

@@ -149,12 +149,12 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
     return EigenEstimate(lam, v, residual, hvp_calls=q + 2)
 
 
-def align(eps, v, floor: float = ALIGN_FLOOR) -> AlignmentReport:
+def align(eps, v) -> AlignmentReport:
     """Alignment of a perturbation with a unit eigenvector, sign-resolved."""
     eps = _as_array(eps)
     v = _as_array(v)
     n = np.linalg.norm(eps)
-    if n < floor:
+    if n < ALIGN_FLOOR:
         raise DegenerateVector("perturbation norm below the floor")
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise DegenerateVector("eigenvector argument must be unit length")

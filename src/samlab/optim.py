@@ -1,7 +1,11 @@
 """The optimizer family: SGD, SAM, Eigen-SAM, Reverse-SAM, and EGR.
 
-Each step is a pure function (x, oracle, cfg, state) -> (x', state'). The
-perturbation is always computed from the raw mini-batch gradient; weight
+One pure function, ``step(x, oracle, cfg, state) -> (x', state')``, serves
+every method. SGD descends along the mini-batch gradient g and EGR along
+the gradient of f + rho ||grad f||. SAM, Reverse-SAM and Eigen-SAM differ
+only in their perturbation eps and descend along the gradient at
+x + rho eps: eps is g / ||g||, its negation, or g / ||g|| steered toward the
+top Hessian eigenvector. The perturbation is always computed from g; weight
 decay joins only in the final update, and momentum applies to the composite
 direction (perturbed gradient plus decay). Gradients with norm below the
 floor tau produce a zero perturbation, so every method degrades to plain SGD
@@ -49,7 +53,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.lr <= 0 or self.rho < 0 or self.alpha < 0:
+        if not (self.lr > 0 and self.rho >= 0 and self.alpha >= 0):
             raise ValueError("lr must be positive; rho and alpha nonnegative")
         if not self.weight_decay >= 0.0:
             raise ValueError("weight_decay must be nonnegative")
@@ -57,7 +61,7 @@ class OptimizerConfig:
             raise ValueError("refresh_every and power_iters must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.grad_floor <= 0.0:
+        if not self.grad_floor > 0.0:
             raise ValueError("grad_floor must be positive")
 
 
@@ -113,89 +117,40 @@ def eigen_sam_perturbation(g: np.ndarray, v: np.ndarray, alpha: float,
     return np.where(live, ghat + alpha * s * vperp, 0.0)
 
 
-_KEEP = object()
-
-
-def _descend(x, update_grad, cfg, state, t1, hvp_used=0, eigvec=_KEEP):
-    direction = update_grad + cfg.weight_decay * x
-    buf = cfg.momentum * state.momentum_buf + direction
-    x_next = x - schedule_lr(cfg, t1) * buf
-    new_vec = state.eigvec if eigvec is _KEEP else eigvec
-    return x_next, replace(state, step=t1, momentum_buf=buf,
-                           hvp_count=state.hvp_count + hvp_used, eigvec=new_vec)
-
-
-def sgd_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
-             state: OptimizerState):
-    t1 = state.step + 1
-    return _descend(x, oracle.grad(x), cfg, state, t1)
-
-
-def sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
-             state: OptimizerState):
-    t1 = state.step + 1
-    eps = sam_perturbation(oracle.grad(x), cfg.grad_floor)
-    return _descend(x, oracle.grad(x + cfg.rho * eps), cfg, state, t1)
-
-
-def reverse_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
-                     state: OptimizerState):
-    t1 = state.step + 1
-    eps = -sam_perturbation(oracle.grad(x), cfg.grad_floor)
-    return _descend(x, oracle.grad(x + cfg.rho * eps), cfg, state, t1)
-
-
-def egr_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
-             state: OptimizerState):
-    """Descend f + rho ||grad f||; the exact gradient adds rho H g / ||g||.
-
-    The HVP is taken once for all rows if any row's gradient is above the
-    floor, and only those rows add rho H g / ||g|| and count the HVP.
-    """
-    t1 = state.step + 1
-    g = oracle.grad(x)
-    _, live, norm = _unit_rows(g, cfg.grad_floor)
-    live &= cfg.rho != 0.0
-    direction = g
-    if live.any():
-        hg = oracle.hvp(x, g)
-        direction = np.where(live, g + cfg.rho * hg / np.where(live, norm, 1.0),
-                             g)
-    return _descend(x, direction, cfg, state, t1,
-                    hvp_used=live.sum(axis=-1))
-
-
-def eigen_sam_step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
-                   state: OptimizerState):
-    """SAM with the perturbation steered toward the top Hessian eigenvector.
-
-    The eigenvector estimate refreshes at steps t1 = 1, p + 1, 2p + 1, ...
-    (every step when p == 1), via q rounds of power iteration on the current
-    mini-batch Hessian, which costs q + 2 HVPs per row.
-    """
-    t1 = state.step + 1
-    v = state.eigvec
-    hvp_used = 0
-    if v is None or (t1 - 1) % cfg.refresh_every == 0:
-        est = power_iteration(oracle, x, cfg.power_iters, seed=state.seed,
-                              substream=t1)
-        v = est.vector
-        hvp_used = est.hvp_calls
-    eps = eigen_sam_perturbation(oracle.grad(x), v, cfg.alpha, cfg.grad_floor)
-    x_next, new_state = _descend(x, oracle.grad(x + cfg.rho * eps), cfg, state,
-                                 t1, hvp_used=hvp_used, eigvec=v)
-    return x_next, new_state
-
-
-STEP_FUNCTIONS = {
-    "sgd": sgd_step,
-    "sam": sam_step,
-    "eigensam": eigen_sam_step,
-    "reversesam": reverse_sam_step,
-    "egr": egr_step,
-}
-
-
 def step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
          state: OptimizerState):
-    return STEP_FUNCTIONS[cfg.method](x, oracle, cfg, state)
+    """One step of ``cfg.method``: (x, state) -> (x', state').
+
+    Eigen-SAM first refreshes its eigenvector estimate at steps t1 = 1,
+    p + 1, 2p + 1, ... (every step when p == 1), via q rounds of power
+    iteration on the current mini-batch Hessian, which costs q + 2 HVPs per
+    row. EGR descends f + rho ||grad f||, whose gradient adds rho H g / ||g||
+    to g: the HVP is taken once for all rows if any row's gradient is above
+    the floor, and only those rows use it and count it.
+    """
+    t1 = state.step + 1
+    v, hvp_used = state.eigvec, 0
+    if cfg.method == "eigensam" and (v is None
+                                     or (t1 - 1) % cfg.refresh_every == 0):
+        est = power_iteration(oracle, x, cfg.power_iters, seed=state.seed,
+                              substream=t1)
+        v, hvp_used = est.vector, est.hvp_calls
+    g = oracle.grad(x)
+    direction = g
+    if cfg.method == "egr":
+        _, live, norm = _unit_rows(g, cfg.grad_floor)
+        live &= cfg.rho != 0.0
+        if live.any():
+            hg = oracle.hvp(x, g)
+            direction = np.where(live, g + cfg.rho * hg / np.where(live, norm, 1.0),
+                                 g)
+        hvp_used = live.sum(axis=-1)
+    elif cfg.method != "sgd":
+        eps = (eigen_sam_perturbation(g, v, cfg.alpha, cfg.grad_floor)
+               if cfg.method == "eigensam" else sam_perturbation(g, cfg.grad_floor))
+        sign = -1.0 if cfg.method == "reversesam" else 1.0
+        direction = oracle.grad(x + sign * cfg.rho * eps)
+    buf = cfg.momentum * state.momentum_buf + (direction + cfg.weight_decay * x)
+    return x - schedule_lr(cfg, t1) * buf, replace(
+        state, step=t1, momentum_buf=buf, eigvec=v,
+        hvp_count=state.hvp_count + hvp_used)

@@ -41,7 +41,7 @@ from .config import render
 from .data import (BatchSampler, Dataset, gen_synthetic, load_idx,
                    mlp_family, sample_batch, stack_plan)
 from .errors import ConfigError, SamlabError
-from .hessian import (align, hutchinson_trace, power_iterates,
+from .hessian import (ALIGN_FLOOR, align, hutchinson_trace, power_iterates,
                       power_iteration, spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
 from .models import (MlpSpec, init_params, loss_and_accuracy, mlp_builder,
@@ -121,7 +121,7 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
         lam1[at] = est.value
         g_eval = eval_oracle.grad(xs[at])
         for r, g, v in zip(at, g_eval, est.vector):
-            if np.linalg.norm(g) >= 1e-12:
+            if np.linalg.norm(g) >= ALIGN_FLOOR:
                 alignment[r] = align(g, v).value
 
     rows = []

@@ -127,15 +127,11 @@ class SdeConfig:
 
 
 def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
-                tangents: np.ndarray | None = None,
-                live: np.ndarray | None = None) -> list:
+                tangents: np.ndarray | None = None) -> list:
     """Row b of each coefficient is batch b's adjoint jet at xs[b] along
-    tangents[b] (see :func:`oracle.jet_pass`), from one tape pass per stack.
-    A stack with no ``live`` row is skipped and its rows stay zero."""
+    tangents[b] (see :func:`oracle.jet_pass`), from one tape pass per stack."""
     coefs = [np.zeros((len(family), family.dim)) for _ in range(degree + 1)]
     for ids, builder in family.stacks():
-        if live is not None and not live[ids].any():
-            continue
         jet = jet_pass(builder, xs[ids], degree,
                        None if tangents is None else tangents[ids])
         for coef, rows in zip(coefs, jet):

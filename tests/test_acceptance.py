@@ -21,8 +21,7 @@ from samlab.hessian import align, hutchinson_trace, power_iteration, \
     spectrum_deflated
 from samlab.metrics import canonical_bytes, read_csv
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.optim import (GRAD_FLOOR, OptimizerConfig, eigen_sam_step, egr_step,
-                          init_state, reverse_sam_step, sam_step, sgd_step, step)
+from samlab.optim import GRAD_FLOOR, OptimizerConfig, init_state, step
 from samlab.oracle import quadratic_oracle
 from samlab.rng import STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from samlab.runner import run_simulate_sde, run_train

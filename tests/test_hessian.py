@@ -11,7 +11,7 @@ from samlab.hessian import (CONVERGED_RTOL, AlignmentReport, EigenEstimate,
                             power_iteration, sharpness_proxy,
                             spectrum_deflated)
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.optim import OptimizerConfig, init_state, sam_step
+from samlab.optim import OptimizerConfig, init_state, step
 from samlab.oracle import quadratic_oracle
 
 
@@ -368,7 +368,7 @@ class TestAlignmentVsQCurve:
         x = init_params(spec, 0).values
         state = init_state(spec.dim, 0)
         for _ in range(30):
-            x, state = sam_step(x, oracle, cfg, state)
+            x, state = step(x, oracle, cfg, state)
         ref = power_iteration(oracle, x, q=400, seed=0).vector
         qs = (1, 3, 9, 27, 81)
         means = []

@@ -240,6 +240,20 @@ class TestFamilyExpectations:
         for oracle, rows in zip(family.oracles, family.parts):
             assert oracle.loss(x) == mlp_oracle(spec, *ds.take(rows)).loss(x)
 
+    def test_family_holds_no_copy_of_the_data(self):
+        import tracemalloc
+
+        spec = MlpSpec((256, 32, 10))
+        ds = gen_synthetic(8192, 256, 10, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            family = mlp_family(spec, ds, batch_size=32)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(family) == 256
+        assert held < ds.inputs.nbytes / 10
+
     def test_enumeration_batches_shapes(self):
         parts = enumeration_batches(10, 4)
         assert [len(p) for p in parts] == [4, 4, 2]

@@ -6,9 +6,9 @@ import pytest
 from samlab.bounds import ConvergenceInputs, alpha_admissible_range, convergence_bound
 from samlab.data import gen_synthetic, sample_batch, BatchSampler, POLICY_REPLACEMENT
 from samlab.models import MlpSpec, init_params, mlp_oracle
-from samlab.optim import (OptimizerConfig, OptimizerState, eigen_sam_perturbation,
-                          eigen_sam_step, egr_step, init_state, reverse_sam_step,
-                          sam_perturbation, sam_step, schedule_lr, sgd_step, step)
+from samlab.optim import (METHODS, OptimizerConfig, OptimizerState,
+                          eigen_sam_perturbation, init_state, sam_perturbation,
+                          schedule_lr, step)
 from samlab.oracle import quadratic_oracle, LossOracle
 from samlab import engine as eng
 
@@ -88,42 +88,41 @@ class TestPerturbations:
 class TestStepExamples:
     def test_sgd(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
-        x, _ = sgd_step(np.array([1.0]), oracle, cfg("sgd"), init_state(1))
+        x, _ = step(np.array([1.0]), oracle, cfg("sgd"), init_state(1))
         assert x[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_sam_hand_value(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
-        x, _ = sam_step(np.array([1.0]), oracle, cfg("sam", rho=0.1), init_state(1))
+        x, _ = step(np.array([1.0]), oracle, cfg("sam", rho=0.1), init_state(1))
         assert x[0] == pytest.approx(0.89, abs=1e-15)
 
     def test_reverse_sam_hand_value(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
-        x, _ = reverse_sam_step(np.array([1.0]), oracle,
-                                cfg("reversesam", rho=0.1), init_state(1))
+        x, _ = step(np.array([1.0]), oracle, cfg("reversesam", rho=0.1),
+                    init_state(1))
         assert x[0] == pytest.approx(0.91, abs=1e-15)
 
     def test_egr_hand_value(self):
         oracle = quadratic_oracle(np.diag([2.0, 1.0]))
-        x, state = egr_step(np.array([1.0, 0.0]), oracle,
-                            cfg("egr", rho=0.1), init_state(2))
+        x, state = step(np.array([1.0, 0.0]), oracle, cfg("egr", rho=0.1),
+                        init_state(2))
         np.testing.assert_allclose(x, [0.78, 0.0], atol=1e-15)
         assert state.hvp_count == 1
 
     def test_mirror_symmetry_on_quadratic(self):
         oracle = quadratic_oracle(np.diag([2.0, 0.5]))
         x0 = np.array([1.0, -2.0])
-        sgd_x, _ = sgd_step(x0, oracle, cfg("sgd"), init_state(2))
-        sam_x, _ = sam_step(x0, oracle, cfg("sam", rho=0.05), init_state(2))
-        rev_x, _ = reverse_sam_step(x0, oracle, cfg("reversesam", rho=0.05),
-                                    init_state(2))
+        sgd_x, _ = step(x0, oracle, cfg("sgd"), init_state(2))
+        sam_x, _ = step(x0, oracle, cfg("sam", rho=0.05), init_state(2))
+        rev_x, _ = step(x0, oracle, cfg("reversesam", rho=0.05), init_state(2))
         np.testing.assert_allclose(sam_x + rev_x, 2 * sgd_x, atol=1e-14)
 
     def test_momentum_recurrence(self):
         oracle = quadratic_oracle(np.array([[1.0]]))
         c = cfg("sgd", momentum=0.9)
         x0 = np.array([1.0])
-        x1, s1 = sgd_step(x0, oracle, c, init_state(1))
-        x2, s2 = sgd_step(x1, oracle, c, s1)
+        x1, s1 = step(x0, oracle, c, init_state(1))
+        x2, s2 = step(x1, oracle, c, s1)
         # Second direction = g(x1) + 0.9 g(x0).
         expected = x1 - 0.1 * (x1 + 0.9 * x0)
         assert x2[0] == pytest.approx(expected[0], abs=1e-15)
@@ -138,12 +137,12 @@ class TestStepExamples:
         # With a gradient below the floor, the update is pure decay.
         oracle = quadratic_oracle(np.array([[1.0]]))
         c = cfg("sam", rho=0.5, weight_decay=0.01)
-        x, _ = sam_step(np.array([1e-14]), oracle, c, init_state(1))
+        x, _ = step(np.array([1e-14]), oracle, c, init_state(1))
         assert x[0] == pytest.approx(1e-14 - 0.1 * (1e-14 + 0.01 * 1e-14))
 
     def test_stationary_point_egr_unchanged_without_decay(self):
         oracle = quadratic_oracle(np.eye(2))
-        x, state = egr_step(np.zeros(2), oracle, cfg("egr", rho=0.3), init_state(2))
+        x, state = step(np.zeros(2), oracle, cfg("egr", rho=0.3), init_state(2))
         np.testing.assert_array_equal(x, 0.0)
         assert state.hvp_count == 0
 
@@ -155,10 +154,31 @@ class TestStepExamples:
         curv = np.array([[2.0, 1.0, 0.5], [3.0, 0.5, 1.0]])
         x0 = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
         c = cfg("egr", rho=0.3, momentum=0.9, weight_decay=0.01)
-        x, state = egr_step(x0, diagonal_oracle(curv), c, init_state(3, (0, 1)))
+        x, state = step(x0, diagonal_oracle(curv), c, init_state(3, (0, 1)))
         np.testing.assert_array_equal(state.hvp_count, [0, 1])
         for s in range(2):
-            xs, ss = egr_step(x0[s], diagonal_oracle(curv[s]), c, init_state(3, s))
+            xs, ss = step(x0[s], diagonal_oracle(curv[s]), c, init_state(3, s))
+            np.testing.assert_allclose(x[s], xs, rtol=1e-12, atol=0)
+            assert state.hvp_count[s] == ss.hvp_count
+
+    @pytest.mark.parametrize("method,p", [(m, 1) for m in METHODS]
+                             + [("eigensam", 3)])
+    def test_stacked_step_is_row_wise(self, method, p):
+        # Four steps on a (2, d) stack equal four steps of each row alone,
+        # in the point and the HVP count; Eigen-SAM refreshes per row.
+        from test_hessian import diagonal_oracle
+
+        curv = np.array([[2.0, 1.0, 0.5], [3.0, 0.5, 1.0]])
+        x0 = np.array([[0.4, 1.5, -1.0], [1.0, -2.0, 0.5]])
+        c = cfg(method, rho=0.3, alpha=0.2, refresh_every=p, power_iters=3,
+                momentum=0.9, weight_decay=0.01)
+        x, state = x0, init_state(3, (0, 1))
+        for _ in range(4):
+            x, state = step(x, diagonal_oracle(curv), c, state)
+        for s in range(2):
+            xs, ss = x0[s], init_state(3, s)
+            for _ in range(4):
+                xs, ss = step(xs, diagonal_oracle(curv[s]), c, ss)
             np.testing.assert_allclose(x[s], xs, rtol=1e-12, atol=0)
             assert state.hvp_count[s] == ss.hvp_count
 
@@ -184,12 +204,10 @@ def run_trajectory(method, steps=100, seed=0, **kw):
     c = cfg(method, momentum=0.9, weight_decay=5e-5, **kw)
     x = init_params(spec, seed).values
     state = init_state(spec.dim, seed)
-    fn = {"sgd": sgd_step, "sam": sam_step, "eigensam": eigen_sam_step,
-          "reversesam": reverse_sam_step, "egr": egr_step}[method]
     for t in range(steps):
         idx = sample_batch(sampler, ds, t)
         oracle = mlp_oracle(spec, ds.inputs[idx], ds.labels[idx])
-        x, state = fn(x, oracle, c, state)
+        x, state = step(x, oracle, c, state)
     return x, state
 
 
@@ -220,7 +238,7 @@ class TestTrajectoryIdentities:
         c = cfg("eigensam", rho=0.05, alpha=0.1, refresh_every=p, power_iters=2)
         x, state = np.array([1.0, -0.5]), init_state(2)
         for _ in range(6):
-            x, state = eigen_sam_step(x, oracle, c, state)
+            x, state = step(x, oracle, c, state)
         assert state.hvp_count == refreshes * (2 + 2)
 
     def test_step_dispatch(self):
@@ -261,7 +279,7 @@ class TestConvergenceBoundEmpirical:
             for t in range(steps):
                 oracle = oracles[draw.integers(len(oracles))]
                 total += float(np.linalg.norm(oracle.grad(x)) ** 2)
-                x, state = eigen_sam_step(x, oracle, c, state)
+                x, state = step(x, oracle, c, state)
             assert total / steps <= bound
 
 
@@ -278,3 +296,8 @@ class TestValidation:
         for decay in (-1e-4, float("nan")):
             with pytest.raises(ValueError):
                 OptimizerConfig("sgd", lr=0.1, weight_decay=decay)
+        for key in ("rho", "alpha", "grad_floor"):
+            with pytest.raises(ValueError):
+                OptimizerConfig("sam", lr=0.1, **{key: float("nan")})
+        with pytest.raises(ValueError):
+            OptimizerConfig("sgd", lr=float("nan"))

@@ -53,6 +53,9 @@ PINNED = {
         "diffusion=sampled", "processes=sde3,sde-aligned-rho", "aligned_q=10",
         "probe_q=10"), "1,2"),
     "train-egr": ("train", ("method=egr", "steps=30", "eval_every=10"), "0,1"),
+    "train-sgd": ("train", ("method=sgd", "steps=30", "eval_every=10"), "0,1"),
+    "train-reversesam": ("train", ("method=reversesam", "steps=30",
+                                   "eval_every=10"), "0,1"),
     "train-eigensam": ("train", ("method=eigensam", "p=5", "steps=30",
                                  "eval_every=10"), None),
     "moments-quartic1d": ("probe-moments", ("toy=quartic1d",), None),
