@@ -24,11 +24,11 @@ def _bool(text: str) -> bool:
 
 def _at_least(conv, low, strict: bool = False):
     """Converter through ``conv`` that rejects values under ``low``, ``low``
-    itself if ``strict``, and NaN."""
+    itself if ``strict``, and NaN or infinite values."""
     def convert(text: str):
         value = conv(text)
-        if not (value > low if strict else value >= low):
-            raise ValueError(f"must be {'>' if strict else '>='} {low}")
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ValueError(f"must be finite and {'>' if strict else '>='} {low}")
         return value
     return convert
 
@@ -87,7 +87,7 @@ _OPTIMIZER = {
     "alpha": (_nonnegative_float, 0.2),
     "p": (int, 100),
     "q": (int, 5),
-    "momentum": (float, 0.9),
+    "momentum": (_finite_float, 0.9),
     "weight_decay": (_nonnegative_float, 5e-5),
     "schedule": (str, "cosine"),
     "grad_floor": (_positive_float, 1e-12),
@@ -121,7 +121,7 @@ SCHEMAS = {
                  "m_trace": (_nonnegative_int, 64)},
     "probe-moments": {**_COMMON,
                       "toy": (str, "quartic1d"),
-                      "x0": (_list_of(float), ()),
+                      "x0": (_list_of(_finite_float), ()),
                       "eta": (_positive_float, 0.01),
                       "rho_grid": (_list_of(_positive_float),
                                    (0.02, 0.04, 0.08, 0.16))},
@@ -178,12 +178,12 @@ def resolve(subcommand: str, raw: dict) -> dict:
             raise ConfigError(f"missing required config key: {key}")
         else:
             resolved[key] = default
-    if "seeds" in resolved:
-        seeds = resolved["seeds"]
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError("seeds must be distinct")
-        if not seeds:
-            raise ConfigError("at least one seed is required")
+    for key in ("seeds", "processes"):
+        items = resolved.get(key, ())
+        if len(set(items)) != len(items):
+            raise ConfigError(f"{key} must be distinct")
+    if "seeds" in resolved and not resolved["seeds"]:
+        raise ConfigError("at least one seed is required")
     return resolved
 
 

@@ -12,11 +12,13 @@ replaced, because the runner, the aligned SDE drift and the benchmark's
 tracer (``perfbench/tracer.py``) look it up by that name. Lanczos finds
 eigenvalues of either sign at once, so equal-magnitude opposite-sign pairs
 no longer stall it, and it restarts after a breakdown to find repeated
-eigenvalues. Every reported pair's ``converged`` flag follows from an
-explicitly computed residual, so a pair the budget did not resolve is
-flagged rather than silently wrong. That residual takes no HVP beyond the
-basis: the Ritz vector's image is the same combination of the basis rows'
-stored HVPs.
+eigenvalues. Its one Krylov state is the basis, the stored HVP of each
+basis row and their projection P = V (HV)^T; the Ritz pairs are those of
+P (Rayleigh-Ritz), and a block of the basis is just its start row. Every
+reported pair's ``converged`` flag follows from an explicitly computed
+residual, so a pair the budget did not resolve is flagged rather than
+silently wrong. That residual takes no HVP beyond the basis: the Ritz
+vector's image is the same combination of the basis rows' stored HVPs.
 
 The Hessian trace is a separate probe, :func:`hutchinson_trace`. The
 ``spectrum`` runner calls it after the top-k spectrum, at the same point
@@ -77,8 +79,13 @@ class SpectrumReport:
     values: np.ndarray          # descending by magnitude
     vectors: np.ndarray         # one row per eigenpair
     residuals: np.ndarray
-    converged: np.ndarray       # bool per pair
     hvp_calls: int
+
+    @property
+    def converged(self) -> np.ndarray:
+        """One flag per pair, by the rule of :class:`EigenEstimate`."""
+        return EigenEstimate(self.values, self.vectors, self.residuals,
+                             self.hvp_calls).converged
 
 
 def _as_array(x) -> np.ndarray:
@@ -176,25 +183,31 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
                       seed: int) -> SpectrumReport:
     """Top-k eigenpairs by magnitude, by Lanczos with full reorthogonalization.
 
-    The Krylov basis grows from the seeded start of substream 0, one HVP per
-    vector. After each step the tridiagonal T of the current block is
-    diagonalized; the run stops when the k Ritz pairs of largest |theta| and
-    the block's own leading pair all have Lanczos residual
-    |beta_m s_mi| <= CONVERGED_RTOL max(1, |theta|), or when the basis
-    reaches min(dim, k q) vectors, so no more than k q HVPs go to the basis.
+    The Krylov basis V grows from the seeded start of substream 0, one HVP
+    per row. The HVP of each row is kept as returned, before it is
+    reorthogonalized, and the projection P = V (HV)^T grows by the one row
+    and column ``basis @ images[-1]`` per step (H is symmetric). The Ritz
+    pairs are those of P. The run stops when the k pairs of largest |theta|
+    and the current block's own leading pair all have Lanczos residual
+    |beta s_mi| <= CONVERGED_RTOL max(1, |theta|), or when the basis reaches
+    min(dim, k q) rows, so no more than k q HVPs go to the basis.
 
-    A breakdown (beta ~ 0) means the block spans an invariant subspace and
-    its Ritz pairs are exact. For a generic start, every eigenvalue left in
-    the rest of the space is one of that block's, so the run stops there if
-    none of the block's pairs is among the top k; otherwise a new block
-    starts from the seeded vector of the next substream, orthogonalized
-    against the basis. That finds repeated eigenvalues.
+    A block is the run of rows from its start row on, and a Ritz pair
+    belongs to the current block when at least half of its vector's weight
+    lies on those rows. A breakdown (beta ~ 0) means the block spans an
+    invariant subspace and its Ritz pairs are exact. So the entries of P
+    between an earlier block and a later row are zero, and they are kept
+    zero: P stays block diagonal, and two blocks' equal Ritz values do not
+    mix in its vectors. For a generic start, every eigenvalue left in the
+    rest of the space is one of that block's, so the run stops there if
+    none of the top k pairs is the block's. Otherwise a new block starts
+    from the seeded vector of the next substream, orthogonalized against
+    the basis. That finds repeated eigenvalues.
 
-    The HVP of each basis row is kept as returned, before it is
-    reorthogonalized. A reported Ritz vector y = sum_i s_i v_i then has the
-    image H y = sum_i s_i H v_i, so no pair costs a further HVP: its value is
-    the Rayleigh quotient, its residual ||Hy - lam y|| is computed from
-    those vectors (not the Lanczos estimate |beta s_m|), and ``converged``
+    A reported Ritz vector y = sum_i s_i v_i has the image
+    H y = sum_i s_i H v_i, so no pair costs a further HVP: its value is the
+    Rayleigh quotient, its residual ||Hy - lam y|| is computed from those
+    vectors (not the Lanczos estimate |beta s_m|), and ``converged``
     follows from that residual. ``hvp_calls`` counts every HVP, one per
     basis row.
     """
@@ -205,71 +218,51 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
         raise ValueError("q must be >= 1")
     x = _as_array(x)
     cap = min(dim, k * q)
-    basis = np.empty((0, dim))
-    images = np.empty((0, dim))     # H v of each basis row, as returned
-    locked_vals: list = []          # Ritz pairs of exhausted blocks
-    locked_vecs: list = []          # ... their vectors and their images
-    locked_imgs: list = []
-    alphas: list = []               # tridiagonal of the current block
-    betas: list = []
-    start = restarts = 0            # current block's first basis row; restarts
+    basis = images = np.empty((0, dim))     # rows v and H v as returned
+    proj = np.empty((0, 0))                 # basis @ images.T within blocks
+    start = restarts = 0                    # current block's first row
     v = _unit_start(dim, seed, 0, None)
     while True:
         basis = np.vstack((basis, v))
         w = oracle.hvp(x, v)
         images = np.vstack((images, w))
-        alphas.append(float(v @ w))
+        col = basis @ w
+        col[:start] = 0.0       # earlier blocks span invariant subspaces
+        proj = np.vstack((np.column_stack((proj, col[:-1])), col))
         w = _reorthogonalize(w, basis)
         beta = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
-                                  + np.diag(betas, -1))
-        ritz_vals = np.concatenate((locked_vals, theta))
-        top = np.argsort(-np.abs(ritz_vals), kind="stable")[:k]
-        fresh = top[top >= len(locked_vals)] - len(locked_vals)
-        exhausted = beta <= BREAKDOWN_RTOL * max(1.0, np.abs(ritz_vals).max())
+        theta, s = np.linalg.eigh(proj)
+        top = np.argsort(-np.abs(theta), kind="stable")[:k]
+        fresh = np.sum(s[start:] ** 2, axis=0) >= 0.5   # the block's pairs
+        exhausted = beta <= BREAKDOWN_RTOL * max(1.0, np.abs(theta).max())
         if exhausted:
-            done = fresh.size == 0
+            done = not fresh[top].any()
         else:
             ok = (np.abs(beta * s[-1])
                   <= CONVERGED_RTOL * np.maximum(1.0, np.abs(theta)))
-            lead = np.argmax(np.abs(theta))
-            done = len(ritz_vals) >= k and ok[fresh].all() and ok[lead]
+            done = (len(basis) >= k and ok[top].all()
+                    and ok[np.argmax(np.abs(theta) * fresh)])
         if done or len(basis) == cap:
             break
         if exhausted:
-            locked_vals.extend(theta)
-            locked_vecs.extend(s.T @ basis[start:])
-            locked_imgs.extend(s.T @ images[start:])
             restarts += 1
-            v = _reorthogonalize(_unit_start(dim, seed, restarts, None), basis)
-            norm = np.linalg.norm(v)
-            if norm < BREAKDOWN_RTOL:
+            start = len(basis)
+            w = _reorthogonalize(_unit_start(dim, seed, restarts, None), basis)
+            beta = np.linalg.norm(w)
+            if beta < BREAKDOWN_RTOL:
                 raise ZeroIterate("restart vector lies in the explored subspace")
-            v = v / norm
-            alphas, betas, start = [], [], len(basis)
-        else:
-            betas.append(beta)
-            v = w / beta
+        v = w / beta
 
-    ritz = [(locked_vecs[i], locked_imgs[i]) if i < len(locked_vals)
-            else (s[:, i - len(locked_vals)] @ basis[start:],
-                  s[:, i - len(locked_vals)] @ images[start:]) for i in top]
-    vectors, values, residuals = [], [], []
-    for y, hy in ritz:
+    pairs = []
+    for i in top:
+        y, hy = s[:, i] @ basis, s[:, i] @ images
         norm = np.linalg.norm(y)
         y, hy = y / norm, hy / norm
         lam = float(y @ hy)
-        vectors.append(y)
-        values.append(lam)
-        residuals.append(float(np.linalg.norm(hy - lam * y)))
-    values, residuals = np.asarray(values), np.asarray(residuals)
-    order = np.argsort(-np.abs(values), kind="stable")
-    return SpectrumReport(values=values[order],
-                          vectors=np.asarray(vectors)[order],
-                          residuals=residuals[order],
-                          converged=(residuals <= CONVERGED_RTOL
-                                     * np.maximum(1.0, np.abs(values)))[order],
-                          hvp_calls=len(basis))
+        pairs.append((lam, y, float(np.linalg.norm(hy - lam * y))))
+    pairs.sort(key=lambda pair: -abs(pair[0]))
+    values, vectors, residuals = map(np.asarray, zip(*pairs))
+    return SpectrumReport(values, vectors, residuals, hvp_calls=len(basis))
 
 
 def hutchinson_trace(oracle: LossOracle, x, m: int, seed: int) -> tuple:

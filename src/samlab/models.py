@@ -8,7 +8,8 @@ for optimizer-level runs only.
 Loss heads: softmax cross-entropy over integer labels (the fused
 :func:`samlab.engine.softmax_ce`, one tape node), and mean squared error
 ``sum((pred - target)^2) / (2 n)`` over vector targets (integer labels are
-one-hot encoded for the MSE head). Each layer is one
+one-hot encoded for the MSE head on each pass, so an oracle keeps only the
+labels). Each layer is one
 :func:`samlab.engine.dense` node, which reads its weights and biases from
 the flat parameter leaf, so a one-hidden-layer GeLU/CE loss tape has 6
 nodes, stacked or not.
@@ -103,15 +104,16 @@ def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Te
 
 def _loss_head(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
     """``head(tape, logits)``: the loss node of the spec's head over the labels."""
+    if spec.head == "mse" and np.ndim(labels) != inputs.ndim - 1:
+        targets = np.asarray(labels, dtype=np.float64)
+        return lambda tape, logits: _mse_loss(tape, logits, targets)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= spec.layers[-1]:
+        raise ValueError("labels out of range for the output layer")
     if spec.head == "ce":
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.min() < 0 or labels.max() >= spec.layers[-1]:
-            raise ValueError("labels out of range for the output layer")
         return lambda tape, logits: eng.softmax_ce(logits, labels)
-    targets = np.asarray(labels, dtype=np.float64)
-    if targets.ndim == inputs.ndim - 1:
-        targets = np.eye(spec.layers[-1])[targets.astype(np.int64)]
-    return lambda tape, logits: _mse_loss(tape, logits, targets)
+    return lambda tape, logits: _mse_loss(
+        tape, logits, np.eye(spec.layers[-1])[labels])
 
 
 def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):

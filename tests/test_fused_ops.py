@@ -164,6 +164,15 @@ class TestSoftmaxCe:
         with pytest.raises(ValueError, match="labels out of range"):
             mlp_builder(spec, np.zeros((2, 2)), np.array([0, bad]))
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_mse_builder_rejects_out_of_range_labels(self, bad):
+        # Integer labels of the MSE head pass the same check, when the
+        # builder is made, as those of CE: a -1 would otherwise pick the
+        # last class of each one-hot target.
+        spec = MlpSpec((2, 4, 3), head="mse")
+        with pytest.raises(ValueError, match="labels out of range"):
+            mlp_builder(spec, np.zeros((2, 2)), np.array([0, bad]))
+
 
 @pytest.mark.parametrize("activation,head,ops", [
     ("gelu", "ce", ("gelu", "softmax_ce")),

@@ -254,10 +254,12 @@ class TestSpectrumDeflated:
             assert flag == (res <= CONVERGED_RTOL * max(1.0, abs(lam)))
 
     @pytest.mark.parametrize("diag, k", [([1.0] * 4, 2),
-                                         ([2.0, 2.0, 2.0, 1.0, 1.0], 3)])
+                                         ([2.0, 2.0, 2.0, 1.0, 1.0], 3),
+                                         ([1.0] * 7, 4)])
     def test_breakdown_restarts_find_repeated_eigenvalues(self, diag, k):
         # A Krylov block holds one vector per distinct eigenvalue, so every
-        # repeated copy needs a restart after the block breaks down.
+        # repeated copy needs a restart after the block breaks down. With
+        # H = I every block is one vector, and all their Ritz values tie.
         oracle = quadratic_oracle(np.diag(diag))
         rep = spectrum_deflated(oracle, np.zeros(len(diag)), k=k, q=20,
                                 seed=0)
@@ -265,6 +267,20 @@ class TestSpectrumDeflated:
         assert np.all(rep.converged)
         np.testing.assert_allclose(rep.vectors @ rep.vectors.T, np.eye(k),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("diag, k, hvps", [([5.0] + [1.0] * 9, 1, 3),
+                                               ([5.0, 4.0] + [1.0] * 8, 2, 4)])
+    def test_restart_that_adds_nothing_costs_one_hvp(self, diag, k, hvps):
+        # The first block breaks down once it has one vector per distinct
+        # eigenvalue; it holds the top k, so the run restarts. The new
+        # block breaks down at its first vector, an eigenvector of 1 that
+        # is not among the top k, and the run stops there.
+        oracle = quadratic_oracle(np.diag(diag))
+        rep = spectrum_deflated(oracle, np.zeros(len(diag)), k=k, q=20,
+                                seed=0)
+        assert rep.hvp_calls == hvps
+        np.testing.assert_allclose(rep.values, diag[:k], atol=1e-12)
+        assert np.all(rep.converged)
 
     @pytest.mark.parametrize("case", ["mlp", "random", "restart"])
     def test_residuals_from_stored_hvps_match_fresh_ones(self, case):

@@ -254,6 +254,25 @@ class TestFamilyExpectations:
         assert len(family) == 256
         assert held < ds.inputs.nbytes / 10
 
+    def test_mse_family_holds_no_one_hot_targets(self):
+        # An MSE oracle builds its one-hot targets on each pass, so the
+        # family holds what the CE family holds, not batch x classes floats.
+        import tracemalloc
+
+        ds = gen_synthetic(8192, 256, 10, 1.0, seed=0)
+        held = {}
+        for head in ("ce", "mse"):
+            tracemalloc.start()
+            try:
+                family = mlp_family(MlpSpec((256, 32, 10), head=head), ds,
+                                    batch_size=32)
+                held[head] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del family
+        one_hot = ds.labels.size * 10 * 8
+        assert held["mse"] - held["ce"] < one_hot / 10
+
     def test_enumeration_batches_shapes(self):
         parts = enumeration_batches(10, 4)
         assert [len(p) for p in parts] == [4, 4, 2]

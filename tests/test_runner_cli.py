@@ -710,15 +710,19 @@ class TestCli:
         f"bound {BOUND} f_s=nan", f"bound {BOUND} lambda1=inf",
         f"bound {BOUND} sigma=nan", f"bound {BOUND} x_norm=nan",
         "align-range omega=nan",
+        "spectrum lr=inf", "probe-moments rho_grid=0.02,inf",
+        "probe-moments x0=nan", "train lr=inf steps=2",
+        "simulate-sde eta=inf steps=2 data_n=16 test_n=16",
+        "simulate-sde processes=sde3,sde3 steps=2 data_n=16 test_n=16",
     ])
     def test_config_error_leaves_no_artifact(self, tmp_path, capsys, case):
         # A model that does not fit the data, a step size that is not
         # positive, a rho grid with fewer than two distinct values (no
         # slope to fit), a negative or NaN weight decay or data margin, an
         # optimizer or sampler value that the training run (or the
-        # training prefix of spectrum and probe-power) rejects, and a
-        # non-finite input of bound or align-range are config errors
-        # before any artifact is written.
+        # training prefix of spectrum and probe-power) rejects, a
+        # non-finite float value of any subcommand and a repeated process
+        # are config errors before any artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2

@@ -71,6 +71,10 @@ PINNED = {
     "spectrum-relu-mse": ("spectrum", (
         "model_layers=2,16,2", "activation=relu", "loss_head=mse", "k=2",
         "m_trace=8"), None),
+    # Twelve pairs of a 2,3,2 model (d = 17): its first Krylov block breaks
+    # down, so the run takes a Lanczos restart.
+    "spectrum-restart": ("spectrum", ("model_layers=2,3,2", "data_n=64",
+                                      "k=12", "m_trace=0"), None),
     "probe-power": ("probe-power", ("model_layers=2,16,2", "steps=20",
                                     "q_grid=1,3,8", "n_starts=2",
                                     "q_ref=100"), None),
