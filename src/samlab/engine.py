@@ -51,9 +51,17 @@ coefficient 0 from the record. So an HVP at a recorded point is one
 tangent sweep each way over a fixed linearisation. The factors kept are
 GeLU's f' (with f'' and f''' once a degree has needed them, t until then),
 softmax_ce's exponentials, sums and quotient, ReLU's mask, pow_int's powers
-and dense's transposed primal input. Coefficient m of every rule depends on
-coefficients 0..m of its inputs only, so a push gives a fresh pass's
-coefficients bit for bit.
+and dense's transposed constant input and view of W at the primal.
+Coefficient m of every rule depends on coefficients 0..m of its inputs
+only, so a push gives a fresh pass's coefficients bit for bit.
+
+In place. A rule writes in place only into an array it allocated in the
+same call, and only before it hands that array on. It never writes into
+an array that a caller got back, that the record holds, or that a rule
+keeps as a factor: GeLU's t, f' and f'', softmax_ce's e and s, dense's
+h0^T and W. An in-place step reorders only commutative operations, so
+``p = s * du; p *= 0.5 * a0; p += half`` has the bits of
+``half + 0.5 * a0 * (s * du)``.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ def jmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
     for m in range(lo, len(a)):
         acc = a[0] * b[m]
         for i in range(1, m + 1):
-            acc = acc + a[i] * b[m - i]
+            acc += a[i] * b[m - i]
         out.append(acc)
     return tuple(out)
 
@@ -113,7 +121,7 @@ def jmatmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
     for m in range(lo, len(a)):
         acc = a[0] @ b[m]
         for i in range(1, m + 1):
-            acc = acc + a[i] @ b[m - i]
+            acc += a[i] @ b[m - i]
         out.append(acc)
     return tuple(out)
 
@@ -123,9 +131,14 @@ def jdiv(a: Jet, b: Jet, c0=None) -> Jet:
     c0 = a[0] / b[0] if c0 is None else c0
     out = [c0]
     if len(a) > 1:
-        out.append((a[1] - c0 * b[1]) / b[0])
+        c1 = a[1] - c0 * b[1]
+        c1 /= b[0]
+        out.append(c1)
     if len(a) > 2:
-        out.append((a[2] - c0 * b[2] - out[1] * b[1]) / b[0])
+        c2 = a[2] - c0 * b[2]
+        c2 -= c1 * b[1]
+        c2 /= b[0]
+        out.append(c2)
     return tuple(out)
 
 
@@ -136,7 +149,11 @@ def jexp(a: Jet, e=None) -> Jet:
     if len(a) > 1:
         out.append(e * a[1])
     if len(a) > 2:
-        out.append(e * (a[2] + 0.5 * a[1] * a[1]))
+        c2 = 0.5 * a[1]
+        c2 *= a[1]
+        c2 += a[2]
+        c2 *= e
+        out.append(c2)
     return tuple(out)
 
 
@@ -147,7 +164,9 @@ def jlog(a: Jet, log0=None) -> Jet:
         r = a[1] / a[0]
         out.append(r)
     if len(a) > 2:
-        out.append(a[2] / a[0] - 0.5 * r * r)
+        c2 = a[2] / a[0]
+        c2 -= 0.5 * r * r
+        out.append(c2)
     return tuple(out)
 
 
@@ -259,6 +278,9 @@ class Tape:
                 node.jet = (v,) + node.tangent()
             elif node.requires_grad:
                 node.jet = (v,) + self._seeds(v, tangent if node is leaf else None)
+            elif len(node.jet) > degree:
+                # a constant keeps its read-only zero from an earlier push
+                node.jet = node.jet[: degree + 1]
             else:
                 node.jet = (v,) + self._zeros(v)
 
@@ -268,13 +290,16 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"degree must be in [0, {MAX_DEGREE}]")
 
 
-def _make(tape, op, primal, parents, vjps, tangent,
+def _make(tape, op, primal, parents: tuple, vjps: tuple, tangent,
           linear: bool = False) -> Tensor:
     """A node from the primal part of its rule; a tape of degree > 0 runs
     the tangent part at once."""
-    rg = any(p.requires_grad for p in parents)
-    node = Tensor(tape, op, (primal,), tuple(parents), tuple(vjps), rg,
-                  tangent, linear)
+    rg = False
+    for p in parents:
+        if p.requires_grad:
+            rg = True
+            break
+    node = Tensor(tape, op, (primal,), parents, vjps, rg, tangent, linear)
     if tape.degree:
         node.jet += tangent()
     return node
@@ -358,22 +383,27 @@ def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
     fan_in, fan_out = shape
     full = x.shape
     lead = full[:-1]
+    wshape, wflat = lead + shape, lead + (fan_in * fan_out,)
     mid = offset + fan_in * fan_out
     stop = mid + fan_out
     h0, const = h.jet[0], not h.requires_grad
-    h0T = h0.swapaxes(-1, -2)
+    h0T = h0.swapaxes(-1, -2) if const else None
 
-    def weight(c):
-        return c[..., offset:mid].reshape(lead + shape)
+    def weights():
+        # W's jet: the view of x's primal made with the node, then views
+        # of x's current higher coefficients
+        return [w0] + [c[..., offset:mid].reshape(wshape) for c in x.jet[1:]]
 
     def tangent():
-        wj = [weight(c) for c in x.jet]
+        wj = weights()
         out = (tuple(h0 @ c for c in wj[1:]) if const
                else jmatmul(h.jet, wj, 1))
-        return jadd(out, [c[..., None, mid:stop] for c in x.jet[1:]])
+        for c, cx in zip(out, x.jet[1:]):
+            c += cx[..., None, mid:stop]
+        return out
 
     def vjp_h(g, lo=0):
-        return jmatmul(g, [weight(c).swapaxes(-1, -2) for c in x.jet], lo)
+        return jmatmul(g, _transposed(weights()), lo)
 
     def vjp_x(g, lo=0):
         gw = (tuple(h0T @ c for c in g[lo:]) if const
@@ -381,15 +411,17 @@ def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
         adj = []
         for cw, cg in zip(gw, g[lo:]):
             z = np.zeros(full)
-            z[..., offset:mid] = cw.reshape(lead + (mid - offset,))
-            z[..., mid:stop] = cg.sum(axis=-2)
+            z[..., offset:mid] = cw.reshape(wflat)
+            z[..., mid:stop] = np.add.reduce(cg, axis=-2)
             adj.append(z)
         return tuple(adj)
 
     x0 = x.jet[0]
-    return _make(x.tape, "dense", h0 @ weight(x0) + x0[..., None, mid:stop],
-                 (h, x), (None if const else vjp_h, vjp_x), tangent,
-                 linear=const)
+    w0 = x0[..., offset:mid].reshape(wshape)
+    out = h0 @ w0
+    out += x0[..., None, mid:stop]
+    return _make(x.tape, "dense", out, (h, x),
+                 (None if const else vjp_h, vjp_x), tangent, linear=const)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -434,8 +466,14 @@ def _gelu_factors(a0: np.ndarray, t=None) -> tuple:
     u = c0 (a + c1 a^3); t is computed unless given."""
     sq = a0 * a0
     if t is None:
-        t = np.tanh(a0 * (_GELU_C01 * sq + GELU_C0))
-    return sq, t, 1.0 - t * t, (3.0 * _GELU_C01) * sq + GELU_C0
+        t = _GELU_C01 * sq
+        t += GELU_C0
+        t *= a0
+        t = np.tanh(t)
+    s = 1.0 - t * t
+    du = (3.0 * _GELU_C01) * sq
+    du += GELU_C0
+    return sq, t, s, du
 
 
 def _gelu_higher(a0, sq, t, s, du, k: int) -> list:
@@ -444,13 +482,27 @@ def _gelu_higher(a0, sq, t, s, du, k: int) -> list:
         return []
     # f'' = t' + a t''/2 = s p with p = u' + a u''/2 - a t u'^2
     du2 = du * du
-    p = (6.0 * _GELU_C01) * sq + GELU_C0 - a0 * t * du2
+    at = a0 * t
+    p = (6.0 * _GELU_C01) * sq
+    p += GELU_C0
+    p -= at * du2
     out = [s * p]
     if k > 1:
-        # f''' = (s p)' = s (p' - 2 t u' p), with u'' = 6 c0 c1 a
-        dp = ((12.0 * _GELU_C01) * a0 * (1.0 - a0 * t * du)
-              - du2 * (t + a0 * s * du))
-        out.append(s * (dp - 2.0 * t * du * p))
+        # f''' = (s p)' = s (p' - 2 t u' p), with u'' = 6 c0 c1 a, and
+        # p' = 12 c0 c1 a (1 - a t u') - u'^2 (t + a s u')
+        dp = 1.0 - at * du
+        dp *= (12.0 * _GELU_C01) * a0
+        w = a0 * s
+        w *= du
+        w += t
+        w *= du2
+        dp -= w
+        w = 2.0 * t
+        w *= du
+        w *= p
+        dp -= w
+        dp *= s
+        out.append(dp)
     return out
 
 
@@ -466,8 +518,12 @@ def gelu(a: Tensor) -> Tensor:
     """
     a0 = a.jet[0]
     sq, t, s, du = _gelu_factors(a0)
-    half = 0.5 * t + 0.5                               # (1 + t) / 2
-    fp = [half + 0.5 * a0 * (s * du)]                  # f' = (1 + t)/2 + a t'/2
+    half = 0.5 * t
+    half += 0.5                                        # (1 + t) / 2
+    f1 = s * du
+    f1 *= 0.5 * a0
+    f1 += half                                         # f' = (1 + t)/2 + a t'/2
+    fp = [f1]
     f23 = _gelu_higher(a0, sq, t, s, du, a.tape.degree)
     if f23:
         t = None
@@ -484,50 +540,65 @@ def gelu(a: Tensor) -> Tensor:
             out.append(fp[0] * aj[1])
             fp.append(f23[0] * aj[1])
         if len(aj) > 2:
-            out.append(fp[0] * aj[2] + 0.5 * fp[1] * aj[1])
-            fp.append(f23[0] * aj[2] + 0.5 * f23[1] * aj[1] * aj[1])
+            c = fp[0] * aj[2]
+            c += 0.5 * fp[1] * aj[1]
+            out.append(c)
+            c = 0.5 * f23[1]
+            c *= aj[1]
+            c *= aj[1]
+            c += f23[0] * aj[2]
+            fp.append(c)
         return tuple(out)
 
-    return _make(a.tape, "gelu", a0 * half, (a,),
+    half *= a0
+    return _make(a.tape, "gelu", half, (a,),
                  (lambda g, lo=0: jmul(g, fp, lo),), tangent)
 
 
 def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
     """Softmax cross-entropy of logits ``(..., n, C)`` against integer labels
-    ``(..., n)``: the mean over n rows, summed over any leading axes.
+    ``(..., n)`` in [0, C): the mean over n rows, summed over any leading
+    axes.
 
     The log-sum-exp is shifted by the row maximum of the primal logits, a
     constant, so large logits stay finite. The VJP is
-    ``g / n * (softmax(z) - onehot)``.
+    ``g / n * (softmax(z) - onehot)``. Each row's label logit is read at its
+    flat C-order index, which ``np.ravel_multi_index`` builds and checks.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    where = (*np.indices(labels.shape, sparse=True), labels)
     n = labels.shape[-1]
     z0 = z.jet[0]
-    m = z0.max(axis=-1, keepdims=True)
-    e = [np.exp(z0 + -m)]                 # jet of exp(z - m)
-    s = [e[0].sum(axis=-1, keepdims=True)]
+    if z0.shape[:-1] != labels.shape:
+        raise ValueError("softmax_ce needs one label per row of logits")
+    rows = np.arange(labels.size).reshape(labels.shape)
+    flat = np.ravel_multi_index((rows, labels), (labels.size, z0.shape[-1]))
+    m = np.maximum.reduce(z0, axis=-1, keepdims=True)
+    e0 = z0 + -m
+    np.exp(e0, out=e0)
+    e = [e0]                              # jet of exp(z - m)
+    s = [np.add.reduce(e0, axis=-1, keepdims=True)]
     log_s = np.log(s[0])
     # softmax(z0) less the one-hot, and softmax(z0), each made when a VJP
     # first needs it
     dsoft = soft = None
 
     def loss(lse, zc):
-        return np.asarray((lse[..., 0] - zc[where]).sum() / n)
+        return np.asarray(np.add.reduce(lse[..., 0] - zc.take(flat),
+                                        axis=None) / n)
 
     def tangent():
         zj = z.jet
         # The shift by m moves coefficient 0 only, so z's higher
         # coefficients are those of z - m.
         e[1:] = jexp(zj, e[0])[1:]
-        s[1:] = [c.sum(axis=-1, keepdims=True) for c in e[1:]]
+        s[1:] = [np.add.reduce(c, axis=-1, keepdims=True) for c in e[1:]]
         return tuple(loss(c, zc) for c, zc in zip(jlog(s, log_s)[1:], zj[1:]))
 
     def vjp(g, lo=0):
         nonlocal dsoft, soft
         if dsoft is None:
-            dsoft = e[0] / s[0]
-            dsoft[where] -= 1.0
+            dsoft = np.divide(e[0], s[0], order="C")
+            dsoft.reshape(-1)[flat] -= 1.0
         p = (dsoft,)
         if len(g) > 1:
             if soft is None:
@@ -592,31 +663,34 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
     if output.value.shape != ():
         raise ValueError("backward expects a scalar output node")
     tape = output.tape
+    nodes = tape.nodes
     k = tape.degree
-    recorded = tape.adjoint is not None and tape.adjoint[0] == output.idx
+    top = output.idx
+    recorded = tape.adjoint is not None and tape.adjoint[0] == top
     lo = int(recorded)
-    adj0 = tape.adjoint[1] if recorded else [None] * len(tape.nodes)
-    adj: list[Jet | None] = [None] * len(tape.nodes)
-    adj[output.idx] = jet_const(1.0, k)[lo:]
-    for node in reversed(tape.nodes if lo <= k else ()):
-        g = adj[node.idx]
+    adj0 = tape.adjoint[1] if recorded else [None] * len(nodes)
+    adj: list[Jet | None] = [None] * len(nodes)
+    adj[top] = jet_const(1.0, k)[lo:]
+    # No node after the output reaches it, so the sweep starts there.
+    for i in range(top if lo <= k else -1, -1, -1):
+        g = adj[i]
         if g is None:
             continue
+        node = nodes[i]
         if lo:
-            g = (adj0[node.idx],) + g
+            g = (adj0[i],) + g
         elif not node.linear:
-            adj0[node.idx] = g[0]
+            adj0[i] = g[0]
         if not node.requires_grad or not node.parents:
             continue
         # Consumed once passed to the parents; leaves keep theirs.
-        adj[node.idx] = None
+        adj[i] = None
         for parent, vjp in zip(node.parents, node.vjps):
-            if not parent.requires_grad:
-                continue
-            contrib = vjp(g, lo)
-            i = parent.idx
-            adj[i] = contrib if adj[i] is None else jadd(adj[i], contrib)
-    tape.adjoint = (output.idx, adj0)
+            if parent.requires_grad:
+                j = parent.idx
+                contrib = vjp(g, lo)
+                adj[j] = contrib if adj[j] is None else jadd(adj[j], contrib)
+    tape.adjoint = (top, adj0)
     out = []
     for leaf in wrt:
         g0 = adj0[leaf.idx]

@@ -210,6 +210,14 @@ def spectrum_deflated(oracle: LossOracle, x, k: int, q: int,
     vectors (not the Lanczos estimate |beta s_m|), and ``converged``
     follows from that residual. ``hvp_calls`` counts every HVP, one per
     basis row.
+
+    ``converged`` certifies a pair's residual: its value is within that
+    residual of some eigenvalue. It does not certify that no copy of a
+    repeated eigenvalue was missed. Without a breakdown the run stops once
+    the top k and the block's leading pair converge, and one Krylov block
+    holds one copy of each eigenvalue, so a top-k whose largest eigenvalue
+    is repeated can report smaller eigenvalues in the place of its later
+    copies, every pair flagged converged.
     """
     dim = oracle.dim
     if not 1 <= k <= min(64, dim):

@@ -21,7 +21,7 @@ and ``hvp_count`` holds one count per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,15 +90,20 @@ def schedule_lr(cfg: OptimizerConfig, t1: int) -> float:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1, keepdims=True)
+    return np.add.reduce(a * b, axis=-1, keepdims=True)
 
 
 def _unit_rows(g: np.ndarray, tau: float) -> tuple:
     """(g / ||g||, live, ||g||) per row. Rows with ||g|| < tau are not live
     and their unit vector is zero; ``live`` and the norm keep a trailing
-    axis of length 1, so they broadcast against g."""
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    axis of length 1, so they broadcast against g. The norm is
+    ``np.linalg.norm``'s along the last axis, bit for bit, and when every
+    row is live the masks are skipped, which leaves the same bits."""
+    g = np.asarray(g, dtype=np.float64)
+    norm = np.sqrt(_row_dot(g, g))
     live = norm >= tau
+    if live.all():
+        return g / norm, live, norm
     return np.where(live, g / np.where(live, norm, 1.0), 0.0), live, norm
 
 
@@ -112,9 +117,11 @@ def eigen_sam_perturbation(g: np.ndarray, v: np.ndarray, alpha: float,
     """Normalized gradient plus alpha times the sign-resolved orthogonal
     component of the unit eigenvector; zero below the gradient floor."""
     ghat, live, _ = _unit_rows(g, tau)
-    vperp = v - _row_dot(v, ghat) * ghat
-    s = np.where(_row_dot(g, v) >= 0.0, 1.0, -1.0)
-    return np.where(live, ghat + alpha * s * vperp, 0.0)
+    eps = _row_dot(v, ghat) * ghat
+    np.subtract(v, eps, out=eps)                       # v_perp
+    eps *= np.where(_row_dot(g, v) >= 0.0, alpha, -alpha)
+    eps += ghat
+    return eps if live.all() else np.where(live, eps, 0.0)
 
 
 def step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
@@ -150,7 +157,10 @@ def step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
                if cfg.method == "eigensam" else sam_perturbation(g, cfg.grad_floor))
         sign = -1.0 if cfg.method == "reversesam" else 1.0
         direction = oracle.grad(x + sign * cfg.rho * eps)
-    buf = cfg.momentum * state.momentum_buf + (direction + cfg.weight_decay * x)
-    return x - schedule_lr(cfg, t1) * buf, replace(
-        state, step=t1, momentum_buf=buf, eigvec=v,
-        hvp_count=state.hvp_count + hvp_used)
+    buf = cfg.weight_decay * x
+    buf += direction
+    buf += cfg.momentum * state.momentum_buf
+    x_next = schedule_lr(cfg, t1) * buf
+    np.subtract(x, x_next, out=x_next)
+    return x_next, OptimizerState(t1, buf, v, state.hvp_count + hvp_used,
+                                  state.seed)

@@ -16,6 +16,7 @@ bit-identical in both modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +58,7 @@ class ParamVector:
 
 def _check_finite(*arrays) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not (np.isfinite(a).all() if np.ndim(a) else math.isfinite(a)):
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 

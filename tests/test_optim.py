@@ -196,6 +196,20 @@ class TestStepExamples:
             np.testing.assert_allclose(sam_perturbation(g)[s], sam_perturbation(g[s]),
                                        rtol=1e-12)
 
+    def test_all_live_rows_equal_the_masked_path(self):
+        # Rows [g0, g1] are all above the floor and skip the masks; with a
+        # third row below it, the same two rows go through the masked path.
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((3, 6))
+        g[2] = 1e-14
+        v = rng.standard_normal((3, 6))
+        v[1] = -g[1] + 0.3 * v[1]                # a row whose sign flips
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        np.testing.assert_array_equal(sam_perturbation(g[:2]),
+                                      sam_perturbation(g)[:2])
+        np.testing.assert_array_equal(eigen_sam_perturbation(g[:2], v[:2], 0.4),
+                                      eigen_sam_perturbation(g, v, 0.4)[:2])
+
 
 def run_trajectory(method, steps=100, seed=0, **kw):
     spec = MlpSpec((2, 8, 2))

@@ -9,7 +9,9 @@ from samlab import engine as eng
 from samlab.data import gen_synthetic, unstacked
 from samlab.errors import NonFiniteLoss
 from samlab.models import MlpSpec, init_params, mlp_builder, mlp_oracle
-from samlab.oracle import jet_pass, polynomial_oracle_1d, quadratic_oracle
+from samlab.optim import OptimizerConfig, init_state, step as optim_step
+from samlab.oracle import (LossOracle, jet_pass, polynomial_oracle_1d,
+                           quadratic_oracle)
 
 ZOO_INPUTS = np.linspace(-1.0, 1.0, 15).reshape(5, 3)
 
@@ -106,6 +108,41 @@ def test_push_along_a_new_tangent(name):
     want = fresh(builder, x, 2, v)
     jet_pass(builder, x, 2, u)
     assert_bit_equal(jet_pass(builder, x, 2, v, with_loss=True), want)
+
+
+@pytest.mark.parametrize("name", ["gelu-ce-1-3", "relu-mse-2-0", "zoo"])
+def test_returned_arrays_keep_their_bits(name):
+    # Rules write in place only into arrays their own call allocated, so no
+    # later pass, push or optimizer step reaches an array handed out before.
+    # Each array is copied as it is returned; losses come back as floats.
+    builder, x = case(name)
+    oracle = LossOracle(builder, x.shape[-1])
+    u, v = tangent_for(x, 4), tangent_for(x, 5)
+    held = []
+
+    def hold(*arrays):
+        held.extend((a, a.copy()) for a in arrays)
+
+    for k in (0, 1, 2):
+        hold(*fresh(builder, x, k, u)[1])
+        hold(*jet_pass(builder, x, k, v))             # a push
+    hold(oracle.grad(x + 0.5), oracle.grad(x, with_loss=True)[1],
+         oracle.hvp(x, u))
+    cfg = OptimizerConfig("eigensam", lr=0.1, rho=0.05, alpha=0.3,
+                          refresh_every=2, power_iters=2, momentum=0.9,
+                          weight_decay=1e-3)
+    state = init_state(x.shape[-1], (0,) * len(x) if x.ndim > 1 else 0)
+    x1, state = optim_step(x, oracle, cfg, state)
+    hold(x1, state.momentum_buf, state.eigvec)
+
+    for k in (0, 1, 2):
+        fresh(builder, x, k, v)
+        for j in (2, 0, 1):
+            jet_pass(builder, x, j, u)
+    oracle.loss(x1)                                    # forward only
+    optim_step(x1, oracle, cfg, state)
+    for a, want in held:
+        assert a.tobytes() == want.tobytes()
 
 
 class TestRecordKey:

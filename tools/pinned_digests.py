@@ -58,6 +58,12 @@ PINNED = {
                                    "eval_every=10"), "0,1"),
     "train-eigensam": ("train", ("method=eigensam", "p=5", "steps=30",
                                  "eval_every=10"), None),
+    # Two lockstep Eigen-SAM seeds on the benchmark's 12,32,10 model: a
+    # two-row stack of 32-row batches through every refresh and step.
+    "train-eigensam-seeds": ("train", (
+        "model_layers=12,32,10", "data_dim=12", "data_classes=10",
+        "data_n=512", "method=eigensam", "rho=0.2", "p=10", "steps=40",
+        "eval_every=20"), "0,1"),
     "moments-quartic1d": ("probe-moments", ("toy=quartic1d",), None),
     "moments-twobatch2d": ("probe-moments", ("toy=twobatch2d",), None),
     "sde-aligned-none": ("simulate-sde", (
