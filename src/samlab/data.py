@@ -37,7 +37,6 @@ STACK_ELEMENTS = 1 << 16
 class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
@@ -71,7 +70,7 @@ def gen_synthetic(n: int, dim: int, classes: int, margin: float, seed: int,
     np.fill_diagonal(means[:, :classes], margin / np.sqrt(2.0))
     labels = np.arange(n, dtype=np.int64) % classes
     inputs = means[labels] + rng.standard_normal((n, dim))
-    return Dataset(inputs, labels, split)
+    return Dataset(inputs, labels)
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -85,7 +84,7 @@ def _open_idx(path):
     return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Read an IDX image/label pair; pixels scaled to [0, 1]."""
     with _open_idx(images_path) as fh:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "image header"))
@@ -100,7 +99,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         labels = np.frombuffer(_read_exact(fh, label_count, "label data"), dtype=np.uint8)
     if count != label_count:
         raise CountMismatch(f"{count} images vs {label_count} labels")
-    return Dataset(images / 255.0, labels.astype(np.int64), split)
+    return Dataset(images / 255.0, labels.astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,23 @@ for the wall-clock column.
 
 Every run's trajectories (a training run's seeds, or every process and
 seed of an SDE simulation) go through one call of :func:`_trajectory`, the
-one loop that takes the metric rows and stops at the last step. It
-advances an ``(R, d)`` array whose row r belongs to the label ``(process,
-seed)``: a run only supplies ``advance(x, t) -> x`` and a function that
-gives each row's ``hvp_count`` so far. Training advances all seeds in
-lockstep: each step samples every seed's batch, stacks them, and takes one
-optimizer step on one stacked oracle, so a tape pass serves every seed.
-``simulate-sde`` steps each row with its own process: the discrete-SAM rows
-of all seeds take one stacked SAM step, and each SDE row its own
-integrator steps. The metric rows of all labels come from one
-:func:`_probe_row` call per probe step, with ``wall_ms`` counted from the
-shared start. An error in any row stops every row, and the rows so far are
-written with an ``# error=`` line. A JSON report stopped by an error holds
-the results so far and an ``"error"`` key.
+one loop that takes the metric rows and stops at the last step. It owns
+the run's row state: the points ``x``, an ``(R, d)`` array whose row r
+belongs to the label ``(process, seed)``, and the HVP counts ``hvps``, one
+per row. A run supplies row groups, pairs ``(at, advance)``: each step,
+in group order, ``advance(x[at], t)`` returns the group's next points and
+the HVPs each of its rows spent, which ``_trajectory`` writes into a fresh
+array and adds to ``hvps``. ``x[at]`` may be a view of ``x``, and no
+group's input is written afterwards. Training is one group: every seed in
+lockstep, one optimizer step per step on one stacked oracle of the seeds'
+batches (:func:`_optimizer_rows`), so a tape pass serves every seed.
+``simulate-sde`` has the discrete-SAM rows of all seeds as one such group,
+then one group per SDE row, which takes its own integrator steps. The
+metric rows of all labels come from one :func:`_probe_row` call per probe
+step, with ``wall_ms`` counted from the shared start. An error in any row
+stops every row, and the rows so far are written with an ``# error=``
+line. A JSON report stopped by an error holds the results so far and an
+``"error"`` key.
 """
 
 from __future__ import annotations
@@ -53,8 +57,11 @@ from .toys import TOYS
 
 EVAL_BATCH_MAX = 128
 
-SDE_PROCESSES = ("discrete-sam", "sde2", "sde3", "sde-aligned-rho",
-                 "sde-aligned-rho2")
+_PROCESS_ORDER = {"sde2": 2, "sde3": 3,
+                  "sde-aligned-rho": sde_mod.VARIANT_ALIGNED_RHO,
+                  "sde-aligned-rho2": sde_mod.VARIANT_ALIGNED_RHO2}
+
+SDE_PROCESSES = ("discrete-sam", *_PROCESS_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +82,8 @@ def _datasets(config: dict) -> tuple:
         for key in ("idx_images", "idx_labels", "idx_test_images", "idx_test_labels"):
             if not config[key]:
                 raise ConfigError(f"data=idx requires {key}")
-        train = load_idx(config["idx_images"], config["idx_labels"], "train")
-        test = load_idx(config["idx_test_images"], config["idx_test_labels"], "test")
+        train = load_idx(config["idx_images"], config["idx_labels"])
+        test = load_idx(config["idx_test_images"], config["idx_test_labels"])
     elif config["data"] == "synthetic":
         train = gen_synthetic(config["data_n"], config["data_dim"],
                               config["data_classes"], config["data_margin"],
@@ -86,8 +93,12 @@ def _datasets(config: dict) -> tuple:
                              config["data_seed"], "test")
     else:
         raise ConfigError(f"unknown data source {config['data']!r}")
-    if train.dim != spec.layers[0]:
+    if not train.dim == test.dim == spec.layers[0]:
         raise ConfigError("model input width does not match the dataset")
+    width = spec.layers[-1]
+    if any(ds.n and (ds.labels.min() < 0 or ds.labels.max() >= width)
+           for ds in (train, test)):
+        raise ConfigError(f"labels out of range for an output width of {width}")
     return spec, train, test
 
 
@@ -145,40 +156,66 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
 
 
 def _trajectory(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
-                labels: tuple, steps: int, advance, hvp_counts,
+                labels: tuple, steps: int, groups: list,
                 rows: list | None) -> np.ndarray:
     """Advance one row per ``labels[r] = (process, seed)``, row r from its
-    seed's initialization, for ``steps`` steps; every ``eval_every`` steps
-    and at the last, append the metric rows of every label (see
-    :func:`_probe_row`), with ``hvp_counts()[r]`` as row r's count.
-    Returns the ``(R, d)`` end point. With ``rows=None`` no row is
+    seed's initialization, for ``steps`` steps, by the row groups
+    ``(at, advance)`` in order (see the module docstring); every
+    ``eval_every`` steps and at the last, append the metric rows of every
+    label (see :func:`_probe_row`), with the HVPs row r spent so far as its
+    count. Returns the ``(R, d)`` end point. With ``rows=None`` no row is
     computed."""
     x = np.stack([init_params(spec, seed).values for _, seed in labels])
+    hvps = np.zeros(len(labels), dtype=np.int64)
     probe_at = (set() if rows is None else
                 set(range(0, steps + 1, config["eval_every"])) | {steps})
     started = time.perf_counter()
     for t in range(steps + 1):
         if t in probe_at:
-            rows.extend(_probe_row(spec, x, t, labels, train, test,
-                                   hvp_counts(), config["probe_q"], started))
+            rows.extend(_probe_row(spec, x, t, labels, train, test, hvps,
+                                   config["probe_q"], started))
         if t == steps:
             break
-        x = advance(x, t)
+        x_next = np.empty_like(x)
+        for at, advance in groups:
+            x_next[at], spent = advance(x[at], t)
+            hvps[at] += spent
+        x = x_next
     return x
 
 
-def _write_rows(config_lines: list, out: Path, fill) -> Path:
-    """CSV of the rows ``fill(rows)`` appends; on a SamlabError the rows so
-    far are written with an ``# error=`` line and the error is re-raised."""
-    rows: list = []
+def _write(path: Path, results, fill, write) -> Path:
+    """``write(results)`` to path after ``fill(results)``; on a SamlabError
+    the results so far are written with ``error=`` the error's text and the
+    error is re-raised."""
     try:
-        fill(rows)
+        fill(results)
     except SamlabError as exc:
-        write_csv(out, config_lines, sort_rows(rows),
-                  error=f"{type(exc).__name__}: {exc}")
+        write(results, error=f"{type(exc).__name__}: {exc}")
         raise
-    write_csv(out, config_lines, sort_rows(rows))
-    return out
+    write(results)
+    return path
+
+
+def _write_rows(config_lines: list, out: Path, fill) -> Path:
+    """CSV of the rows ``fill(rows)`` appends, an ``# error=`` line after
+    the rows so far if it stops (see :func:`_write`)."""
+    return _write(out, [], fill, lambda rows, error=None: write_csv(
+        out, config_lines, sort_rows(rows), error=error))
+
+
+def _optimizer_rows(cfg: OptimizerConfig, seeds: tuple, dim: int, oracle_at):
+    """``advance(x, t)`` of ``cfg``'s optimizer for ``seeds`` in lockstep:
+    one step of the ``(S, d)`` rows, row s for seed s, on the stacked
+    oracle ``oracle_at(t)``, returning the next rows and each row's HVPs."""
+    state = init_state(dim, seeds)
+
+    def advance(x, t):
+        nonlocal state
+        spent = state.hvp_count
+        x, state = optimizer_step(x, oracle_at(t), cfg, state)
+        return x, state.hvp_count - spent
+    return advance
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +243,17 @@ def _trainer(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def run(rows: list | None) -> np.ndarray:
-        state = init_state(spec.dim, tuple(seeds))
+    def oracle_at(t):
+        # np.array stacks the equal-length index sets as np.stack would,
+        # for a fifth of its call cost
+        idx = np.array([sample_batch(sampler, train, t) for sampler in samplers])
+        return mlp_oracle(spec, *train.take(idx))
 
-        def advance(x, t):
-            nonlocal state
-            # np.array stacks the equal-length index sets as np.stack
-            # would, for a fifth of its call cost
-            idx = np.array([sample_batch(sampler, train, t)
-                            for sampler in samplers])
-            oracle = mlp_oracle(spec, *train.take(idx))
-            x, state = optimizer_step(x, oracle, opt_cfg, state)
-            return x
-
-        return _trajectory(config, spec, train, test,
-                           tuple((config["method"], seed) for seed in seeds),
-                           steps, advance, lambda: state.hvp_count, rows)
-    return run
+    labels = tuple((config["method"], seed) for seed in seeds)
+    return lambda rows: _trajectory(
+        config, spec, train, test, labels, steps,
+        [(slice(None), _optimizer_rows(opt_cfg, tuple(seeds), spec.dim,
+                                       oracle_at))], rows)
 
 
 def run_train(config: dict, out_name: str = "train.csv") -> Path:
@@ -235,11 +266,6 @@ def run_train(config: dict, out_name: str = "train.csv") -> Path:
 # ---------------------------------------------------------------------------
 # simulate-sde
 # ---------------------------------------------------------------------------
-
-_PROCESS_ORDER = {"sde2": 2, "sde3": 3,
-                  "sde-aligned-rho": sde_mod.VARIANT_ALIGNED_RHO,
-                  "sde-aligned-rho2": sde_mod.VARIANT_ALIGNED_RHO2}
-
 
 def _picked_oracle(spec: MlpSpec, train: Dataset, family,
                    picks: list) -> LossOracle:
@@ -263,46 +289,21 @@ def _picked_oracle(spec: MlpSpec, train: Dataset, family,
     return LossOracle(build, spec.dim)
 
 
-def _sam_rows(config: dict, sde_cfg: sde_mod.SdeConfig, spec: MlpSpec,
-              train: Dataset, family, seeds: tuple):
-    """(advance, hvp_counts) of discrete SAM for ``seeds`` in lockstep, the
-    process the SDE models approximate: advance(xs, t) takes one stacked
-    SAM step on the ``(S, d)`` rows, row s on the batch that seed s draws
-    with probability equal to its weight."""
-    sam_cfg = OptimizerConfig(method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
-                              schedule="constant", total_steps=sde_cfg.steps,
-                              grad_floor=config["grad_floor"])
-    state = init_state(family.dim, seeds)
-
-    def advance(xs, t):
-        nonlocal state
-        picks = [family.pick(seed, STREAM_BATCH, t) for seed in seeds]
-        xs, state = optimizer_step(
-            xs, _picked_oracle(spec, train, family, picks), sam_cfg,
-            state)
-        return xs
-    return advance, lambda: state.hvp_count
-
-
-def _sde_process(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
-                 seed: int):
-    """(advance, hvp_counts): advance(x, t) takes ``substeps`` Euler-Maruyama
-    steps of the SDE model; the count is the HVPs of their drifts so far."""
+def _sde_steps(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
+               seed: int, x: np.ndarray, t: int) -> tuple:
+    """The ``substeps`` Euler-Maruyama steps of step t of the SDE model from
+    x: (the end point, the HVPs of their drifts)."""
     hvps = 0
-
-    def advance(x, t):
-        nonlocal hvps
-        for j in range(sde_cfg.substeps):
-            dd, diff = sde_mod.sde_coefficients(
-                family, x, sde_cfg.rho, order, sde_cfg.diffusion,
-                tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
-                check_gap=config["aligned_check_gap"])
-            hvps += dd.hvp_calls
-            noise = None if diff is None else diff.draw(
-                seed, t * sde_cfg.substeps + j)
-            x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
-        return x
-    return advance, lambda: hvps
+    for j in range(sde_cfg.substeps):
+        dd, diff = sde_mod.sde_coefficients(
+            family, x, sde_cfg.rho, order, sde_cfg.diffusion,
+            tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
+            check_gap=config["aligned_check_gap"])
+        hvps += dd.hvp_calls
+        noise = None if diff is None else diff.draw(
+            seed, t * sde_cfg.substeps + j)
+        x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
+    return x, hvps
 
 
 def _sde_config(config: dict) -> sde_mod.SdeConfig:
@@ -329,32 +330,28 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
         family = mlp_family(spec, train, config["batch_size"])
         labels = tuple((process, seed) for seed in config["seeds"]
                        for process in config["processes"])
-        # (rows of x, advance over those rows, their HVP counts)
-        groups = []
         sam = [r for r, (process, _) in enumerate(labels)
                if process == "discrete-sam"]
+        groups = []
         if sam:
-            groups.append((sam, *_sam_rows(config, sde_cfg, spec, train, family,
-                                           tuple(labels[r][1] for r in sam))))
-        groups += [(r, *_sde_process(config, sde_cfg, family,
-                                     _PROCESS_ORDER[process], seed))
+            seeds = tuple(labels[r][1] for r in sam)
+            # Discrete SAM, the process the SDE models approximate: one
+            # stacked step, row s on the batch that seed s draws with
+            # probability equal to its weight.
+            sam_cfg = OptimizerConfig(
+                method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
+                schedule="constant", total_steps=sde_cfg.steps,
+                grad_floor=config["grad_floor"])
+            groups.append((sam, _optimizer_rows(
+                sam_cfg, seeds, spec.dim, lambda t: _picked_oracle(
+                    spec, train, family,
+                    [family.pick(seed, STREAM_BATCH, t) for seed in seeds]))))
+        groups += [(r, functools.partial(_sde_steps, config, sde_cfg, family,
+                                         _PROCESS_ORDER[process], seed))
                    for r, (process, seed) in enumerate(labels)
                    if process != "discrete-sam"]
-
-        def advance(x, t):
-            out = np.empty_like(x)
-            for at, step, _ in groups:
-                out[at] = step(x[at], t)
-            return out
-
-        def hvp_counts():
-            counts = np.zeros(len(labels), dtype=np.int64)
-            for at, _, count in groups:
-                counts[at] = count()
-            return counts
-
-        _trajectory(config, spec, train, test, labels, sde_cfg.steps, advance,
-                    hvp_counts, rows)
+        _trajectory(config, spec, train, test, labels, sde_cfg.steps, groups,
+                    rows)
 
     return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 
@@ -375,27 +372,19 @@ def _jsonable(value):
 
 
 def _write_json(config: dict, out_name: str, fill) -> Path:
-    """JSON report of the results ``fill(results)`` puts in a dict; on a
-    SamlabError the results so far are written with an ``"error"`` key and
-    the error is re-raised."""
+    """JSON report of the results ``fill(results)`` puts in a dict, an
+    ``"error"`` key beside the results so far if it stops (see
+    :func:`_write`)."""
     path = Path(config["out"]) / out_name
-    results: dict = {}
 
-    def write(**error):
+    def write(results, **error):
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"config": {k: list(v) if isinstance(v, tuple) else v
                               for k, v in config.items()},
                    "results": _jsonable(results), **error}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True,
                                    allow_nan=False) + "\n")
-        return path
-
-    try:
-        fill(results)
-    except SamlabError as exc:
-        write(error=f"{type(exc).__name__}: {exc}")
-        raise
-    return write()
+    return _write(path, {}, fill, write)
 
 
 def run_probe_moments(config: dict, out_name: str = "moments.json") -> Path:

@@ -406,6 +406,37 @@ def assert_rows_close(rows, single):
                 assert va == vb, col
 
 
+class TestTrajectory:
+    def test_groups_get_views_and_return_their_hvps(self):
+        # Two row groups over three rows. The first keeps every array it is
+        # handed, views of the trajectory's points; the trajectory writes
+        # the next points into a fresh array, so the kept arrays keep their
+        # values. Each row's hvp_count is the running sum of its group's
+        # spends.
+        cfg = train_cfg("unused", eval_every=2, probe_q=3)
+        spec, train, test = runner._datasets(cfg)
+        labels = (("kept", 0), ("kept", 1), ("moved", 2))
+        kept = []
+
+        def keeping(x, t):
+            kept.append((x, x.copy()))
+            return x + 0.5, np.array([2, 5])
+
+        rows = []
+        end = runner._trajectory(cfg, spec, train, test, labels, 5, [
+            (slice(0, 2), keeping), (2, lambda x, t: (x - 0.5, 3))], rows)
+        assert len(kept) == 5
+        for x, copy in kept:
+            assert x.tobytes() == copy.tobytes()
+        spends = {("kept", 0): 2, ("kept", 1): 5, ("moved", 2): 3}
+        assert sorted((r.process, r.seed, r.step, r.hvp_count)
+                      for r in rows) == sorted(
+            (*label, t, t * spend) for label, spend in spends.items()
+            for t in (0, 2, 4, 5))
+        start = np.stack([init_params(spec, seed).values for _, seed in labels])
+        np.testing.assert_allclose(end, start + [[2.5], [2.5], [-2.5]])
+
+
 class TestPickedOracle:
     """The discrete-SAM oracle of one lockstep step, on the 32, 32, 32 and 4
     row batches of 100 rows."""
@@ -674,6 +705,10 @@ class TestCli:
         "simulate-sde grad_floor=0 processes=sde2",
         "spectrum spectrum_q=0", "probe-power q_ref=0",
         "probe-power q_grid=1,0", "probe-power n_starts=0",
+        # Labels 0, 1, 2 for a model with two outputs.
+        *(f"{subcommand} model_layers=3,4,2 data_dim=3 data_classes=3"
+          for subcommand in ("train", "simulate-sde", "spectrum",
+                             "probe-power")),
     ])
     def test_count_out_of_range_exit_two(self, tmp_path, capsys, case):
         subcommand, *sets = case.split()
@@ -683,6 +718,23 @@ class TestCli:
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_test_set_width_mismatch_exit_two(self, tmp_path, capsys):
+        # Training images of 1 x 2 pixels fit a 2,4,2 model; test images of
+        # 2 x 2 pixels do not.
+        from test_models_data import write_idx_pair
+
+        sets = ["model_layers=2,4,2", "steps=2", "batch_size=2"]
+        for split, shape in (("", (4, 1, 2)), ("test_", (4, 2, 2))):
+            folder = tmp_path / f"{split}data"
+            folder.mkdir()
+            images, labels = write_idx_pair(folder, np.zeros(shape), [0, 1] * 2)
+            sets += [f"idx_{split}images={images}", f"idx_{split}labels={labels}"]
+        out = tmp_path / "out"
+        args = [item for kv in ["data=idx", *sets] for item in ("--set", kv)]
+        assert main(["train", "--out", str(out), *args]) == 2
+        assert "input width" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rho_grid", ["-0.1,0.1", "0,0.1"])
     def test_probe_moments_rho_grid_out_of_range_exit_two(self, tmp_path,

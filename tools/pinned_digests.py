@@ -93,6 +93,16 @@ PINNED = {
     "sde-sam-seeds": ("simulate-sde", (
         "model_layers=2,16,2", "data_n=100", "processes=discrete-sam,sde2",
         "steps=20", "eval_every=5", "probe_q=10"), "0,1,2"),
+    # Three Euler-Maruyama substeps per step, so each row's hvp_count sums
+    # the HVPs of several drifts.
+    "sde-substeps": ("simulate-sde", _SDE + (
+        "steps=4", "eval_every=2", "substeps=3",
+        "processes=sde3,sde-aligned-rho", "aligned_q=10"), None),
+    # Three seeds of discrete SAM against both SDE orders with exact
+    # diffusion: every Σ of a multi-seed run.
+    "sde-seeds-exact": ("simulate-sde", _SDE + (
+        "processes=discrete-sam,sde2,sde3", "steps=10", "eval_every=5",
+        "diffusion=exact"), "0,1,2"),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
