@@ -103,6 +103,10 @@ PINNED = {
     "sde-seeds-exact": ("simulate-sde", _SDE + (
         "processes=discrete-sam,sde2,sde3", "steps=10", "eval_every=5",
         "diffusion=exact"), "0,1,2"),
+    # rho = 0.2 above eta^(1/3) = 0.1: the config echo says rho_warning=true.
+    "sde-rho-warning": ("simulate-sde", _SDE + (
+        "steps=4", "eval_every=2", "eta=0.001", "substeps=2",
+        "processes=discrete-sam,sde3"), None),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
