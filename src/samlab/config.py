@@ -106,7 +106,7 @@ SCHEMAS = {
                      "eta": (_positive_float, 0.01),
                      "rho": (_nonnegative_float, 0.2),
                      "steps": (_nonnegative_int, 2000),
-                     "substeps": (int, 1),
+                     "substeps": (_positive_int, 1),
                      "diffusion": (str, "exact"),
                      "eval_every": (_positive_int, 100),
                      "probe_q": (_positive_int, 20),
@@ -182,8 +182,9 @@ def resolve(subcommand: str, raw: dict) -> dict:
         items = resolved.get(key, ())
         if len(set(items)) != len(items):
             raise ConfigError(f"{key} must be distinct")
-    if "seeds" in resolved and not resolved["seeds"]:
-        raise ConfigError("at least one seed is required")
+    for key in ("seeds", "processes", "q_grid"):
+        if key in resolved and not resolved[key]:
+            raise ConfigError(f"{key} needs at least one value")
     return resolved
 
 

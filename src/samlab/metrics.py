@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-COLUMNS = ("step", "process", "seed", "train_loss", "test_loss",
-           "test_accuracy", "param_norm", "grad_norm", "lambda1",
-           "alignment", "hvp_count", "wall_ms")
-
 WALL_COLUMN = "wall_ms"
 
 
@@ -45,7 +41,7 @@ class MetricRow:
         return ",".join(parts)
 
 
-assert tuple(f.name for f in fields(MetricRow)) == COLUMNS
+COLUMNS = tuple(f.name for f in fields(MetricRow))
 
 
 def sort_rows(rows: list) -> list:

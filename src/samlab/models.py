@@ -83,7 +83,7 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
             fan_in, fan_out = shape
             a = np.sqrt(6.0 / (fan_in + fan_out))
             values[offset:offset + n] = rng.uniform(-a, a, size=n)
-    return ParamVector(values, spec.layout)
+    return ParamVector(values)
 
 
 def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,

@@ -31,25 +31,14 @@ EPS0_THIRD = 1e-4   # FD step scale for the second difference (third(u, u))
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Flat, ordered view of all parameters.
-
-    ``layout`` lists (name, shape, offset) triples partitioning [0, d).
-    """
+    """Flat, ordered view of all parameters, in the order of the model's
+    layout (such as :attr:`samlab.models.MlpSpec.layout`)."""
 
     values: np.ndarray
-    layout: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=np.float64).ravel())
-        if self.layout:
-            off = 0
-            for name, shape, offset in self.layout:
-                if offset != off:
-                    raise ValueError(f"layout gap or overlap at {name}")
-                off += int(np.prod(shape))
-            if off != self.values.size:
-                raise ValueError("layout does not cover the value vector")
 
     @property
     def dim(self) -> int:

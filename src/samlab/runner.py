@@ -42,8 +42,8 @@ from . import sde as sde_mod
 from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
                      pac_bayes_bound)
 from .config import render
-from .data import (BatchSampler, Dataset, gen_synthetic, load_idx,
-                   mlp_family, sample_batch, stack_plan)
+from .data import (POLICY_SHUFFLE, BatchSampler, Dataset, gen_synthetic,
+                   load_idx, mlp_family, sample_batch, stack_plan)
 from .errors import ConfigError, SamlabError
 from .hessian import (ALIGN_FLOOR, align, hutchinson_trace, power_iterates,
                       power_iteration, spectrum_deflated)
@@ -85,12 +85,15 @@ def _datasets(config: dict) -> tuple:
         train = load_idx(config["idx_images"], config["idx_labels"])
         test = load_idx(config["idx_test_images"], config["idx_test_labels"])
     elif config["data"] == "synthetic":
-        train = gen_synthetic(config["data_n"], config["data_dim"],
-                              config["data_classes"], config["data_margin"],
-                              config["data_seed"], "train")
-        test = gen_synthetic(config["test_n"], config["data_dim"],
-                             config["data_classes"], config["data_margin"],
-                             config["data_seed"], "test")
+        try:
+            train = gen_synthetic(config["data_n"], config["data_dim"],
+                                  config["data_classes"], config["data_margin"],
+                                  config["data_seed"], "train")
+            test = gen_synthetic(config["test_n"], config["data_dim"],
+                                 config["data_classes"], config["data_margin"],
+                                 config["data_seed"], "test")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown data source {config['data']!r}")
     if not train.dim == test.dim == spec.layers[0]:
@@ -227,7 +230,8 @@ def _trainer(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
     """``run(rows)``: the training trajectories of ``seeds`` on sampled
     mini-batches, in lockstep, returning the ``(S, d)`` end points, row s
     for seed s. The optimizer config and the batch samplers are built here,
-    so a bad value raises ConfigError before any artifact is opened."""
+    so a bad value, or a batch that shuffle-each-epoch cannot fill, raises
+    ConfigError before any artifact is opened."""
     steps = config["steps"]
     if config["fair_compute"] and config["method"] == "sgd":
         steps *= 2
@@ -242,6 +246,11 @@ def _trainer(config: dict, spec: MlpSpec, train: Dataset, test: Dataset,
                     for seed in seeds]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if (steps and config["sampler"] == POLICY_SHUFFLE
+            and config["batch_size"] > train.n):
+        raise ConfigError(f"batch_size {config['batch_size']} exceeds the "
+                          f"{train.n} training rows, so {POLICY_SHUFFLE} "
+                          "has no full batch")
 
     def oracle_at(t):
         # np.array stacks the equal-length index sets as np.stack would,
@@ -289,42 +298,37 @@ def _picked_oracle(spec: MlpSpec, train: Dataset, family,
     return LossOracle(build, spec.dim)
 
 
-def _sde_steps(config: dict, sde_cfg: sde_mod.SdeConfig, family, order,
-               seed: int, x: np.ndarray, t: int) -> tuple:
+def _sde_steps(config: dict, family, order, seed: int, x: np.ndarray,
+               t: int) -> tuple:
     """The ``substeps`` Euler-Maruyama steps of step t of the SDE model from
-    x: (the end point, the HVPs of their drifts)."""
+    x, each of dt = eta / substeps: (the end point, the HVPs of their
+    drifts)."""
+    eta, substeps = config["eta"], config["substeps"]
+    dt = eta / substeps
     hvps = 0
-    for j in range(sde_cfg.substeps):
+    for j in range(substeps):
         dd, diff = sde_mod.sde_coefficients(
-            family, x, sde_cfg.rho, order, sde_cfg.diffusion,
+            family, x, config["rho"], order, config["diffusion"],
             tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
             check_gap=config["aligned_check_gap"])
         hvps += dd.hvp_calls
-        noise = None if diff is None else diff.draw(
-            seed, t * sde_cfg.substeps + j)
-        x = sde_mod.euler_maruyama_step(x, sde_cfg, dd.combined(), noise)
+        noise = None if diff is None else diff.draw(seed, t * substeps + j)
+        x = sde_mod.euler_maruyama_step(x, eta, dt, dd.combined(), noise)
     return x, hvps
-
-
-def _sde_config(config: dict) -> sde_mod.SdeConfig:
-    try:
-        return sde_mod.SdeConfig(eta=config["eta"], rho=config["rho"],
-                                 steps=config["steps"],
-                                 substeps=config["substeps"],
-                                 diffusion=config["diffusion"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
     """Discrete SAM plus requested SDE processes from shared initializations."""
     spec, train, test = _datasets(config)
-    sde_cfg = _sde_config(config)
+    if config["diffusion"] not in sde_mod.DIFFUSIONS:
+        raise ConfigError(f"unknown diffusion mode {config['diffusion']!r}")
     unknown = [p for p in config["processes"] if p not in SDE_PROCESSES]
     if unknown:
         raise ConfigError(f"unknown processes: {', '.join(unknown)}")
+    # rho above eta^(1/3) is outside the regime the SDE models expand in.
+    rho_warning = config["rho"] > config["eta"] ** (1.0 / 3.0)
     config_lines = render(config)
-    config_lines.append(f"rho_warning={'true' if sde_cfg.rho_warning else 'false'}")
+    config_lines.append(f"rho_warning={'true' if rho_warning else 'false'}")
 
     def fill(rows):
         family = mlp_family(spec, train, config["batch_size"])
@@ -339,19 +343,19 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
             # stacked step, row s on the batch that seed s draws with
             # probability equal to its weight.
             sam_cfg = OptimizerConfig(
-                method="sam", lr=sde_cfg.eta, rho=sde_cfg.rho,
-                schedule="constant", total_steps=sde_cfg.steps,
+                method="sam", lr=config["eta"], rho=config["rho"],
+                schedule="constant", total_steps=config["steps"],
                 grad_floor=config["grad_floor"])
             groups.append((sam, _optimizer_rows(
                 sam_cfg, seeds, spec.dim, lambda t: _picked_oracle(
                     spec, train, family,
                     [family.pick(seed, STREAM_BATCH, t) for seed in seeds]))))
-        groups += [(r, functools.partial(_sde_steps, config, sde_cfg, family,
+        groups += [(r, functools.partial(_sde_steps, config, family,
                                          _PROCESS_ORDER[process], seed))
                    for r, (process, seed) in enumerate(labels)
                    if process != "discrete-sam"]
-        _trajectory(config, spec, train, test, labels, sde_cfg.steps, groups,
-                    rows)
+        _trajectory(config, spec, train, test, labels, config["steps"],
+                    groups, rows)
 
     return _write_rows(config_lines, Path(config["out"]) / out_name, fill)
 

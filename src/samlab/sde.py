@@ -59,6 +59,7 @@ from .rng import STREAM_SDE_NOISE, stream
 VARIANT_ALIGNED_RHO = "aligned-rho"
 VARIANT_ALIGNED_RHO2 = "aligned-rho2"
 ALIGNED = (VARIANT_ALIGNED_RHO, VARIANT_ALIGNED_RHO2)
+DIFFUSIONS = ("exact", "sampled", "none")
 
 
 @dataclass(frozen=True)
@@ -98,32 +99,6 @@ class DiffusionModel:
         z = stream(seed, STREAM_SDE_NOISE, step).standard_normal(len(self.basis))
         return self.basis @ (np.sqrt(np.clip(self.vals, 0.0, None))
                              * (self.basis.T @ z))
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    eta: float = 0.01
-    rho: float = 0.0
-    steps: int = 0                # horizon in eta-sized units (T = steps * eta)
-    substeps: int = 1             # integrator steps per unit (dt = eta / substeps)
-    diffusion: str = "exact"      # exact | sampled | none
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1 (dt cannot exceed eta)")
-        if self.diffusion not in ("exact", "sampled", "none"):
-            raise ValueError(f"unknown diffusion mode {self.diffusion!r}")
-
-    @property
-    def dt(self) -> float:
-        return self.eta / self.substeps
-
-    @property
-    def rho_warning(self) -> bool:
-        """Flag runs where rho exceeds eta^(1/3), outside the model's regime."""
-        return self.rho > self.eta ** (1.0 / 3.0)
 
 
 def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
@@ -219,7 +194,7 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
     x = np.asarray(x, dtype=np.float64)
     if order not in (2, 3) + ALIGNED:
         raise ValueError(f"unknown SDE order {order!r}")
-    if diffusion not in ("exact", "sampled", "none"):
+    if diffusion not in DIFFUSIONS:
         raise ValueError(f"unknown diffusion mode {diffusion!r}")
     aligned = order in ALIGNED
     need_third = order == 3 or (aligned and diffusion != "none")
@@ -255,12 +230,13 @@ class SampledNoise:
         return self.table[self.family.pick(seed, STREAM_SDE_NOISE, step)] - self.mean
 
 
-def euler_maruyama_step(x: np.ndarray, cfg: SdeConfig, drift_vec: np.ndarray,
+def euler_maruyama_step(x: np.ndarray, eta: float, dt: float,
+                        drift_vec: np.ndarray,
                         noise: np.ndarray | None) -> np.ndarray:
     """X' = X - drift dt + sqrt(eta) sqrt(dt) xi, with xi ~ cov Sigma."""
-    x_next = x - drift_vec * cfg.dt
+    x_next = x - drift_vec * dt
     if noise is not None:
-        x_next = x_next + np.sqrt(cfg.eta) * np.sqrt(cfg.dt) * noise
+        x_next = x_next + np.sqrt(eta) * np.sqrt(dt) * noise
     if not np.all(np.isfinite(x_next)):
         raise NonFiniteState("integrator state left the finite range")
     return x_next

@@ -28,7 +28,7 @@ class TestLoss:
 
     def test_uniform_softmax_is_log_k(self):
         spec = MlpSpec((3, 4))
-        x = ParamVector(np.zeros(spec.dim), spec.layout)  # zero weights: equal logits
+        x = ParamVector(np.zeros(spec.dim))  # zero weights: equal logits
         oracle = mlp_oracle(spec, np.ones((5, 3)), np.zeros(5, dtype=int))
         assert oracle.loss(x) == pytest.approx(np.log(4.0), rel=1e-12)
 
@@ -298,8 +298,3 @@ class TestTapeLifetime:
         assert live <= per_tape
         assert want[0] == (want[1], want[2])
 
-
-class TestParamVector:
-    def test_layout_must_partition(self):
-        with pytest.raises(ValueError):
-            ParamVector(np.zeros(3), (("w", (2,), 0), ("b", (2,), 1)))

@@ -157,7 +157,7 @@ class TestRunTrain:
         cfg = train_cfg(tmp_path, steps=500, eval_every=500, data_margin=8.0,
                         lr=0.2, data_n=64, test_n=64)
         spec, train, _test, points = _trained_points(cfg)
-        pv = ParamVector(points()[0], spec.layout)
+        pv = ParamVector(points()[0])
         assert accuracy(spec, pv, train.inputs, train.labels) == 1.0
         run_train(cfg)
         _, rows, _ = read_csv(tmp_path / "train.csv")
@@ -342,9 +342,9 @@ class TestRunSimulateSde:
             sigmas.append(model.sigma)
             return model
 
-        def kept_step(x, sde_config, drift_vec, noise):
+        def kept_step(x, eta, dt, drift_vec, noise):
             states.append((x, drift_vec))
-            return em_step(x, sde_config, drift_vec, noise)
+            return em_step(x, eta, dt, drift_vec, noise)
 
         monkeypatch.setattr(sde, "_per_batch_terms", counted_terms)
         monkeypatch.setattr(sde, "sigma_exact", kept_sigma)
@@ -514,11 +514,11 @@ class TestLockstepSde:
         real = sde.euler_maruyama_step
         calls = []
 
-        def nan_drift(x, sde_config, drift_vec, noise):
+        def nan_drift(x, eta, dt, drift_vec, noise):
             calls.append(1)
             if len(calls) == 16:
                 drift_vec = np.full_like(drift_vec, np.nan)
-            return real(x, sde_config, drift_vec, noise)
+            return real(x, eta, dt, drift_vec, noise)
 
         monkeypatch.setattr(sde, "euler_maruyama_step", nan_drift)
         code = main(["simulate-sde", "--out", str(tmp_path), "--seed", "0,1",
@@ -646,7 +646,7 @@ class TestProbeRunners:
             oracle = mlp_oracle(spec, test.inputs, test.labels)
             for row, x in zip(rows, xs):
                 assert row.test_loss == oracle.loss(x)
-                want = accuracy(spec, ParamVector(x, spec.layout),
+                want = accuracy(spec, ParamVector(x),
                                 test.inputs, test.labels)
                 assert row.test_accuracy == want
 
@@ -670,6 +670,12 @@ class TestProbeRunners:
         run_simulate_sde(cfg)
         config, _, _ = read_csv(tmp_path / "sde.csv")
         assert config["rho_warning"] == "true"
+
+    def test_rho_warning_false_at_or_below_eta_cube_root(self, tmp_path):
+        cfg = sde_cfg(tmp_path, steps=0, eta=0.01, rho=0.2, processes="sde2")
+        run_simulate_sde(cfg)
+        config, _, _ = read_csv(tmp_path / "sde.csv")
+        assert config["rho_warning"] == "false"
 
 
 class TestCli:
@@ -705,10 +711,17 @@ class TestCli:
         "simulate-sde grad_floor=0 processes=sde2",
         "spectrum spectrum_q=0", "probe-power q_ref=0",
         "probe-power q_grid=1,0", "probe-power n_starts=0",
+        "simulate-sde substeps=0", "simulate-sde diffusion=bogus",
+        "simulate-sde processes=", "probe-power q_grid=",
+        # Three classes do not fit the simplex of a 2-wide input.
+        "train data_classes=3",
         # Labels 0, 1, 2 for a model with two outputs.
         *(f"{subcommand} model_layers=3,4,2 data_dim=3 data_classes=3"
           for subcommand in ("train", "simulate-sde", "spectrum",
                              "probe-power")),
+        # shuffle-each-epoch has no full batch of 17 among 16 rows.
+        *(f"{subcommand} batch_size=17"
+          for subcommand in ("train", "spectrum", "probe-power")),
     ])
     def test_count_out_of_range_exit_two(self, tmp_path, capsys, case):
         subcommand, *sets = case.split()
@@ -718,6 +731,18 @@ class TestCli:
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2
         assert "config error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", [
+        "train sampler=with-replacement", "train sampler=full-enumeration",
+        "spectrum steps=0 k=2 m_trace=0"])
+    def test_batch_above_data_size_runs(self, tmp_path, case):
+        # Only shuffle-each-epoch drops a partial batch, and only a training
+        # step draws one.
+        subcommand, *sets = case.split()
+        small = ["model_layers=2,4,2", "data_n=16", "test_n=16",
+                 "batch_size=17", "steps=2"]
+        args = [item for kv in small + sets for item in ("--set", kv)]
+        assert main([subcommand, "--out", str(tmp_path), *args]) == 0
 
     def test_test_set_width_mismatch_exit_two(self, tmp_path, capsys):
         # Training images of 1 x 2 pixels fit a 2,4,2 model; test images of

@@ -11,7 +11,7 @@ from samlab.models import MlpSpec, init_params
 from samlab.optim import GRAD_FLOOR, sam_perturbation
 from samlab.oracle import LossOracle, polynomial_oracle_1d, quadratic_oracle
 from samlab.rng import STREAM_SDE_NOISE, stream
-from samlab.sde import (ALIGNED, SampledNoise, SdeConfig, VARIANT_ALIGNED_RHO,
+from samlab.sde import (ALIGNED, SampledNoise, VARIANT_ALIGNED_RHO,
                         VARIANT_ALIGNED_RHO2, DriftDecomposition,
                         _per_batch_terms, drift,
                         drift_aligned, euler_maruyama_step,
@@ -176,16 +176,16 @@ class TestSampledNoise:
 class TestEulerMaruyama:
     def test_gradient_flow_step(self):
         fam = analytic_family([quadratic_oracle(np.array([[1.0]]))])
-        cfg = SdeConfig(eta=0.1, rho=0.0, steps=1)
         dd = drift(fam, terms_at(fam, np.array([1.0])), 3, 0.0)
-        out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
+        out = euler_maruyama_step(np.array([1.0]), 0.1, 0.1, dd.combined(),
+                                  None)
         assert out[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_noise_increment_variance(self):
         # Zero drift, identity covariance: per-coordinate variance eta * dt.
-        cfg = SdeConfig(eta=0.01, rho=0.0, steps=1)
         rng = np.random.default_rng(0)
-        incs = np.array([euler_maruyama_step(np.zeros(2), cfg, np.zeros(2),
+        incs = np.array([euler_maruyama_step(np.zeros(2), 0.01, 0.01,
+                                             np.zeros(2),
                                              rng.standard_normal(2))
                          for _ in range(100_000)])
         var = incs.var(axis=0)
@@ -194,35 +194,25 @@ class TestEulerMaruyama:
 
     def test_third_order_drift_cubic(self):
         fam = analytic_family([polynomial_oracle_1d([0, 0, 0, 1.0])])
-        cfg = SdeConfig(eta=0.01, rho=0.1, steps=1)
         dd = drift(fam, terms_at(fam, np.array([1.0])), 3, 0.1)
-        out = euler_maruyama_step(np.array([1.0]), cfg, dd.combined(), None)
+        out = euler_maruyama_step(np.array([1.0]), 0.01, 0.01, dd.combined(),
+                                  None)
         assert out[0] == pytest.approx(0.9637, abs=1e-12)
 
     def test_nonfinite_state(self):
-        cfg = SdeConfig(eta=0.1, rho=0.0, steps=1)
         with pytest.raises(NonFiniteState):
-            euler_maruyama_step(np.array([1.0]), cfg, np.array([np.inf]), None)
-
-    def test_substep_guard(self):
-        with pytest.raises(ValueError):
-            SdeConfig(eta=0.1, rho=0.0, steps=1, substeps=0)
-
-    def test_rho_warning_flag(self):
-        assert SdeConfig(eta=0.01, rho=0.3, steps=1).rho_warning
-        assert not SdeConfig(eta=0.01, rho=0.2, steps=1).rho_warning
+            euler_maruyama_step(np.array([1.0]), 0.1, 0.1, np.array([np.inf]),
+                                None)
 
     def test_richardson_halving(self):
         fam, x0 = TOYS["twobatch2d"]()
 
         def endpoint(substeps):
-            cfg = SdeConfig(eta=0.05, rho=0.1, steps=20,
-                            substeps=substeps, diffusion="none")
             x = x0.copy()
-            for _ in range(cfg.steps):
-                for _ in range(cfg.substeps):
-                    dd = drift(fam, terms_at(fam, x), 3, cfg.rho)
-                    x = euler_maruyama_step(x, cfg, dd.combined(), None)
+            for _ in range(20 * substeps):
+                dd = drift(fam, terms_at(fam, x), 3, 0.1)
+                x = euler_maruyama_step(x, 0.05, 0.05 / substeps,
+                                        dd.combined(), None)
             return x
 
         e1, e2, e4 = endpoint(1), endpoint(2), endpoint(4)
