@@ -167,9 +167,11 @@ def align(eps, v) -> AlignmentReport:
         raise DegenerateVector("eigenvector argument must be unit length")
     inner = float(eps @ v) / n
     s_star = 1 if inner >= 0.0 else -1
-    omega = abs(inner)
-    value = 1.0 - np.sqrt(max(2.0 - 2.0 * omega, 0.0))
-    return AlignmentReport(value=float(value), s_star=s_star, omega=float(omega))
+    # The norm of the difference itself: sqrt(2 - 2|cos|) would lose half
+    # the digits as |cos| -> 1.
+    value = 1.0 - np.linalg.norm(eps / n - s_star * v)
+    return AlignmentReport(value=float(value), s_star=s_star,
+                           omega=abs(inner))
 
 
 def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

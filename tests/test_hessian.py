@@ -199,6 +199,18 @@ class TestAlign:
             assert rep.value == pytest.approx(1.0 - np.sqrt(2.0 - 2.0 * rep.omega),
                                               abs=1e-12)
 
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6, 1e-7])
+    def test_full_precision_near_parallel(self, s, theta):
+        # eps at angle theta to s v: ||eps/||eps|| - s v|| = 2 sin(theta/2),
+        # which 1 - sqrt(2 - 2|cos|) misses by up to 7e-11 here.
+        v = np.array([0.6, 0.8, 0.0])
+        w = np.array([-0.8, 0.6, 0.0])
+        eps = 3.0 * (s * np.cos(theta) * v + np.sin(theta) * w)
+        rep = align(eps, v)
+        assert rep.s_star == s
+        assert abs(rep.value - (1.0 - 2.0 * np.sin(theta / 2.0))) <= 1e-15
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateVector):
             align(np.zeros(2), np.array([1.0, 0.0]))
