@@ -107,6 +107,14 @@ PINNED = {
     "sde-rho-warning": ("simulate-sde", _SDE + (
         "steps=4", "eval_every=2", "eta=0.001", "substeps=2",
         "processes=discrete-sam,sde3"), None),
+    # Some of the 8 batches fall under the gradient floor, so they spend no
+    # jet HVP and drop out of terms 2-3: sde2 spends 25 HVPs by step 5, not 40.
+    "sde-floor": ("simulate-sde", _SDE + ("steps=10", "eval_every=5",
+                                          "grad_floor=2.5"), None),
+    "bound": ("bound", ("f_s=0.1", "lambda1=10", "x_norm=10", "d=100",
+                        "n=10000", "sigma=0.01", "loss_bound=1",
+                        "third_bound=1", "delta=0.05"), None),
+    "align-range": ("align-range", ("omega=0.8",), None),
 }
 
 _OTHER_MAIN = ("import sys; from samlab.cli import main; "
