@@ -66,15 +66,6 @@ class EigenEstimate:
 
 
 @dataclass(frozen=True)
-class AlignmentReport:
-    """1 - min_s ||eps/||eps|| - s v||, its minimizing sign, and |cos|."""
-
-    value: float
-    s_star: int
-    omega: float
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     values: np.ndarray          # descending by magnitude
     vectors: np.ndarray         # one row per eigenpair
@@ -156,8 +147,10 @@ def power_iteration(oracle: LossOracle, x, q: int, seed,
     return EigenEstimate(lam, v, residual, hvp_calls=q + 2)
 
 
-def align(eps, v) -> AlignmentReport:
-    """Alignment of a perturbation with a unit eigenvector, sign-resolved."""
+def align(eps, v) -> float:
+    """Alignment of a perturbation with a unit eigenvector, sign-resolved:
+    1 - min over s = +-1 of ||eps/||eps|| - s v||, which is 1 when eps is
+    parallel or antiparallel to v and 1 - sqrt(2) when it is orthogonal."""
     eps = _as_array(eps)
     v = _as_array(v)
     n = np.linalg.norm(eps)
@@ -165,13 +158,10 @@ def align(eps, v) -> AlignmentReport:
         raise DegenerateVector("perturbation norm below the floor")
     if abs(np.linalg.norm(v) - 1.0) > 1e-6:
         raise DegenerateVector("eigenvector argument must be unit length")
-    inner = float(eps @ v) / n
-    s_star = 1 if inner >= 0.0 else -1
+    s = 1 if float(eps @ v) / n >= 0.0 else -1
     # The norm of the difference itself: sqrt(2 - 2|cos|) would lose half
     # the digits as |cos| -> 1.
-    value = 1.0 - np.linalg.norm(eps / n - s_star * v)
-    return AlignmentReport(value=float(value), s_star=s_star,
-                           omega=abs(inner))
+    return float(1.0 - np.linalg.norm(eps / n - s * v))
 
 
 def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -136,7 +136,7 @@ def _probe_row(spec: MlpSpec, xs: np.ndarray, t: int, labels: tuple,
         g_eval = eval_oracle.grad(xs[at])
         for r, g, v in zip(at, g_eval, est.vector):
             if np.linalg.norm(g) >= ALIGN_FLOOR:
-                alignment[r] = align(g, v).value
+                alignment[r] = align(g, v)
 
     rows = []
     for r, ((process, seed), x) in enumerate(zip(labels, xs)):
@@ -470,7 +470,7 @@ def run_probe_power(config: dict, out_name: str = "power.json") -> Path:
                     for start in range(config["n_starts"])]
             curves = []
             for i, q in enumerate(config["q_grid"]):
-                alignments = [align(vectors[i], ref.vector).value
+                alignments = [align(vectors[i], ref.vector)
                               for vectors in runs]
                 curves.append({"q": q,
                                "mean_alignment": float(np.mean(alignments)),

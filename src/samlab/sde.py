@@ -51,8 +51,8 @@ import numpy as np
 from .data import OracleFamily
 from .errors import GapViolated, NonFiniteState
 # power_iteration is unused here; perfbench's tracer test reads it from sde.
-from .hessian import align, power_iteration, spectrum_deflated  # noqa: F401
-from .optim import GRAD_FLOOR, sam_perturbation
+from .hessian import power_iteration, spectrum_deflated  # noqa: F401
+from .optim import GRAD_FLOOR, _row_dot, sam_perturbation
 from .oracle import jet_pass
 from .rng import STREAM_SDE_NOISE, stream
 
@@ -249,17 +249,18 @@ def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
     the top eigenvalue; the rho^2 variant also replaces term2 with
     E[s* lam1 v1].
 
-    Per batch, v1 comes from the top-2 Lanczos spectrum of its oracle and s*
-    from the alignment sign of the batch gradient; term3 takes the rows
-    third_b(v1_b, v1_b) from one degree-2 pass per stack. ``check_gap``
-    only decides whether a vanishing eigenvalue gap raises GapViolated; v1
-    is the same either way.
+    Per batch, v1 comes from the top-2 Lanczos spectrum of its oracle, and
+    s* from Eigen-SAM's orientation rule (see
+    :func:`optim.eigen_sam_perturbation`): +1 where g . v1 >= 0, else -1.
+    term3 takes the rows third_b(v1_b, v1_b) from one degree-2 pass per
+    stack. ``check_gap`` only decides whether a vanishing eigenvalue gap
+    raises GapViolated; v1 is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if variant not in ALIGNED:
         raise ValueError(f"unknown aligned variant {variant!r}")
     t1s, t2s, _, live = terms
-    term2s, vecs = t2s.copy(), np.zeros_like(t1s)
+    vecs, lam1s = np.zeros_like(t1s), np.zeros(len(family))
     hvp_calls = int(live.sum())
     for b, oracle in enumerate(family.oracles):
         spec = spectrum_deflated(oracle, x, k=min(2, family.dim), q=q,
@@ -270,10 +271,11 @@ def drift_aligned(family: OracleFamily, x, terms: tuple, variant: str,
             if abs(lam1 - lam2) <= 1e-8 * max(1.0, abs(lam1)):
                 raise GapViolated(f"batch {b}: top eigenvalues "
                                   f"{lam1:.6g} and {lam2:.6g} coincide")
-        vecs[b] = spec.vectors[0]
-        if live[b] and variant == VARIANT_ALIGNED_RHO2:
-            s_star = float(align(t1s[b], vecs[b]).s_star)
-            term2s[b] = s_star * float(spec.values[0]) * vecs[b]
+        vecs[b], lam1s[b] = spec.vectors[0], spec.values[0]
+    term2s = t2s
+    if variant == VARIANT_ALIGNED_RHO2:
+        s_star = np.where(_row_dot(t1s, vecs) >= 0.0, 1.0, -1.0)
+        term2s = np.where(live[:, None], s_star * lam1s[:, None] * vecs, t2s)
     term3s = 2.0 * _batch_jets(family, np.broadcast_to(x, vecs.shape), 2, vecs)[2]
     return DriftDecomposition(term1=family.mean(t1s), term2=family.mean(term2s),
                               term3=family.mean(term3s), rho=rho,

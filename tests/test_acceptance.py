@@ -158,7 +158,7 @@ def _c5_run(method, seed, steps=4000, probe_every=100):
             eval_oracle = mlp_oracle(spec, *train.take(idx))
             v0 = stream(seed, STREAM_PROBE, t).standard_normal(spec.dim)
             est = power_iteration(eval_oracle, x, q=30, seed=seed, v0=v0)
-            alignments[t] = align(eval_oracle.grad(x), est.vector).value
+            alignments[t] = align(eval_oracle.grad(x), est.vector)
         idx = sample_batch(sampler, train, t)
         oracle = mlp_oracle(spec, train.inputs[idx], train.labels[idx])
         x, state = step(x, oracle, cfg, state)

@@ -6,8 +6,8 @@ import pytest
 from helpers import count_jets, matrix_with_spectrum, random_symmetric
 from samlab.data import gen_synthetic
 from samlab.errors import DegenerateVector, ZeroIterate
-from samlab.hessian import (CONVERGED_RTOL, AlignmentReport, EigenEstimate,
-                            align, hutchinson_trace, power_iterates,
+from samlab.hessian import (CONVERGED_RTOL, EigenEstimate, align,
+                            hutchinson_trace, power_iterates,
                             power_iteration, sharpness_proxy,
                             spectrum_deflated)
 from samlab.models import MlpSpec, init_params, mlp_oracle
@@ -171,19 +171,15 @@ class TestPowerIteration:
 class TestAlign:
     def test_parallel(self):
         v = np.array([1.0, 0.0])
-        rep = align(v, v)
-        assert rep.value == pytest.approx(1.0)
-        assert rep.s_star == 1
+        assert align(v, v) == pytest.approx(1.0)
 
     def test_antiparallel_scaled(self):
         v = np.array([0.0, 1.0])
-        rep = align(-2.0 * v, v)
-        assert rep.value == pytest.approx(1.0)
-        assert rep.s_star == -1
+        assert align(-2.0 * v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        rep = align(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert rep.value == pytest.approx(1.0 - np.sqrt(2.0))
+        assert align(np.array([1.0, 0.0]),
+                     np.array([0.0, 1.0])) == pytest.approx(1.0 - np.sqrt(2.0))
 
     def test_range_and_invariances(self):
         rng = np.random.default_rng(8)
@@ -191,13 +187,14 @@ class TestAlign:
             eps = rng.standard_normal(5)
             v = rng.standard_normal(5)
             v /= np.linalg.norm(v)
-            rep = align(eps, v)
-            assert 1.0 - np.sqrt(2.0) - 1e-12 <= rep.value <= 1.0
+            value = align(eps, v)
+            assert 1.0 - np.sqrt(2.0) - 1e-12 <= value <= 1.0
             c = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-            assert align(c * eps, v).value == pytest.approx(rep.value, abs=1e-12)
-            assert align(-eps, v).value == pytest.approx(rep.value, abs=1e-12)
-            assert rep.value == pytest.approx(1.0 - np.sqrt(2.0 - 2.0 * rep.omega),
-                                              abs=1e-12)
+            assert align(c * eps, v) == pytest.approx(value, abs=1e-12)
+            assert align(-eps, v) == pytest.approx(value, abs=1e-12)
+            omega = abs(eps @ v) / np.linalg.norm(eps)
+            assert value == pytest.approx(1.0 - np.sqrt(2.0 - 2.0 * omega),
+                                          abs=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, -1.0])
     @pytest.mark.parametrize("theta", [1e-2, 1e-4, 1e-6, 1e-7])
@@ -207,9 +204,7 @@ class TestAlign:
         v = np.array([0.6, 0.8, 0.0])
         w = np.array([-0.8, 0.6, 0.0])
         eps = 3.0 * (s * np.cos(theta) * v + np.sin(theta) * w)
-        rep = align(eps, v)
-        assert rep.s_star == s
-        assert abs(rep.value - (1.0 - 2.0 * np.sin(theta / 2.0))) <= 1e-15
+        assert abs(align(eps, v) - (1.0 - 2.0 * np.sin(theta / 2.0))) <= 1e-15
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateVector):
@@ -401,7 +396,7 @@ class TestAlignmentVsQCurve:
         qs = (1, 3, 9, 27, 81)
         means = []
         for q in qs:
-            vals = [align(power_iteration(oracle, x, q=q, seed=s).vector, ref).value
+            vals = [align(power_iteration(oracle, x, q=q, seed=s).vector, ref)
                     for s in range(8)]
             means.append(np.mean(vals))
         for prev, nxt in zip(means, means[1:]):

@@ -254,6 +254,24 @@ class TestDriftAligned:
                            0.1, q=80, seed=0)
         np.testing.assert_allclose(ad.term2, [3.0, 0.0], atol=1e-8)
 
+    def test_aligned_rho2_orients_tiny_live_gradients(self):
+        # Gradients of norm 2e-13 and 3e-13 are live under tau = 1e-15, and
+        # s* = sign(g . v1) is Eigen-SAM's rule, with no floor of its own:
+        # each term2 row is s* lam1 v1 = lam1 e1, whatever v1's sign.
+        fam = analytic_family([quadratic_oracle(np.diag([2.0, 1.0])),
+                               quadratic_oracle(np.diag([3.0, 0.5]))])
+        x = np.array([1e-13, 0.0])
+        dd, _ = sde_coefficients(fam, x, 0.1, VARIANT_ALIGNED_RHO2, "none",
+                                 tau=1e-15)
+        assert np.isfinite(dd.combined()).all()
+        rows = []
+        for b, oracle in enumerate(fam.oracles):
+            spec = spectrum_deflated(oracle, x, k=2, q=50, seed=b)
+            s = 1.0 if oracle.grad(x) @ spec.vectors[0] >= 0.0 else -1.0
+            rows.append(s * spec.values[0] * spec.vectors[0])
+        np.testing.assert_array_equal(dd.term2, fam.mean(np.array(rows)))
+        np.testing.assert_allclose(dd.term2, [2.5, 0.0], atol=1e-12)
+
     def test_exact_alignment_construction_2d(self):
         # f = a x1^4 + b x2^2 with v1 = e2 along the x2 axis: on that axis the
         # gradient is parallel to v1, so aligned and plain drifts agree to
