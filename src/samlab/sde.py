@@ -23,8 +23,9 @@ drift and diffusion for all four orders from one evaluation of the per-batch
 vectors, which :func:`drift`, :func:`sigma_exact`, :class:`SampledNoise` and
 :func:`drift_aligned` take as their ``terms``. Expectations run over a
 fixed enumeration of batches, so they are exact and every probe here is
-deterministic. Batches whose gradient norm falls below the floor contribute
-zero to terms 2-3 and to their centered covariance vectors.
+deterministic. Batches whose gradient norm falls below the floor, the ones
+SAM's perturbation does not move, contribute zero to terms 2-3 and to
+their centered covariance vectors.
 
 The per-batch vectors come from a gradient, then one jet along
 u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
@@ -117,23 +118,23 @@ def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
 def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
                      tau: float) -> tuple:
     """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
-    unless need_third), and the mask of the live batches, ||t1_b|| >= tau.
-    t2_b = t3_b = 0 off the mask; each live batch costs one HVP (its jet).
-    Each stack takes its gradient and then, if a row is live, its jet with
-    the same builder at the same point, so the jet pass is a push of the
-    gradient pass's record."""
+    unless need_third), and the mask of the live batches. u_b is SAM's
+    perturbation :func:`optim.sam_perturbation` of t1_b, and the live
+    batches are the ones it moves, u_b != 0, so ||t1_b|| >= tau by SAM's
+    own norm. t2_b = t3_b = 0 off the mask; each live batch costs one HVP
+    (its jet). Each stack takes its gradient and then, if a row is live,
+    its jet with the same builder at the same point, so the jet pass is a
+    push of the gradient pass's record."""
     t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
     live = np.zeros(len(family), dtype=bool)
     for ids, builder in family.stacks():
         xs = np.broadcast_to(x, (len(ids), family.dim))
         g = jet_pass(builder, xs)[0]
-        norms = np.array([np.linalg.norm(row) for row in g])
-        on = norms >= tau
+        units = sam_perturbation(g, tau)
+        on = units.any(axis=1)
         t1s[ids], live[ids] = g, on
         if not on.any():
             continue
-        units = np.zeros_like(g)
-        units[on] = g[on] / norms[on, None]
         jet = jet_pass(builder, xs, 2 if need_third else 1, units)
         t2s[ids] = np.where(on[:, None], jet[1], 0.0)
         if need_third:

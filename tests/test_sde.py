@@ -72,6 +72,21 @@ class TestDrift:
         assert np.isfinite(dd.term2).all()
         np.testing.assert_array_equal(dd.term2, 0.0)
 
+    def test_live_batches_are_the_ones_sam_moves(self):
+        # tau exactly at a batch's gradient norm, taken row by row or along
+        # an axis: the two norms can differ in the last bit, and the SDE
+        # terms must put the batch on the same side of the floor as SAM.
+        spec = MlpSpec((2, 16, 2))
+        fam = mlp_family(spec, gen_synthetic(256, 2, 2, 4.0, 0), 32)
+        x = init_params(spec, 0).values
+        t1s = _per_batch_terms(fam, x, False, GRAD_FLOOR)[0]
+        taus = {*(np.linalg.norm(row) for row in t1s),
+                *np.linalg.norm(t1s, axis=1)}
+        for tau in sorted(taus):
+            live = _per_batch_terms(fam, x, False, tau)[3]
+            np.testing.assert_array_equal(
+                live, sam_perturbation(t1s, tau).any(axis=1), err_msg=repr(tau))
+
 
 class TestSigmaExact:
     def test_single_batch_zero(self):
