@@ -135,8 +135,8 @@ SCHEMAS = {
               "f_s": (_finite_float, REQUIRED),
               "lambda1": (_finite_float, REQUIRED),
               "x_norm": (_finite_float, REQUIRED),
-              "d": (int, REQUIRED),
-              "n": (int, REQUIRED),
+              "d": (_positive_int, REQUIRED),
+              "n": (_positive_int, REQUIRED),
               "sigma": (_finite_float, REQUIRED),
               "loss_bound": (_finite_float, REQUIRED),
               "third_bound": (_finite_float, REQUIRED),

@@ -65,6 +65,9 @@ def read_csv(path) -> tuple:
     """(config dict, list of MetricRow, error or None); inverse of write_csv."""
     config, rows, error = {}, [], None
     header = None
+    # Annotations are strings here (``from __future__ import annotations``).
+    parsers = [{"int": int, "float": float, "str": str}[f.type]
+               for f in fields(MetricRow)]
     for line in Path(path).read_text().splitlines():
         if line.startswith("# error="):
             error = line[len("# error="):]
@@ -76,14 +79,8 @@ def read_csv(path) -> tuple:
             if header != COLUMNS:
                 raise ValueError(f"unexpected CSV header {header}")
         else:
-            parts = line.split(",")
-            rows.append(MetricRow(
-                step=int(parts[0]), process=parts[1], seed=int(parts[2]),
-                train_loss=float(parts[3]), test_loss=float(parts[4]),
-                test_accuracy=float(parts[5]), param_norm=float(parts[6]),
-                grad_norm=float(parts[7]), lambda1=float(parts[8]),
-                alignment=float(parts[9]), hvp_count=int(parts[10]),
-                wall_ms=float(parts[11])))
+            rows.append(MetricRow(*(parse(part) for parse, part
+                                    in zip(parsers, line.split(",")))))
     return config, rows, error
 
 

@@ -424,8 +424,11 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
     if not 1 <= config["k"] <= min(64, dim):
         raise ConfigError(f"k must be in [1, {min(64, dim)}] for a model "
                           f"with {dim} parameters")
-    spec, train, _test, points = _trained_points(config)
     m_trace = config["m_trace"]
+    if m_trace == 1:
+        # One probe has no standard error.
+        raise ConfigError("m_trace must be 0 (no trace) or at least 2")
+    spec, train, _test, points = _trained_points(config)
 
     def fill(results):
         per_seed = results["spectra"] = []
@@ -435,7 +438,7 @@ def run_spectrum(config: dict, out_name: str = "spectrum.json") -> Path:
                                        q=config["spectrum_q"], seed=seed)
             trace, trace_se = float("nan"), float("nan")
             calls = report.hvp_calls
-            if m_trace >= 2:
+            if m_trace:
                 trace, trace_se = hutchinson_trace(oracle, x, m_trace, seed)
                 calls += m_trace
             per_seed.append({

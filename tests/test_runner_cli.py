@@ -713,6 +713,8 @@ class TestCli:
         "probe-power q_grid=1,0", "probe-power n_starts=0",
         "simulate-sde substeps=0", "simulate-sde diffusion=bogus",
         "simulate-sde processes=", "probe-power q_grid=",
+        # One Hutchinson probe has no standard error.
+        "spectrum m_trace=1",
         # Three classes do not fit the simplex of a 2-wide input.
         "train data_classes=3",
         # Labels 0, 1, 2 for a model with two outputs.
@@ -786,6 +788,7 @@ class TestCli:
         "train data_margin=nan steps=2", "train data_margin=-1 steps=2",
         f"bound {BOUND} f_s=nan", f"bound {BOUND} lambda1=inf",
         f"bound {BOUND} sigma=nan", f"bound {BOUND} x_norm=nan",
+        f"bound {BOUND} d=0", f"bound {BOUND} n=0",
         "align-range omega=nan",
         "spectrum lr=inf", "probe-moments rho_grid=0.02,inf",
         "probe-moments x0=nan", "train lr=inf steps=2",
@@ -798,8 +801,9 @@ class TestCli:
         # slope to fit), a negative or NaN weight decay or data margin, an
         # optimizer or sampler value that the training run (or the
         # training prefix of spectrum and probe-power) rejects, a
-        # non-finite float value of any subcommand and a repeated process
-        # are config errors before any artifact is written.
+        # non-finite float value of any subcommand, a repeated process and
+        # a bound count d or n below 1 are config errors before any
+        # artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2
