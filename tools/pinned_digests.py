@@ -103,6 +103,15 @@ PINNED = {
     "sde-seeds-exact": ("simulate-sde", _SDE + (
         "processes=discrete-sam,sde2,sde3", "steps=10", "eval_every=5",
         "diffusion=exact"), "0,1,2"),
+    # The same rows with sampled diffusion: every row's noise table.
+    "sde-seeds-sampled": ("simulate-sde", _SDE + (
+        "processes=discrete-sam,sde2,sde3", "steps=10", "eval_every=5",
+        "diffusion=sampled"), "0,1,2"),
+    # Rows that need a degree-1 push (sde2, and aligned-rho2 without
+    # diffusion) beside rows that need degree 2 (sde3), two substeps each.
+    "sde-seeds-mixed": ("simulate-sde", _SDE + (
+        "processes=sde2,sde3,sde-aligned-rho2", "steps=4", "eval_every=2",
+        "diffusion=none", "substeps=2", "aligned_q=10"), "0,1"),
     # rho = 0.2 above eta^(1/3) = 0.1: the config echo says rho_warning=true.
     "sde-rho-warning": ("simulate-sde", _SDE + (
         "steps=4", "eval_every=2", "eta=0.001", "substeps=2",
