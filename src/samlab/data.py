@@ -163,14 +163,14 @@ class OracleFamily:
     Expectations weight each batch by its share of the dataset, so linear
     per-batch statistics average exactly to the full-dataset statistic.
 
-    ``stacks`` is a callable that yields ``(batch indices, builder)`` pairs
-    covering every batch exactly once; each builder takes a
-    ``(len(indices), dim)`` leaf and returns the sum of those batches'
-    losses (see :func:`samlab.oracle.jet_pass`). A family over a dataset
-    (:func:`mlp_family`) stacks its batches as :func:`stack_plan` decides,
-    and ``parts`` lists each batch's data row indices. By default each
-    oracle is a stack of its own. A stack is one exact tape pass, so every
-    oracle must be in exact mode.
+    ``stacks(rows=1)`` yields ``(positions, builder)`` pairs covering each
+    of ``rows`` copies of the batches once, position r B + b being batch b
+    of copy r; a builder takes a ``(len(positions), dim)`` leaf and returns
+    the sum of those batches' losses (:func:`samlab.oracle.jet_pass`). A
+    family over a dataset (:func:`mlp_family`) stacks its batches as
+    :func:`stack_plan` decides, and ``parts`` lists each batch's data row
+    indices. By default each oracle is a stack of its own. A stack is one
+    exact tape pass, so every oracle must be in exact mode.
     """
 
     def __init__(self, oracles: list, weights: np.ndarray, stacks=None,
@@ -184,8 +184,9 @@ class OracleFamily:
         self.weights = self.weights / self.weights.sum()
         self.dim = oracles[0].dim
         self.parts = parts
-        self.stacks = stacks or (lambda: ((np.array([b]), unstacked(o))
-                                          for b, o in enumerate(self.oracles)))
+        self.stacks = stacks or (lambda rows=1: (
+            (np.array([r * len(self) + b]), unstacked(o))
+            for r in range(rows) for b, o in enumerate(self.oracles)))
 
     def __len__(self) -> int:
         return len(self.oracles)
@@ -205,15 +206,15 @@ class OracleFamily:
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:
     """Oracles over the enumeration partition, stacked by
     :func:`stack_plan`. Each part is a contiguous range, so its oracle
-    holds a view of the data; the plan is made once and each stack's
-    builder on demand, so a family holds no second copy of its data."""
+    holds a view of the data; a row count's plan is made once and each
+    stack's builder on demand, so a family holds no second copy of its data."""
     parts = enumeration_batches(dataset.n, batch_size)
     oracles = [mlp_oracle(spec, *dataset.take(slice(idx[0], idx[-1] + 1)))
                for idx in parts]
-    plan = stack_plan(spec, parts)
+    plan = functools.lru_cache(maxsize=2)(lambda rows: stack_plan(spec, parts * rows))
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
-                        stacks=lambda: ((ids, mlp_builder(spec, *dataset.take(rows)))
-                                        for ids, rows in plan),
+                        stacks=lambda rows=1: ((ids, mlp_builder(spec, *dataset.take(at)))
+                                               for ids, at in plan(rows)),
                         parts=parts)
 
 

@@ -19,12 +19,12 @@ group's input is written afterwards. Training is one group: every seed in
 lockstep, one optimizer step per step on one stacked oracle of the seeds'
 batches (:func:`_optimizer_rows`), so a tape pass serves every seed.
 ``simulate-sde`` has the discrete-SAM rows of all seeds as one such group,
-then one group per SDE row, which takes its own integrator steps. The
-metric rows of all labels come from one :func:`_probe_row` call per probe
-step, with ``wall_ms`` counted from the shared start. An error in any row
-stops every row, and the rows so far are written with an ``# error=``
-line. A JSON report stopped by an error holds the results so far and an
-``"error"`` key.
+then all its SDE rows as another, which share their tape passes and Sigma
+factorization (:func:`_sde_rows`). The metric rows of all labels come from
+one :func:`_probe_row` call per probe step, with ``wall_ms`` counted from
+the shared start. An error in any row stops every row, and the rows so
+far are written with an ``# error=`` line. A JSON report stopped by an
+error holds the results so far and an ``"error"`` key.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def run_train(config: dict, out_name: str = "train.csv") -> Path:
 # ---------------------------------------------------------------------------
 
 def _picked_oracle(spec: MlpSpec, train: Dataset, family,
-                   picks: list) -> LossOracle:
+                   picks: tuple) -> LossOracle:
     """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
     family, its tapes as :func:`data.stack_plan` decides. A plan of one
     tape, such as a single pick or picks of one row count, is the plain
@@ -298,22 +298,24 @@ def _picked_oracle(spec: MlpSpec, train: Dataset, family,
     return LossOracle(build, spec.dim)
 
 
-def _sde_steps(config: dict, family, order, seed: int, x: np.ndarray,
-               t: int) -> tuple:
-    """The ``substeps`` Euler-Maruyama steps of step t of the SDE model from
-    x, each of dt = eta / substeps: (the end point, the HVPs of their
-    drifts)."""
+def _sde_rows(config: dict, family, labels: list, x: np.ndarray,
+              t: int) -> tuple:
+    """The ``substeps`` Euler-Maruyama steps, each of dt = eta / substeps, of
+    step t of the SDE rows x, row r of ``labels[r] = (process, seed)``, in
+    lockstep: (the end points, the HVPs of each row's drifts)."""
     eta, substeps = config["eta"], config["substeps"]
-    dt = eta / substeps
+    orders, seeds = zip(*[(_PROCESS_ORDER[p], seed) for p, seed in labels])
     hvps = 0
     for j in range(substeps):
-        dd, diff = sde_mod.sde_coefficients(
-            family, x, config["rho"], order, config["diffusion"],
-            tau=config["grad_floor"], q=config["aligned_q"], seed=seed,
+        coefs = sde_mod.sde_coefficients(
+            family, x, config["rho"], orders, config["diffusion"],
+            tau=config["grad_floor"], q=config["aligned_q"], seed=seeds,
             check_gap=config["aligned_check_gap"])
-        hvps += dd.hvp_calls
-        noise = None if diff is None else diff.draw(seed, t * substeps + j)
-        x = sde_mod.euler_maruyama_step(x, eta, dt, dd.combined(), noise)
+        hvps += np.array([dd.hvp_calls for dd, _ in coefs])
+        x = np.stack([sde_mod.euler_maruyama_step(
+            row, eta, eta / substeps, dd.combined(),
+            None if diff is None else diff.draw(seed, t * substeps + j))
+            for row, seed, (dd, diff) in zip(x, seeds, coefs)])
     return x, hvps
 
 
@@ -346,14 +348,17 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
                 method="sam", lr=config["eta"], rho=config["rho"],
                 schedule="constant", total_steps=config["steps"],
                 grad_floor=config["grad_floor"])
+            # One oracle per pick tuple: the picks come from a few batches.
+            picked = functools.lru_cache(maxsize=len(family))(
+                functools.partial(_picked_oracle, spec, train, family))
             groups.append((sam, _optimizer_rows(
-                sam_cfg, seeds, spec.dim, lambda t: _picked_oracle(
-                    spec, train, family,
-                    [family.pick(seed, STREAM_BATCH, t) for seed in seeds]))))
-        groups += [(r, functools.partial(_sde_steps, config, family,
-                                         _PROCESS_ORDER[process], seed))
-                   for r, (process, seed) in enumerate(labels)
-                   if process != "discrete-sam"]
+                sam_cfg, seeds, spec.dim, lambda t: picked(tuple(
+                    family.pick(seed, STREAM_BATCH, t) for seed in seeds)))))
+        sde = [r for r, (process, _) in enumerate(labels)
+               if process != "discrete-sam"]
+        if sde:
+            groups.append((sde, functools.partial(
+                _sde_rows, config, family, [labels[r] for r in sde])))
         _trajectory(config, spec, train, test, labels, config["steps"],
                     groups, rows)
 

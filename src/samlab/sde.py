@@ -30,12 +30,16 @@ their centered covariance vectors.
 The per-batch vectors come from a gradient, then one jet along
 u_g = g / ||g|| (degree 1 for order 2, degree 2 for order 3), whose
 coefficients are (g, H_g u_g, third_g(u_g, u_g) / 2), dense at any d. Each
-is one exact tape pass per stack of the family, on a ``(B, d)`` leaf whose
-row b is batch b's point: an ``mlp_family`` stacks its batches as
+is one exact tape pass per stack of the family, on a leaf whose row is one
+batch's point: an ``mlp_family`` stacks its batches as
 :func:`data.stack_plan` decides, and any other family has one batch per
 stack. The jet pass of a stack pushes the tape its gradient pass recorded,
-so it sweeps only the tangent coefficients. The aligned term3 and the
-moment probe's one-step deltas come from the same per-stack passes.
+so it sweeps only the tangent coefficients. At R points, as ``simulate-sde``
+advances its rows, the stacks cover R x B (point, batch) pairs, each pushed
+at the highest degree its points need (its coefficient 1 is the same bits
+at degree 1 and 2), and :func:`sigma_exact` factors the R covariances in
+one batched qr and eigh. The aligned term3 and the moment probe's one-step
+deltas come from the same per-stack passes.
 
 :func:`one_step_moment_probe` checks the weak order of the expansion: it
 compares the exact one-step mean and second moment of discrete SAM with
@@ -45,6 +49,7 @@ the drift and diffusion, the second moment from factors of rank at most
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +120,7 @@ def _batch_jets(family: OracleFamily, xs: np.ndarray, degree: int = 0,
     return coefs
 
 
-def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
+def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third,
                      tau: float) -> tuple:
     """Rows t1_b = grad f_b, t2_b = H_b u_b and t3_b = third_b(u_b, u_b) (zero
     unless need_third), and the mask of the live batches. u_b is SAM's
@@ -124,22 +129,28 @@ def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third: bool,
     own norm. t2_b = t3_b = 0 off the mask; each live batch costs one HVP
     (its jet). Each stack takes its gradient and then, if a row is live,
     its jet with the same builder at the same point, so the jet pass is a
-    push of the gradient pass's record."""
-    t1s, t2s, t3s = (np.zeros((len(family), family.dim)) for _ in range(3))
-    live = np.zeros(len(family), dtype=bool)
-    for ids, builder in family.stacks():
-        xs = np.broadcast_to(x, (len(ids), family.dim))
-        g = jet_pass(builder, xs)[0]
+    push of the gradient pass's record. At R points ``(R, d)``, with one
+    need_third each, the terms are ``(R, B, d)`` and the mask ``(R, B)``."""
+    if np.ndim(x) == 1:
+        return tuple(t[0] for t in _per_batch_terms(
+            family, np.reshape(x, (1, -1)), [need_third], tau))
+    n, thirds = len(family), np.asarray(need_third)
+    t1s, t2s, t3s = (np.zeros((len(x) * n, family.dim)) for _ in range(3))
+    live = np.zeros(len(x) * n, dtype=bool)
+    for ids, builder in family.stacks(len(x)):
+        at, third = x[ids // n], thirds[ids // n]
+        g = jet_pass(builder, at)[0]
         units = sam_perturbation(g, tau)
         on = units.any(axis=1)
         t1s[ids], live[ids] = g, on
         if not on.any():
             continue
-        jet = jet_pass(builder, xs, 2 if need_third else 1, units)
+        jet = jet_pass(builder, at, 2 if third.any() else 1, units)
         t2s[ids] = np.where(on[:, None], jet[1], 0.0)
-        if need_third:
-            t3s[ids] = np.where(on[:, None], 2.0 * jet[2], 0.0)
-    return t1s, t2s, t3s, live
+        if third.any():
+            t3s[ids] = np.where((on & third)[:, None], 2.0 * jet[2], 0.0)
+    return (*(t.reshape(len(x), n, -1) for t in (t1s, t2s, t3s)),
+            live.reshape(len(x), n))
 
 
 def drift(family: OracleFamily, terms: tuple, order: int,
@@ -154,30 +165,37 @@ def drift(family: OracleFamily, terms: tuple, order: int,
                               term3=term3, rho=rho, hvp_calls=int(live.sum()))
 
 
-def sigma_exact(family: OracleFamily, terms: tuple, rho: float,
-                order: int = 3) -> DiffusionModel:
+@functools.lru_cache(maxsize=4)
+def _k_matrix(weights: bytes, rho: float, order: int) -> np.ndarray:
+    """The K of :func:`sigma_exact`; cached, so a run builds each K once."""
+    r2 = rho ** 2 if order == 3 else 0.0
+    return np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
+                   np.diag(np.frombuffer(weights)))
+
+
+def sigma_exact(family: OracleFamily, terms: tuple, rho: float, order=3):
     """Diffusion covariance M^T K M, factored: with M^T = QR, the eigenpairs
     (vals, U) of the symmetrized R K R^T give Sigma = (QU) diag(vals) (QU)^T.
-    The c2 and c3 rows of batches under the gradient floor are zero."""
-    if order not in (2, 3):
+    The c2 and c3 rows of batches under the gradient floor are zero. The
+    ``(R, B, d)`` terms of R points, one order each, give R models."""
+    if terms[3].ndim == 1:
+        return sigma_exact(family, [t[None] for t in terms], rho, [order])[0]
+    if not set(order) <= {2, 3}:
         raise ValueError("diffusion order must be 2 or 3")
-    t1s, t2s, t3s, live = terms
-    rows = np.concatenate([t1s - family.mean(t1s),
-                           np.where(live[:, None], t2s - family.mean(t2s), 0.0),
-                           np.where(live[:, None], t3s - family.mean(t3s), 0.0)])
-    r2 = rho ** 2 if order == 3 else 0.0
-    k = np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
-                np.diag(family.weights))
-    q, r = np.linalg.qr(rows.T)
-    core = r @ k @ r.T
-    vals, vecs = np.linalg.eigh(0.5 * (core + core.T))
-    return DiffusionModel(basis=q @ vecs, vals=vals,
-                          clipped_mass=float(-vals[vals < 0.0].sum()))
+    rows = np.stack([np.concatenate([t1s - family.mean(t1s)] + [
+        np.where(live[:, None], t - family.mean(t), 0.0) for t in (t2s, t3s)])
+        for t1s, t2s, t3s, live in zip(*terms)])
+    q, r = np.linalg.qr(rows.transpose(0, 2, 1))
+    k = np.stack([_k_matrix(family.weights.tobytes(), rho, o) for o in order])
+    core = r @ k @ r.transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(0.5 * (core + core.transpose(0, 2, 1)))
+    return [DiffusionModel(basis=basis, vals=v, clipped_mass=float(-v[v < 0.0].sum()))
+            for basis, v in zip(q @ vecs, vals)]
 
 
 def sde_coefficients(family: OracleFamily, x, rho: float, order,
                      diffusion: str, tau: float = GRAD_FLOOR, q: int = 50,
-                     seed: int = 0, check_gap: bool = True) -> tuple:
+                     seed=0, check_gap: bool = True):
     """Drift and diffusion at x from one evaluation of the per-batch terms.
 
     ``order`` is 2, 3, "aligned-rho" or "aligned-rho2". The aligned orders
@@ -191,25 +209,31 @@ def sde_coefficients(family: OracleFamily, x, rho: float, order,
 
     Returns (DriftDecomposition, diffusion object), where the second element
     is a DiffusionModel for "exact", a SampledNoise for "sampled", or None.
+    At R points ``(R, d)``, with one order and one seed per point, it
+    returns the R points' pairs from one evaluation and one sigma_exact.
     """
     x = np.asarray(x, dtype=np.float64)
-    if order not in (2, 3) + ALIGNED:
-        raise ValueError(f"unknown SDE order {order!r}")
+    if x.ndim == 1:
+        return sde_coefficients(family, x[None], rho, [order], diffusion, tau,
+                                q, [seed], check_gap)[0]
+    if not set(order) <= {2, 3, *ALIGNED}:
+        raise ValueError(f"unknown SDE order in {order!r}")
     if diffusion not in DIFFUSIONS:
         raise ValueError(f"unknown diffusion mode {diffusion!r}")
-    aligned = order in ALIGNED
-    need_third = order == 3 or (aligned and diffusion != "none")
-    terms = _per_batch_terms(family, x, need_third=need_third, tau=tau)
-    if aligned:
-        dd = drift_aligned(family, x, terms, order, rho, q=q, seed=seed,
-                           check_gap=check_gap)
-    else:
-        dd = drift(family, terms, order, rho)
+    terms = _per_batch_terms(family, x, [
+        o == 3 or (o in ALIGNED and diffusion != "none") for o in order], tau)
+    rows = list(zip(*terms))
+    dds = [drift_aligned(family, xr, tr, o, rho, q=q, seed=s,
+                         check_gap=check_gap) if o in ALIGNED
+           else drift(family, tr, o, rho)
+           for xr, tr, o, s in zip(x, rows, order, seed)]
     if diffusion == "exact":
-        return dd, sigma_exact(family, terms, rho, order=3 if aligned else order)
-    if diffusion == "sampled":
-        return dd, SampledNoise(family, terms, rho)
-    return dd, None
+        diffs = sigma_exact(family, terms, rho,
+                            [3 if o in ALIGNED else o for o in order])
+    else:
+        diffs = [SampledNoise(family, tr, rho) if diffusion == "sampled"
+                 else None for tr in rows]
+    return list(zip(dds, diffs))
 
 
 class SampledNoise:

@@ -321,8 +321,9 @@ class TestRunSimulateSde:
 
     def test_aligned_exact_diffusion_evaluates_terms_once(self, tmp_path,
                                                          monkeypatch):
-        # An aligned process takes drift and diffusion from one evaluation of
-        # the per-batch terms per substep, with the values of two.
+        # The aligned rows take drift and diffusion from one evaluation of
+        # the per-batch terms per substep, shared by both rows, and one
+        # batched sigma_exact, with the values of single-point evaluations.
         from samlab import sde
         from samlab.data import mlp_family
 
@@ -338,9 +339,9 @@ class TestRunSimulateSde:
             return terms(*args, **kwargs)
 
         def kept_sigma(*args, **kwargs):
-            model = sigma_exact(*args, **kwargs)
-            sigmas.append(model.sigma)
-            return model
+            models = sigma_exact(*args, **kwargs)
+            sigmas.extend(model.sigma for model in models)
+            return models
 
         def kept_step(x, eta, dt, drift_vec, noise):
             states.append((x, drift_vec))
@@ -353,14 +354,14 @@ class TestRunSimulateSde:
         monkeypatch.undo()
         substeps = 2 * 2 * 2  # processes x steps x substeps
         assert len(states) == len(sigmas) == substeps
-        assert len(calls) == substeps
+        assert len(calls) == substeps // 2
 
         spec, train, _ = runner._datasets(cfg)
         family = mlp_family(spec, train, cfg["batch_size"])
         tau = cfg["grad_floor"]
-        # The processes run in lockstep: each step takes both substeps of
-        # the first process, then both of the second.
-        variants = [sde.VARIANT_ALIGNED_RHO2 if i // 2 % 2 else sde.VARIANT_ALIGNED_RHO
+        # The processes run in lockstep: each substep steps the first
+        # process, then the second.
+        variants = [sde.VARIANT_ALIGNED_RHO2 if i % 2 else sde.VARIANT_ALIGNED_RHO
                     for i in range(substeps)]
         for variant, (x, drift_vec), sigma in zip(variants, states, sigmas):
             terms = sde._per_batch_terms(family, x, True, tau)
@@ -404,6 +405,13 @@ def assert_rows_close(rows, single):
                                            err_msg=col)
             else:
                 assert va == vb, col
+
+
+def label_lines(path, process: str, seed: int) -> list:
+    """The ``canonical_bytes`` lines of one label's rows."""
+    return [line for line in canonical_bytes(path).decode().splitlines()
+            if not line.startswith("#")
+            and line.split(",")[1:3] == [process, str(seed)]]
 
 
 class TestTrajectory:
@@ -504,6 +512,71 @@ class TestLockstepSde:
                 _, single, _ = read_csv(out / "sde.csv")
                 assert_rows_close([r for r in rows if (r.process, r.seed)
                                    == (process, seed)], single)
+
+    @pytest.mark.parametrize("diffusion,extra,stack_sets", [
+        ("exact", {}, None),
+        ("sampled", {}, None),
+        ("none", {}, None),
+        # At init, batches 1 and 3 of seed 0 fall under the floor.
+        ("exact", dict(grad_floor=2.0), None),
+        # Five sets of 22 + 8 * 8 = 86 elements per tape: the 24 sets of the
+        # six SDE rows take five tapes, cut across rows.
+        ("sampled", {}, 5)])
+    def test_sde_rows_equal_single_runs_exactly(self, tmp_path, monkeypatch,
+                                                diffusion, extra, stack_sets):
+        import samlab.data
+
+        processes = ("sde2", "sde3", "sde-aligned-rho2")
+        cfg = dict(diffusion=diffusion, steps=3, eval_every=1, substeps=2,
+                   aligned_q=10, **extra)
+        if stack_sets:
+            monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", stack_sets * 86)
+            spec, train, _ = runner._datasets(sde_cfg(tmp_path))
+            assert len(list(mlp_family(spec, train, 8).stacks(6))) == 5
+        run_simulate_sde(sde_cfg(tmp_path / "all", seeds="0,1",
+                                 processes=",".join(processes), **cfg))
+        for process in processes:
+            for seed in (0, 1):
+                out = tmp_path / f"{process}-{seed}"
+                run_simulate_sde(sde_cfg(out, seeds=seed, processes=process,
+                                         **cfg))
+                want = label_lines(out / "sde.csv", process, seed)
+                assert len(want) == 4
+                assert label_lines(tmp_path / "all" / "sde.csv", process,
+                                   seed) == want
+        if extra:
+            _, rows, _ = read_csv(tmp_path / "all" / "sde.csv")
+            assert any(r.hvp_count < 4 * 2 * r.step for r in rows
+                       if r.process == "sde2")
+
+    def test_one_pass_and_push_per_substep(self, tmp_path, monkeypatch):
+        # Two seeds of sde2 and sde3 on four batches of 8 rows: 16 sets on
+        # one tape, which takes one gradient pass and one push per substep,
+        # not two passes per row.
+        from samlab import sde
+
+        real, passes = sde.jet_pass, []
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "jet_pass", counted)
+        cfg = dict(steps=3, eval_every=1, substeps=2)
+        run_simulate_sde(sde_cfg(tmp_path / "all", seeds="0,1",
+                                 processes="sde2,sde3", **cfg))
+        assert len(passes) == 2 * 3 * 2
+        monkeypatch.undo()
+        _, rows, _ = read_csv(tmp_path / "all" / "sde.csv")
+        for process in ("sde2", "sde3"):
+            for seed in (0, 1):
+                out = tmp_path / f"{process}-{seed}"
+                run_simulate_sde(sde_cfg(out, seeds=seed, processes=process,
+                                         **cfg))
+                _, single, _ = read_csv(out / "sde.csv")
+                assert [r.hvp_count for r in rows
+                        if (r.process, r.seed) == (process, seed)] == [
+                    r.hvp_count for r in single]
 
     def test_nan_in_one_row_stops_every_row(self, tmp_path, monkeypatch):
         # The rows step as (sde2, 0), (sde3, 0), (sde2, 1), (sde3, 1) after
