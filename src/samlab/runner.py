@@ -277,7 +277,7 @@ def run_train(config: dict, out_name: str = "train.csv") -> Path:
 # ---------------------------------------------------------------------------
 
 def _picked_oracle(spec: MlpSpec, train: Dataset, family,
-                   picks: tuple) -> LossOracle:
+                   picks: list) -> LossOracle:
     """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
     family, its tapes as :func:`data.stack_plan` decides. A plan of one
     tape, such as a single pick or picks of one row count, is the plain
@@ -348,12 +348,10 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
                 method="sam", lr=config["eta"], rho=config["rho"],
                 schedule="constant", total_steps=config["steps"],
                 grad_floor=config["grad_floor"])
-            # One oracle per pick tuple: the picks come from a few batches.
-            picked = functools.lru_cache(maxsize=len(family))(
-                functools.partial(_picked_oracle, spec, train, family))
             groups.append((sam, _optimizer_rows(
-                sam_cfg, seeds, spec.dim, lambda t: picked(tuple(
-                    family.pick(seed, STREAM_BATCH, t) for seed in seeds)))))
+                sam_cfg, seeds, spec.dim, lambda t: _picked_oracle(
+                    spec, train, family,
+                    [family.pick(seed, STREAM_BATCH, t) for seed in seeds]))))
         sde = [r for r, (process, _) in enumerate(labels)
                if process != "discrete-sam"]
         if sde:

@@ -49,7 +49,6 @@ the drift and diffusion, the second moment from factors of rank at most
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,14 +164,6 @@ def drift(family: OracleFamily, terms: tuple, order: int,
                               term3=term3, rho=rho, hvp_calls=int(live.sum()))
 
 
-@functools.lru_cache(maxsize=4)
-def _k_matrix(weights: bytes, rho: float, order: int) -> np.ndarray:
-    """The K of :func:`sigma_exact`; cached, so a run builds each K once."""
-    r2 = rho ** 2 if order == 3 else 0.0
-    return np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
-                   np.diag(np.frombuffer(weights)))
-
-
 def sigma_exact(family: OracleFamily, terms: tuple, rho: float, order=3):
     """Diffusion covariance M^T K M, factored: with M^T = QR, the eigenpairs
     (vals, U) of the symmetrized R K R^T give Sigma = (QU) diag(vals) (QU)^T.
@@ -182,11 +173,17 @@ def sigma_exact(family: OracleFamily, terms: tuple, rho: float, order=3):
         return sigma_exact(family, [t[None] for t in terms], rho, [order])[0]
     if not set(order) <= {2, 3}:
         raise ValueError("diffusion order must be 2 or 3")
-    rows = np.stack([np.concatenate([t1s - family.mean(t1s)] + [
-        np.where(live[:, None], t - family.mean(t), 0.0) for t in (t2s, t3s)])
-        for t1s, t2s, t3s, live in zip(*terms)])
+    # Each point's terms less their family.mean, taken over axis 1.
+    dev = [t - (family.weights[:, None] * t).sum(axis=1, keepdims=True)
+           for t in terms[:3]]
+    rows = np.concatenate([dev[0]] + [np.where(terms[3][..., None], t, 0.0)
+                                      for t in dev[1:]], axis=1)
     q, r = np.linalg.qr(rows.transpose(0, 2, 1))
-    k = np.stack([_k_matrix(family.weights.tobytes(), rho, o) for o in order])
+    # K = kron(mix, diag(weights)) per row, as one broadcast product.
+    mix = np.array([[[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]]
+                    for r2 in (rho ** 2 if o == 3 else 0.0 for o in order)])
+    k = (mix[:, :, None, :, None] * np.diag(family.weights)[:, None, :]).reshape(
+        len(order), 3 * len(family), 3 * len(family))
     core = r @ k @ r.transpose(0, 2, 1)
     vals, vecs = np.linalg.eigh(0.5 * (core + core.transpose(0, 2, 1)))
     return [DiffusionModel(basis=basis, vals=v, clipped_mass=float(-v[v < 0.0].sum()))

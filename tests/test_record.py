@@ -88,6 +88,9 @@ def test_push_equals_fresh_pass_bit_for_bit(name):
     builder, x = case(name)
     u = tangent_for(x, 0)
     want = {k: fresh(builder, x, k, u) for k in (0, 1, 2)}
+    # Coefficients 0 and 1 of a degree-2 pass are those of a degree-1 pass,
+    # so rows that need degree 1 can share a degree-2 push.
+    assert_bit_equal((want[2][0], want[2][1][:2]), want[1])
     # Record at degree 0, then push at degrees 2, 1, 0 and 2 again: each
     # push equals the fresh pass of its degree, and none records anew.
     jet_pass(builder, x)

@@ -103,6 +103,29 @@ class TestSigmaExact:
         want = np.mean([np.outer(g - mean, g - mean) for g in grads], axis=0)
         np.testing.assert_allclose(dm.sigma, want, atol=1e-12)
 
+    def test_rows_equal_the_per_point_loop_bit_for_bit(self):
+        # Reference: each point's rows centered by family.mean, its K from
+        # np.kron, and its own 2-D qr and eigh.
+        spec, rho, orders = MlpSpec((2, 16, 2)), 0.2, [2, 3, 3]
+        fam = mlp_family(spec, gen_synthetic(100, 2, 2, 4.0, 0), 32)
+        x = np.stack([init_params(spec, s).values for s in range(3)])
+        # The floor leaves points 0 and 1 with live and dead batches.
+        terms = _per_batch_terms(fam, x, [o == 3 for o in orders], 3.1)
+        assert all(0 < live.sum() < live.size for live in terms[3][:2])
+        for dm, *point, order in zip(sigma_exact(fam, terms, rho, orders),
+                                     *terms, orders):
+            t1s, t2s, t3s, live = point
+            rows = np.concatenate([t1s - fam.mean(t1s)] + [
+                np.where(live[:, None], t - fam.mean(t), 0.0) for t in (t2s, t3s)])
+            r2 = rho ** 2 if order == 3 else 0.0
+            k = np.kron([[1.0, rho, 0.5 * r2], [rho, r2, 0.0], [0.5 * r2, 0.0, 0.0]],
+                        np.diag(fam.weights))
+            q, r = np.linalg.qr(rows.T)
+            core = r @ k @ r.T
+            vals, vecs = np.linalg.eigh(0.5 * (core + core.T))
+            assert dm.vals.tobytes() == vals.tobytes()
+            assert dm.basis.tobytes() == (q @ vecs).tobytes()
+
     def test_matches_brute_force_outer_products(self):
         fam, x0 = TOYS["twobatch2d"]()
         rho = 0.15
