@@ -120,6 +120,18 @@ PINNED = {
     # jet HVP and drop out of terms 2-3: sde2 spends 25 HVPs by step 5, not 40.
     "sde-floor": ("simulate-sde", _SDE + ("steps=10", "eval_every=5",
                                           "grad_floor=2.5"), None),
+    # Two hidden layers: a dense fed by data, a dense fed by a GeLU output,
+    # and pushes of degree 1 (the refresh's power iteration) through both
+    # GeLUs on a two-row stack of Eigen-SAM seeds.
+    "train-deep": ("train", (
+        "model_layers=4,8,8,3", "data_dim=4", "data_classes=3", "data_n=128",
+        "method=eigensam", "p=5", "steps=20", "eval_every=10"), "0,1"),
+    # Degree-1 and degree-2 pushes through two GeLUs: sde2 and sde3 rows
+    # with exact diffusion on a two-hidden-layer model.
+    "sde-deep": ("simulate-sde", (
+        "model_layers=2,8,8,2", "data_n=128", "probe_q=10",
+        "processes=discrete-sam,sde2,sde3", "diffusion=exact", "steps=5",
+        "eval_every=5"), None),
     "bound": ("bound", ("f_s=0.1", "lambda1=10", "x_norm=10", "d=100",
                         "n=10000", "sigma=0.01", "loss_bound=1",
                         "third_bound=1", "delta=0.05"), None),
