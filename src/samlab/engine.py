@@ -32,9 +32,9 @@ flat parameter leaf, with the arithmetic of ``slice1d``, ``reshape``,
 and VJP from the jet arithmetic below. ``gelu`` states its derivatives f',
 f'' and f''' in closed form at the primal and builds both jets from them,
 in fewer array operations than tanh of a cubic composed from jet products.
-A constant's higher coefficients are one read-only zero, and ``matmul`` and
-``dense`` multiply only the primal of a constant operand, such as an MLP's
-data input.
+A constant's higher coefficients are zero, so ``matmul`` and ``dense``
+multiply only its primal; ``dense`` takes one, such as an MLP's data batch,
+as a plain array, which is no node on the tape.
 
 Record and push. Each op has one rule in two parts. The primal part runs
 when the node is made: it computes coefficient 0 and the factors of the
@@ -51,7 +51,7 @@ coefficient 0 from the record. So an HVP at a recorded point is one
 tangent sweep each way over a fixed linearisation. The factors kept are
 GeLU's f' (with f'' and f''' once a degree has needed them, t until then),
 softmax_ce's exponentials, sums and quotient, ReLU's mask, pow_int's powers
-and dense's transposed constant input and view of W at the primal.
+and dense's constant input and view of W at the primal.
 Coefficient m of every rule depends on coefficients 0..m of its inputs
 only, so a push gives a fresh pass's coefficients bit for bit.
 
@@ -59,7 +59,7 @@ In place. A rule writes in place only into an array it allocated in the
 same call, and only before it hands that array on. It never writes into
 an array that a caller got back, that the record holds, or that a rule
 keeps as a factor: GeLU's t, f' and f'', softmax_ce's e and s, dense's
-h0^T and W. An in-place step reorders only commutative operations, so
+h0 and W. An in-place step reorders only commutative operations, so
 ``p = s * du; p *= 0.5 * a0; p += half`` has the bits of
 ``half + 0.5 * a0 * (s * du)``.
 """
@@ -88,7 +88,7 @@ def jet_const(value, degree: int) -> Jet:
 
 
 def jadd(a: Jet, b: Jet) -> Jet:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(np.add, a, b))
 
 
 def jsub(a: Jet, b: Jet) -> Jet:
@@ -170,6 +170,10 @@ def jlog(a: Jet, log0=None) -> Jet:
     return tuple(out)
 
 
+def _transposed(a: Jet) -> list:
+    return [c.swapaxes(-1, -2) for c in a]
+
+
 def _reduce_to(arr: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast result back down to the given operand shape."""
     if arr.shape == shape:
@@ -187,8 +191,9 @@ def jreduce_to(a: Jet, shape: tuple) -> Jet:
     return tuple(_reduce_to(x, shape) for x in a)
 
 
-def _transposed(a: Jet) -> list:
-    return [c.swapaxes(-1, -2) for c in a]
+# backward's adjoint of its scalar output per degree, (1, 0, ..), read-only
+_SEEDS = tuple(tuple(np.broadcast_to(c, ()) for c in jet_const(1.0, k))
+               for k in range(MAX_DEGREE + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +248,8 @@ class Tape:
 
     def _seeds(self, v: np.ndarray, tangent) -> tuple:
         """A leaf's coefficients 1..degree: the tangent, then zeros."""
+        if not self.degree:
+            return ()
         return tuple(np.zeros_like(v) if t is None
                      else np.asarray(t, dtype=np.float64)
                      for t in (tangent, None)[: self.degree])
@@ -278,9 +285,6 @@ class Tape:
                 node.jet = (v,) + node.tangent()
             elif node.requires_grad:
                 node.jet = (v,) + self._seeds(v, tangent if node is leaf else None)
-            elif len(node.jet) > degree:
-                # a constant keeps its read-only zero from an earlier push
-                node.jet = node.jet[: degree + 1]
             else:
                 node.jet = (v,) + self._zeros(v)
 
@@ -369,25 +373,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda: jmatmul(a.jet, b.jet, 1))
 
 
-def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
+def dense(h, x: Tensor, offset: int, shape: tuple) -> Tensor:
     """One affine layer, ``h @ W + b``, as one node. W ``(fan_in, fan_out)``
     and then b ``(fan_out,)`` are views of each jet coefficient of x,
     starting at ``offset`` on its last axis; leading axes of x are stack
     axes, and h then has the same ones.
 
     The arithmetic is that of ``slice1d``, ``reshape``, ``matmul`` and
-    ``add`` composed, bit for bit, without their nodes: a constant h
-    multiplies only its primal, and x's adjoint is one zero array per
-    coefficient with ``h^T g`` in the W block and ``g`` summed over rows in
-    the b block."""
+    ``add`` composed, bit for bit, without their nodes. h may be an array
+    of data or a node that requires no grad: a constant, which multiplies
+    only as its primal and is not a parent, so x is the only one. x's
+    adjoint is one zero array per coefficient with ``h^T g`` written into
+    the W block and ``g`` summed over rows into the b block."""
     fan_in, fan_out = shape
-    full = x.shape
-    lead = full[:-1]
-    wshape, wflat = lead + shape, lead + (fan_in * fan_out,)
     mid = offset + fan_in * fan_out
     stop = mid + fan_out
-    h0, const = h.jet[0], not h.requires_grad
-    h0T = h0.swapaxes(-1, -2) if const else None
+    x0 = x.jet[0]
+    wshape = x0.shape[:-1] + shape
+    w0 = x0[..., offset:mid].reshape(wshape)
+    const = not isinstance(h, Tensor) or not h.requires_grad
+    h0 = h.jet[0] if isinstance(h, Tensor) else h
 
     def weights():
         # W's jet: the view of x's primal made with the node, then views
@@ -396,32 +401,34 @@ def dense(h: Tensor, x: Tensor, offset: int, shape: tuple) -> Tensor:
 
     def tangent():
         wj = weights()
-        out = (tuple(h0 @ c for c in wj[1:]) if const
+        out = ([h0 @ c for c in wj[1:]] if const
                else jmatmul(h.jet, wj, 1))
         for c, cx in zip(out, x.jet[1:]):
             c += cx[..., None, mid:stop]
-        return out
+        return tuple(out)
 
     def vjp_h(g, lo=0):
         return jmatmul(g, _transposed(weights()), lo)
 
     def vjp_x(g, lo=0):
-        gw = (tuple(h0T @ c for c in g[lo:]) if const
-              else jmatmul(_transposed(h.jet), g, lo))
+        hT = _transposed((h0,) if const else h.jet)
         adj = []
-        for cw, cg in zip(gw, g[lo:]):
-            z = np.zeros(full)
-            z[..., offset:mid] = cw.reshape(wflat)
-            z[..., mid:stop] = np.add.reduce(cg, axis=-2)
+        for m in range(lo, len(g)):
+            z = np.zeros(x0.shape)
+            # the W block of z as a (..., fan_in, fan_out) view, which the
+            # products write into; coefficient m of h^T g sums hT_i g_(m-i)
+            zw = z[..., offset:mid].reshape(wshape)
+            np.matmul(hT[0], g[m], out=zw)
+            for i in range(1, min(m + 1, len(hT))):
+                zw += hT[i] @ g[m - i]
+            np.add.reduce(g[m], axis=-2, out=z[..., mid:stop])
             adj.append(z)
-        return tuple(adj)
+        return adj
 
-    x0 = x.jet[0]
-    w0 = x0[..., offset:mid].reshape(wshape)
     out = h0 @ w0
     out += x0[..., None, mid:stop]
-    return _make(x.tape, "dense", out, (h, x),
-                 (None if const else vjp_h, vjp_x), tangent, linear=const)
+    parents, vjps = ((x,), (vjp_x,)) if const else ((h, x), (vjp_h, vjp_x))
+    return _make(x.tape, "dense", out, parents, vjps, tangent, linear=const)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -555,7 +562,14 @@ def gelu(a: Tensor) -> Tensor:
                  (lambda g, lo=0: jmul(g, fp, lo),), tangent)
 
 
-def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
+def label_index(labels: np.ndarray, classes: int) -> np.ndarray:
+    """The flat C-order index of each row's label logit in logits
+    ``(..., n, classes)``, which ``np.ravel_multi_index`` builds and checks."""
+    rows = np.arange(labels.size).reshape(labels.shape)
+    return np.ravel_multi_index((rows, labels), (labels.size, classes))
+
+
+def softmax_ce(z: Tensor, labels: np.ndarray, flat=None) -> Tensor:
     """Softmax cross-entropy of logits ``(..., n, C)`` against integer labels
     ``(..., n)`` in [0, C): the mean over n rows, summed over any leading
     axes.
@@ -563,17 +577,18 @@ def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
     The log-sum-exp is shifted by the row maximum of the primal logits, a
     constant, so large logits stay finite. The VJP is
     ``g / n * (softmax(z) - onehot)``. Each row's label logit is read at its
-    flat C-order index, which ``np.ravel_multi_index`` builds and checks.
+    :func:`label_index`, made here unless ``flat`` is that index, made and
+    checked once by a caller that passes the same labels on every pass.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.shape[-1]
     z0 = z.jet[0]
-    if z0.shape[:-1] != labels.shape:
-        raise ValueError("softmax_ce needs one label per row of logits")
-    rows = np.arange(labels.size).reshape(labels.shape)
-    flat = np.ravel_multi_index((rows, labels), (labels.size, z0.shape[-1]))
+    if flat is None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if z0.shape[:-1] != labels.shape:
+            raise ValueError("softmax_ce needs one label per row of logits")
+        flat = label_index(labels, z0.shape[-1])
+    n = labels.shape[-1]
     m = np.maximum.reduce(z0, axis=-1, keepdims=True)
-    e0 = z0 + -m
+    e0 = z0 - m
     np.exp(e0, out=e0)
     e = [e0]                              # jet of exp(z - m)
     s = [np.add.reduce(e0, axis=-1, keepdims=True)]
@@ -604,7 +619,8 @@ def softmax_ce(z: Tensor, labels: np.ndarray) -> Tensor:
             if soft is None:
                 soft = e[0] / s[0]
             p += jdiv(e, s, soft)[1:]
-        return jmul(jscale(g, 1.0 / n), p, lo)
+        # g is a scalar's adjoint: each coefficient is scaled as a float
+        return jmul([float(c) * (1.0 / n) for c in g], p, lo)
 
     return _make(z.tape, "softmax_ce", loss(log_s + m, z0), (z,), (vjp,),
                  tangent)
@@ -660,17 +676,16 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
     :meth:`Tape.push`, computes coefficients 1..k only and reads
     coefficient 0 from the record.
     """
-    if output.value.shape != ():
+    if output.jet[0].shape != ():
         raise ValueError("backward expects a scalar output node")
     tape = output.tape
     nodes = tape.nodes
     k = tape.degree
     top = output.idx
-    recorded = tape.adjoint is not None and tape.adjoint[0] == top
-    lo = int(recorded)
-    adj0 = tape.adjoint[1] if recorded else [None] * len(nodes)
-    adj: list[Jet | None] = [None] * len(nodes)
-    adj[top] = jet_const(1.0, k)[lo:]
+    lo = 1 if tape.adjoint is not None and tape.adjoint[0] == top else 0
+    adj0 = tape.adjoint[1] if lo else [None] * len(nodes)
+    adj: list = [None] * (top + 1)
+    adj[top] = _SEEDS[k][lo:]
     # No node after the output reaches it, so the sweep starts there.
     for i in range(top if lo <= k else -1, -1, -1):
         g = adj[i]
@@ -678,7 +693,7 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
             continue
         node = nodes[i]
         if lo:
-            g = (adj0[i],) + g
+            g = (adj0[i], *g)
         elif not node.linear:
             adj0[i] = g[0]
         if not node.requires_grad or not node.parents:
@@ -697,7 +712,7 @@ def backward(output: Tensor, wrt: list[Tensor]) -> list[Jet]:
         if g0 is None:
             out.append(jet_const(np.zeros(leaf.shape), k))
         elif lo:
-            out.append((g0,) + (adj[leaf.idx] if k else ()))
+            out.append((g0, *adj[leaf.idx]) if k else (g0,))
         else:
-            out.append(adj[leaf.idx])
+            out.append(tuple(adj[leaf.idx]))
     return out

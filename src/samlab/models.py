@@ -11,8 +11,9 @@ Loss heads: softmax cross-entropy over integer labels (the fused
 one-hot encoded for the MSE head on each pass, so an oracle keeps only the
 labels). Each layer is one
 :func:`samlab.engine.dense` node, which reads its weights and biases from
-the flat parameter leaf, so a one-hidden-layer GeLU/CE loss tape has 6
-nodes, stacked or not.
+the flat parameter leaf and the data batch as a plain array, so a
+one-hidden-layer GeLU/CE loss tape has 5 nodes (leaf, dense, gelu, dense,
+softmax_ce), stacked or not.
 
 A builder over stacked batches, inputs ``(B, n, in)`` with labels ``(B, n)``
 or targets ``(B, n, out)``, takes a ``(B, d)`` parameter leaf and returns
@@ -86,14 +87,12 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(values)
 
 
-def _forward_logits(tape: eng.Tape, x: eng.Tensor, spec: MlpSpec,
+def _forward_logits(x: eng.Tensor, spec: MlpSpec,
                     inputs: np.ndarray) -> eng.Tensor:
-    h = tape.const(inputs)
-    n_layers = len(spec.layers) - 1
+    act = eng.gelu if spec.activation == "gelu" else eng.relu
+    h = inputs
     for i, (_, shape, offset) in enumerate(spec.layout[::2]):
-        h = eng.dense(h, x, offset, shape)
-        if i < n_layers - 1:
-            h = eng.gelu(h) if spec.activation == "gelu" else eng.relu(h)
+        h = eng.dense(act(h) if i else h, x, offset, shape)
     return h
 
 
@@ -103,29 +102,40 @@ def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Te
 
 
 def _loss_head(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
-    """``head(tape, logits)``: the loss node of the spec's head over the labels."""
+    """``head(tape, logits)``: the loss node of the spec's head over the
+    labels, one per input row, or the targets, one row of output width per
+    input row. CE's label index is made here, once."""
+    rows, width = inputs.shape[:-1], spec.layers[-1]
     if spec.head == "mse" and np.ndim(labels) != inputs.ndim - 1:
         targets = np.asarray(labels, dtype=np.float64)
+        if targets.shape != rows + (width,):
+            raise ValueError(f"targets of shape {targets.shape} do not match "
+                             f"{rows} input rows of output width {width}")
         return lambda tape, logits: _mse_loss(tape, logits, targets)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= spec.layers[-1]:
-        raise ValueError("labels out of range for the output layer")
+    if labels.shape != rows:
+        raise ValueError(f"labels of shape {labels.shape} do not match "
+                         f"{rows} input rows")
+    try:
+        flat = eng.label_index(labels, width)
+    except ValueError:
+        raise ValueError("labels out of range for the output layer") from None
     if spec.head == "ce":
-        return lambda tape, logits: eng.softmax_ce(logits, labels)
-    return lambda tape, logits: _mse_loss(
-        tape, logits, np.eye(spec.layers[-1])[labels])
+        return lambda tape, logits: eng.softmax_ce(logits, labels, flat)
+    return lambda tape, logits: _mse_loss(tape, logits, np.eye(width)[labels])
 
 
 def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
     """Loss-graph builder over a data batch, for use in a LossOracle, or
-    over stacked batches (see the module docstring)."""
+    over stacked batches (see the module docstring). Raises ValueError if
+    the labels or targets do not match the inputs' rows."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[-1] != spec.layers[0]:
         raise ValueError("input width does not match the model spec")
     head = _loss_head(spec, inputs, labels)
 
     def build(tape, x):
-        return head(tape, _forward_logits(tape, x, spec, inputs))
+        return head(tape, _forward_logits(x, spec, inputs))
     return build
 
 
@@ -148,7 +158,7 @@ def accuracy(spec: MlpSpec, x: ParamVector, inputs: np.ndarray,
     logit is not finite."""
     inputs = np.asarray(inputs, dtype=np.float64)
     logits, = _tape_pass(lambda tape, leaf: (
-        _forward_logits(tape, leaf, spec, inputs).value,), x.values)
+        _forward_logits(leaf, spec, inputs).value,), x.values)
     return _accuracy(logits, labels)
 
 
@@ -162,7 +172,7 @@ def loss_and_accuracy(spec: MlpSpec, x: np.ndarray, inputs: np.ndarray,
     head = _loss_head(spec, inputs, labels)
 
     def run(tape, leaf):
-        logits = _forward_logits(tape, leaf, spec, inputs)
+        logits = _forward_logits(leaf, spec, inputs)
         return head(tape, logits).value, logits.value
 
     loss, logits = _tape_pass(run, x)

@@ -94,17 +94,17 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(g: np.ndarray, tau: float) -> tuple:
-    """(g / ||g||, live, ||g||) per row. Rows with ||g|| < tau are not live
-    and their unit vector is zero; ``live`` and the norm keep a trailing
-    axis of length 1, so they broadcast against g. The norm is
-    ``np.linalg.norm``'s along the last axis, bit for bit, and when every
-    row is live the masks are skipped, which leaves the same bits."""
+    """(g / ||g||, live) per row, the norm being ``np.linalg.norm``'s along
+    the last axis, bit for bit. Rows with ||g|| < tau are not live and
+    their unit vector is zero; ``live`` is None when every row is live, so
+    no mask is needed, else a mask that broadcasts against g. Skipping the
+    masks leaves the same bits."""
     g = np.asarray(g, dtype=np.float64)
     norm = np.sqrt(_row_dot(g, g))
     live = norm >= tau
     if live.all():
-        return g / norm, live, norm
-    return np.where(live, g / np.where(live, norm, 1.0), 0.0), live, norm
+        return g / norm, None
+    return np.where(live, g / np.where(live, norm, 1.0), 0.0), live
 
 
 def sam_perturbation(g: np.ndarray, tau: float = GRAD_FLOOR) -> np.ndarray:
@@ -116,12 +116,12 @@ def eigen_sam_perturbation(g: np.ndarray, v: np.ndarray, alpha: float,
                            tau: float = GRAD_FLOOR) -> np.ndarray:
     """Normalized gradient plus alpha times the sign-resolved orthogonal
     component of the unit eigenvector; zero below the gradient floor."""
-    ghat, live, _ = _unit_rows(g, tau)
+    ghat, live = _unit_rows(g, tau)
     eps = _row_dot(v, ghat) * ghat
     np.subtract(v, eps, out=eps)                       # v_perp
     eps *= np.where(_row_dot(g, v) >= 0.0, alpha, -alpha)
     eps += ghat
-    return eps if live.all() else np.where(live, eps, 0.0)
+    return eps if live is None else np.where(live, eps, 0.0)
 
 
 def step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
@@ -145,8 +145,8 @@ def step(x: np.ndarray, oracle: LossOracle, cfg: OptimizerConfig,
     g = oracle.grad(x)
     direction = g
     if cfg.method == "egr":
-        _, live, norm = _unit_rows(g, cfg.grad_floor)
-        live &= cfg.rho != 0.0
+        norm = np.sqrt(_row_dot(g, g))
+        live = (norm >= cfg.grad_floor) & (cfg.rho != 0.0)
         if live.any():
             hg = oracle.hvp(x, g)
             direction = np.where(live, g + cfg.rho * hg / np.where(live, norm, 1.0),

@@ -47,14 +47,13 @@ class ParamVector:
 
 def _check_finite(*arrays) -> None:
     for a in arrays:
-        if not (np.isfinite(a).all() if np.ndim(a) else math.isfinite(a)):
+        if not (math.isfinite(a) if a.ndim == 0 else np.isfinite(a).all()):
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 
-def _quiet():
-    """numpy's floating-point warnings off for a pass, whose non-finite
-    values raise NonFiniteLoss instead."""
-    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+# numpy's floating-point warnings off during a pass, whose non-finite values
+# raise NonFiniteLoss instead
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 # The record: the tape of the last pass, emptied when the next pass that
@@ -64,6 +63,7 @@ _held_tape = None
 _recorded_at = None
 
 
+@np.errstate(**_QUIET)      # costs less per call than a new context
 def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
                tangent=None) -> tuple:
     """The arrays ``run(tape, leaf)`` returns, from one pass on a new tape
@@ -82,20 +82,17 @@ def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
     next pass page-faults them back in. While the current tape is alive,
     the previous one's memory is a hole below it, which the next pass
     reuses. On a loop of 1024-row ``12,32,10`` HVPs at changing points
-    (Xeon, single-threaded OpenBLAS, glibc 2.36) the three policies read,
-    per pass and at peak:
-
-    - left to the collector: 28 faults, 1.9-2.0 ms, 87.6 MB;
-    - emptied after its own pass: 832 faults, 2.9-3.1 ms, 39.6 MB;
-    - emptied after the next pass (this rule): 68 faults, 1.8-1.9 ms, 42.1 MB.
+    (Xeon, single-threaded OpenBLAS, glibc 2.36), per pass and at peak: left
+    to the collector 28 faults, 1.9-2.0 ms, 87.6 MB; emptied after its own
+    pass 832 faults, 2.9-3.1 ms, 39.6 MB; emptied after the next pass (this
+    rule) 68 faults, 1.8-1.9 ms, 42.1 MB.
 
     Emptying a tape only drops its references, so the arrays a pass returned
     stay as they are.
     """
     global _held_tape, _recorded_at
-    with _quiet():
-        tape = eng.Tape(degree=degree)
-        values = run(tape, tape.leaf(x, tangent=tangent))
+    tape = eng.Tape(degree=degree)
+    values = run(tape, tape.leaf(x, tangent=tangent))
     if _held_tape is not None:
         _held_tape.nodes.clear()
     _held_tape, _recorded_at = tape, None
@@ -131,7 +128,7 @@ def jet_pass(builder: Callable, x: np.ndarray, degree: int = 0, tangent=None,
             and _recorded_at[1] == at):
         tape = _held_tape
         leaf, out = tape.nodes[0], tape.nodes[tape.adjoint[0]]
-        with _quiet():
+        with np.errstate(**_QUIET):
             tape.push(leaf, tangent, degree)
             jet = eng.backward(out, [leaf])[0]
         _check_finite(*jet[1:])

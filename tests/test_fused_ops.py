@@ -182,10 +182,11 @@ class TestSoftmaxCe:
     ("gelu", "mse", ("gelu", "const", "sub", "mul", "sum", "scale")),
 ])
 def test_one_hidden_layer_tape_nodes(activation, head, ops):
-    # Guards the fused ops: a one-hidden-layer GeLU/CE loss tape has 6
+    # Guards the fused ops: a one-hidden-layer GeLU/CE loss tape has 5
     # nodes, against 31 for the composite tanh-GeLU and log-sum-exp graphs
-    # and per-layer slice/reshape/matmul/add nodes. A stacked tape has the
-    # same nodes: its stack axis adds no reshape.
+    # and per-layer slice/reshape/matmul/add nodes. The data batch is a
+    # plain array that the first dense reads, not a node. A stacked tape
+    # has the same nodes: its stack axis adds no reshape.
     spec = MlpSpec((12, 32, 10), activation, head)
     for lead in ((), (2,)):
         build = mlp_builder(spec, np.zeros(lead + (32, 12)),
@@ -193,10 +194,10 @@ def test_one_hidden_layer_tape_nodes(activation, head, ops):
         tape = eng.Tape(degree=0)
         build(tape, tape.leaf(np.zeros(lead + (spec.dim,))))
         act, *loss = ops
-        want = ("leaf", "const", "dense", act, "dense") + tuple(loss)
+        want = ("leaf", "dense", act, "dense") + tuple(loss)
         assert tuple(node.op for node in tape.nodes) == want
         if (activation, head) == ("gelu", "ce"):
-            assert len(tape.nodes) == 6
+            assert len(tape.nodes) == 5
 
 
 def op_jets(op, coeffs, g):
@@ -316,8 +317,9 @@ class TestDense:
                  eng.Tensor(tape, "leaf", h_jet, (), (), True))
             if fused:
                 out = eng.dense(h, x, self.OFFSET, self.SHAPE)
-                # A constant input gets no VJP, as in matmul.
-                assert (out.vjps[0] is None) == (input_kind == "const")
+                # A constant input is not a parent: x's VJP is the only one.
+                assert out.parents == ((x,) if input_kind == "const"
+                                       else (h, x))
             else:
                 w = eng.reshape(eng.slice1d(x, self.OFFSET, mid),
                                 lead + self.SHAPE)
