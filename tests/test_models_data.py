@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import samlab.data
+from samlab import engine as eng
 from samlab.data import (POLICY_ENUMERATION, POLICY_REPLACEMENT, POLICY_SHUFFLE,
                          BatchSampler, Dataset, enumeration_batches,
                          gen_synthetic, load_idx, mlp_family, sample_batch,
                          stack_plan)
 from samlab.errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
-from samlab.models import MlpSpec, init_params, mlp_oracle
+from samlab.models import MlpSpec, init_params, mlp_builder, mlp_oracle
 from samlab.rng import STREAM_BATCH, stream
 
 
@@ -313,3 +314,50 @@ class TestStackPlan:
         plan = stack_plan(self.SPEC, index_sets)
         assert [at.tolist() for at, _ in plan] == want
         self.assert_valid_plan(plan, index_sets)
+
+
+class TestBuilderChecksLabels:
+    """A builder rejects labels or targets that do not match its inputs'
+    rows when it is made, not at its first pass, and not by broadcasting."""
+
+    INPUTS = np.arange(10.0).reshape(5, 2)
+
+    def test_mse_targets_of_one_row_for_five_inputs(self):
+        # They would broadcast over the 5 rows, and the loss would divide
+        # by 1 row instead of 5.
+        spec = MlpSpec((2, 4, 3), head="mse")
+        with pytest.raises(ValueError, match="targets of shape"):
+            mlp_builder(spec, self.INPUTS, np.ones((1, 3)))
+
+    def test_mse_targets_of_the_wrong_width(self):
+        spec = MlpSpec((2, 4, 3), head="mse")
+        with pytest.raises(ValueError, match="targets of shape"):
+            mlp_builder(spec, self.INPUTS, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("head", ["ce", "mse"])
+    def test_three_labels_for_five_inputs(self, head):
+        spec = MlpSpec((2, 4, 3), head=head)
+        with pytest.raises(ValueError, match="labels of shape"):
+            mlp_builder(spec, self.INPUTS, np.array([0, 1, 2]))
+
+    def test_stacked_labels_of_other_batches(self):
+        spec = MlpSpec((2, 4, 3))
+        with pytest.raises(ValueError, match="labels of shape"):
+            mlp_builder(spec, np.zeros((2, 5, 2)), np.zeros((3, 5), dtype=int))
+
+    def test_matching_labels_and_targets_build(self):
+        for head, labels in (("ce", np.array([0, 1, 2, 0, 1])),
+                             ("mse", np.array([0, 1, 2, 0, 1])),
+                             ("mse", np.ones((5, 3)))):
+            spec = MlpSpec((2, 4, 3), head=head)
+            loss = mlp_oracle(spec, self.INPUTS, labels).loss(
+                init_params(spec, 0))
+            assert np.isfinite(loss)
+
+    def test_softmax_ce_keeps_its_own_check(self):
+        # A direct caller of the engine op, which makes its label index on
+        # every pass, still gets the op's own error.
+        tape = eng.Tape(degree=0)
+        z = tape.leaf(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="one label per row"):
+            eng.softmax_ce(z, np.array([0, 1, 2]))
