@@ -14,16 +14,12 @@ no randomness is involved, so repeated evaluation is bit-identical.
 
 The thirteen ops are ``add``, ``sub``, ``mul``, ``scale``, ``matmul``,
 ``dense``, ``relu``, ``pow_int``, ``gelu``, ``softmax_ce``, ``sum_all``,
-``slice1d`` and ``reshape``. Every one takes leading stack axes, which
-evaluate several independent graphs on one tape in the manner of vmap: a
-leaf of shape ``(B, d)`` holds B parameter vectors, and a scalar output that
-sums B per-row losses has row b of its adjoint jet equal to row b's own jet.
-``add``/``sub``/``mul`` broadcast as numpy does and reduce back in the VJP;
-``scale``, ``relu``, ``pow_int`` and ``gelu`` are elementwise; ``reshape``
-and ``sum_all`` take any shape. ``matmul`` multiplies the last two axes of
-operands with equal leading axes, ``slice1d`` slices the last axis, and
-``softmax_ce`` takes logits ``(..., n, C)`` with labels ``(..., n)`` and
-sums the per-batch mean losses over the leading axes.
+``slice1d`` and ``reshape``. All take leading stack axes, which evaluate
+independent graphs on one tape as vmap does: a ``(B, d)`` leaf holds B
+parameter vectors, and row b of the adjoint of a sum of B per-row losses
+is row b's own. ``add``/``sub``/``mul`` broadcast and reduce back in the
+VJP; ``matmul`` multiplies the last two axes, ``slice1d`` slices the last
+axis, and ``softmax_ce`` sums per-batch mean losses over leading axes.
 
 ``dense``, ``gelu`` and ``softmax_ce`` are fused: each is one node.
 ``dense`` is an MLP layer ``h @ W + b`` that reads W and b as views of a
@@ -37,18 +33,17 @@ multiply only its primal; ``dense`` takes one, such as an MLP's data batch,
 as a plain array, which is no node on the tape.
 
 Record and push. Each op has one rule in two parts. The primal part runs
-when the node is made: it computes coefficient 0 and the factors of the
-rule that depend only on the primal point. The tangent part computes
-coefficients 1..k from the parents' jets; a tape of degree k runs it right
-after the primal part. The VJP ``vjp(g, lo)`` of a node gives coefficients
-lo..k of its parent's adjoint from the node's adjoint jet g. A tape thus
-*records* its point: every node's coefficient 0 and factors, and, after
-:func:`backward`, coefficient 0 of the adjoints a push reads (those of the
-leaves and of every node whose VJP is not linear). :meth:`Tape.push` then
-seeds a new tangent at that point and runs only the tangent parts, and the
-next :func:`backward` sweeps coefficients 1..k only (lo = 1), reading
-coefficient 0 from the record. So an HVP at a recorded point is one
-tangent sweep each way over a fixed linearisation. The factors kept are
+when the node is made: coefficient 0 and the factors that depend only on
+the primal point. The tangent part computes coefficients 1..k from the
+parents' jets; a tape of degree k runs it right after the primal part.
+The VJP ``vjp(g, lo)`` gives coefficients lo..k of a parent's adjoint from
+the node's adjoint jet g. A tape thus *records* its point: every node's
+coefficient 0 and factors, and, after :func:`backward`, coefficient 0 of
+the adjoints a push reads (the leaves' and every non-linear VJP's).
+:meth:`Tape.push` seeds a new tangent there and runs only the tangent
+parts, and the next :func:`backward` sweeps coefficients 1..k only
+(lo = 1): an HVP at a recorded point is one tangent sweep each way over a
+fixed linearisation. The factors kept are
 GeLU's f' (with f'' and f''' once a degree has needed them, t until then),
 softmax_ce's exponentials, sums and quotient, ReLU's mask, pow_int's powers
 and dense's constant input and view of W at the primal.
@@ -91,14 +86,6 @@ def jadd(a: Jet, b: Jet) -> Jet:
     return tuple(map(np.add, a, b))
 
 
-def jsub(a: Jet, b: Jet) -> Jet:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def jneg(a: Jet) -> Jet:
-    return tuple(-x for x in a)
-
-
 def jscale(a: Jet, c: float) -> Jet:
     return tuple(c * x for x in a)
 
@@ -106,6 +93,8 @@ def jscale(a: Jet, c: float) -> Jet:
 def jmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
     """Coefficients lo..k of the truncated product: coefficient m is the
     sum of a_i * b_j over i + j = m."""
+    if len(a) == 1 and not lo:
+        return (a[0] * b[0],)
     out = []
     for m in range(lo, len(a)):
         acc = a[0] * b[m]
@@ -117,6 +106,8 @@ def jmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
 
 def jmatmul(a: Jet, b: Jet, lo: int = 0) -> Jet:
     """Coefficients lo..k of the truncated matrix product."""
+    if len(a) == 1 and not lo:
+        return (a[0] @ b[0],)
     out = []
     for m in range(lo, len(a)):
         acc = a[0] @ b[m]
@@ -248,8 +239,6 @@ class Tape:
 
     def _seeds(self, v: np.ndarray, tangent) -> tuple:
         """A leaf's coefficients 1..degree: the tangent, then zeros."""
-        if not self.degree:
-            return ()
         return tuple(np.zeros_like(v) if t is None
                      else np.asarray(t, dtype=np.float64)
                      for t in (tangent, None)[: self.degree])
@@ -263,8 +252,8 @@ class Tape:
         """Differentiable input. The tangent seeds the jet's first-order
         coefficient; the second-order one is zero."""
         v = np.asarray(value, dtype=np.float64)
-        return Tensor(self, "leaf", (v,) + self._seeds(v, tangent), (), (),
-                      True)
+        jet = (v,) + self._seeds(v, tangent) if self.degree else (v,)
+        return Tensor(self, "leaf", jet, (), (), True)
 
     def const(self, value) -> Tensor:
         """Non-differentiable input; its higher coefficients are zero."""
@@ -331,8 +320,8 @@ def sub(a: Tensor, b) -> Tensor:
     sa, sb = a.shape, b.shape
     return _make(a.tape, "sub", a.jet[0] - b.jet[0], (a, b),
                  (lambda g, lo=0: jreduce_to(g[lo:], sa),
-                  lambda g, lo=0: jreduce_to(jneg(g[lo:]), sb)),
-                 lambda: jsub(a.jet[1:], b.jet[1:]), linear=True)
+                  lambda g, lo=0: jreduce_to(tuple(map(np.negative, g[lo:])), sb)),
+                 lambda: tuple(map(np.subtract, a.jet[1:], b.jet[1:])), linear=True)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -380,11 +369,11 @@ def dense(h, x: Tensor, offset: int, shape: tuple) -> Tensor:
     axes, and h then has the same ones.
 
     The arithmetic is that of ``slice1d``, ``reshape``, ``matmul`` and
-    ``add`` composed, bit for bit, without their nodes. h may be an array
-    of data or a node that requires no grad: a constant, which multiplies
-    only as its primal and is not a parent, so x is the only one. x's
-    adjoint is one zero array per coefficient with ``h^T g`` written into
-    the W block and ``g`` summed over rows into the b block."""
+    ``add`` composed, bit for bit, without their nodes. An h that is an
+    array of data, or a node that requires no grad, is a constant: only
+    its primal multiplies, and x is the one parent. x's adjoint is one zero
+    array per coefficient with ``h^T g`` in the W block and ``g`` summed
+    over rows in the b block."""
     fan_in, fan_out = shape
     mid = offset + fan_in * fan_out
     stop = mid + fan_out
@@ -415,8 +404,7 @@ def dense(h, x: Tensor, offset: int, shape: tuple) -> Tensor:
         adj = []
         for m in range(lo, len(g)):
             z = np.zeros(x0.shape)
-            # the W block of z as a (..., fan_in, fan_out) view, which the
-            # products write into; coefficient m of h^T g sums hT_i g_(m-i)
+            # h^T g, coefficient m summing hT_i g_(m-i), into a view of z
             zw = z[..., offset:mid].reshape(wshape)
             np.matmul(hT[0], g[m], out=zw)
             for i in range(1, min(m + 1, len(hT))):
@@ -577,8 +565,8 @@ def softmax_ce(z: Tensor, labels: np.ndarray, flat=None) -> Tensor:
     The log-sum-exp is shifted by the row maximum of the primal logits, a
     constant, so large logits stay finite. The VJP is
     ``g / n * (softmax(z) - onehot)``. Each row's label logit is read at its
-    :func:`label_index`, made here unless ``flat`` is that index, made and
-    checked once by a caller that passes the same labels on every pass.
+    :func:`label_index`, made here unless a caller that passes the same
+    int64 labels on every pass made it once as ``flat``.
     """
     z0 = z.jet[0]
     if flat is None:

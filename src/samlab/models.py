@@ -12,8 +12,7 @@ one-hot encoded for the MSE head on each pass, so an oracle keeps only the
 labels). Each layer is one
 :func:`samlab.engine.dense` node, which reads its weights and biases from
 the flat parameter leaf and the data batch as a plain array, so a
-one-hidden-layer GeLU/CE loss tape has 5 nodes (leaf, dense, gelu, dense,
-softmax_ce), stacked or not.
+one-hidden-layer GeLU/CE loss tape has 5 nodes, stacked or not.
 
 A builder over stacked batches, inputs ``(B, n, in)`` with labels ``(B, n)``
 or targets ``(B, n, out)``, takes a ``(B, d)`` parameter leaf and returns
@@ -87,8 +86,7 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
     return ParamVector(values)
 
 
-def _forward_logits(x: eng.Tensor, spec: MlpSpec,
-                    inputs: np.ndarray) -> eng.Tensor:
+def _forward_logits(x: eng.Tensor, spec: MlpSpec, inputs: np.ndarray) -> eng.Tensor:
     act = eng.gelu if spec.activation == "gelu" else eng.relu
     h = inputs
     for i, (_, shape, offset) in enumerate(spec.layout[::2]):
@@ -102,20 +100,19 @@ def _mse_loss(tape: eng.Tape, logits: eng.Tensor, targets: np.ndarray) -> eng.Te
 
 
 def _loss_head(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
-    """``head(tape, logits)``: the loss node of the spec's head over the
-    labels, one per input row, or the targets, one row of output width per
-    input row. CE's label index is made here, once."""
+    """``head(tape, logits)``: the loss node of the spec's head over one
+    label, or one target row of output width, per input row. The CE label
+    index is made here, once."""
     rows, width = inputs.shape[:-1], spec.layers[-1]
     if spec.head == "mse" and np.ndim(labels) != inputs.ndim - 1:
         targets = np.asarray(labels, dtype=np.float64)
         if targets.shape != rows + (width,):
             raise ValueError(f"targets of shape {targets.shape} do not match "
-                             f"{rows} input rows of output width {width}")
+                             f"{rows} input rows of width {width}")
         return lambda tape, logits: _mse_loss(tape, logits, targets)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != rows:
-        raise ValueError(f"labels of shape {labels.shape} do not match "
-                         f"{rows} input rows")
+        raise ValueError(f"labels of shape {labels.shape} do not match {rows} input rows")
     try:
         flat = eng.label_index(labels, width)
     except ValueError:
@@ -127,8 +124,7 @@ def _loss_head(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
 
 def mlp_builder(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray):
     """Loss-graph builder over a data batch, for use in a LossOracle, or
-    over stacked batches (see the module docstring). Raises ValueError if
-    the labels or targets do not match the inputs' rows."""
+    over stacked batches (see the module docstring)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.shape[-1] != spec.layers[0]:
         raise ValueError("input width does not match the model spec")

@@ -94,11 +94,10 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(g: np.ndarray, tau: float) -> tuple:
-    """(g / ||g||, live) per row, the norm being ``np.linalg.norm``'s along
-    the last axis, bit for bit. Rows with ||g|| < tau are not live and
-    their unit vector is zero; ``live`` is None when every row is live, so
-    no mask is needed, else a mask that broadcasts against g. Skipping the
-    masks leaves the same bits."""
+    """(g / ||g||, live) per row, with ``np.linalg.norm``'s norm along the
+    last axis, bit for bit. Rows with ||g|| < tau are not live and their
+    unit vector is zero; ``live`` is a mask that broadcasts against g, or
+    None when every row is live (skipping the masks leaves the same bits)."""
     g = np.asarray(g, dtype=np.float64)
     norm = np.sqrt(_row_dot(g, g))
     live = norm >= tau

@@ -51,8 +51,7 @@ def _check_finite(*arrays) -> None:
             raise NonFiniteLoss("non-finite value in loss or derivative")
 
 
-# numpy's floating-point warnings off during a pass, whose non-finite values
-# raise NonFiniteLoss instead
+# numpy's warnings are off during a pass; non-finite values raise NonFiniteLoss
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
@@ -67,28 +66,23 @@ _recorded_at = None
 def _tape_pass(run: Callable, x: np.ndarray, degree: int = 0,
                tangent=None) -> tuple:
     """The arrays ``run(tape, leaf)`` returns, from one pass on a new tape
-    of the given degree at the leaf x with its tangent. Raises
-    NonFiniteLoss if any of them is not finite. Every pass of an oracle or
-    a model that records a new tape, forward only or not, is one call of
-    this; a pass at the recorded point pushes the held tape instead (see
-    :func:`jet_pass`).
+    of the given degree at the leaf x with its tangent; NonFiniteLoss if
+    any is not finite. Every pass that records a new tape, forward only or
+    not, is one call of this; a pass at the recorded point pushes the held
+    tape instead (see :func:`jet_pass`).
 
     Tape lifetime: the new tape becomes the record, the one tape held, and
-    the tape held before it is emptied, so at most one finished tape is
-    alive in the process. A tape is a Tape<->Tensor reference cycle, which
-    left alone only the cyclic collector frees, so dead tapes pile up in
-    between. Emptying a tape at the end of its own pass frees as much but
-    is slower: glibc trims the freed arrays off the top of the heap and the
-    next pass page-faults them back in. While the current tape is alive,
-    the previous one's memory is a hole below it, which the next pass
-    reuses. On a loop of 1024-row ``12,32,10`` HVPs at changing points
-    (Xeon, single-threaded OpenBLAS, glibc 2.36), per pass and at peak: left
-    to the collector 28 faults, 1.9-2.0 ms, 87.6 MB; emptied after its own
-    pass 832 faults, 2.9-3.1 ms, 39.6 MB; emptied after the next pass (this
-    rule) 68 faults, 1.8-1.9 ms, 42.1 MB.
-
-    Emptying a tape only drops its references, so the arrays a pass returned
-    stay as they are.
+    the tape held before it is emptied (its references dropped, so arrays a
+    pass returned stay as they are). A tape is a Tape<->Tensor cycle, which
+    left alone only the cyclic collector frees. Emptying a tape at the end
+    of its own pass is slower: glibc trims the freed arrays off the top of
+    the heap and the next pass page-faults them back in, while a tape held
+    until the next pass ends leaves a hole that pass reuses. On a loop of
+    1024-row ``12,32,10`` HVPs at changing points (Xeon, single-threaded
+    OpenBLAS, glibc 2.36), per pass and at peak: left to the collector 28
+    faults, 1.9-2.0 ms, 87.6 MB; emptied after its own pass 832 faults,
+    2.9-3.1 ms, 39.6 MB; after the next pass (this rule) 68 faults,
+    1.8-1.9 ms, 42.1 MB.
     """
     global _held_tape, _recorded_at
     tape = eng.Tape(degree=degree)
