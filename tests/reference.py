@@ -26,17 +26,20 @@ C0 = 0.7978845608028654   # sqrt(2 / pi)
 C1 = 0.044715
 
 
-def _act(kind: str, a: np.ndarray) -> tuple:
-    """(f(a), f'(a), f''(a)) of the activation, elementwise."""
+def _act(kind: str, a: np.ndarray, order: int) -> tuple:
+    """(f(a), f'(a)) of the activation, elementwise, and f''(a) at order 2."""
     if kind == "relu":
-        return np.maximum(a, 0.0), (a > 0.0).astype(float), np.zeros_like(a)
-    du = C0 * (1.0 + 3.0 * C1 * a * a)                 # u'(a)
-    t = np.tanh(C0 * (a + C1 * a ** 3))
+        return (np.maximum(a, 0.0), (a > 0.0).astype(float),
+                np.zeros_like(a))[:order + 1]
+    sq = a * a
+    t = np.tanh(C0 * a * (1.0 + C1 * sq))
     s = 1.0 - t * t                                    # tanh' at u
-    f1 = 0.5 * (1.0 + t) + 0.5 * a * s * du
+    du = C0 * (1.0 + 3.0 * C1 * sq)                    # u'(a)
+    out = (0.5 * a * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * a * s * du)
+    if order < 2:
+        return out
     # f'' = s u' + a (s u'' - 2 t s u'^2) / 2, with u'' = 6 c0 c1 a
-    f2 = s * (du + 3.0 * C0 * C1 * a * a - a * t * du * du)
-    return 0.5 * a * (1.0 + t), f1, f2
+    return out + (s * (du + 3.0 * C0 * C1 * sq - a * t * du * du),)
 
 
 def _layers(widths, params: np.ndarray) -> list:
@@ -60,16 +63,18 @@ def _targets(head: str, labels, out: int) -> np.ndarray:
     return labels.astype(float)
 
 
-def _forward(widths, activation, params, inputs) -> tuple:
-    """The pre-activations a_i and the layer inputs h_i of every layer."""
-    h, pre, ins = np.asarray(inputs, dtype=float), [], []
+def _forward(widths, activation, params, inputs, order) -> tuple:
+    """The layers, the pre-activations a_i and inputs h_i of every layer,
+    and the activation's derivatives at each hidden a_i up to ``order``."""
+    h, pre, ins, derivs = np.asarray(inputs, dtype=float), [], [], []
     layers = _layers(widths, params)
     for i, (w, b) in enumerate(layers):
         ins.append(h)
         pre.append(h @ w + b[..., None, :])
         if i < len(layers) - 1:
-            h = _act(activation, pre[-1])[0]
-    return layers, pre, ins
+            h, *d = _act(activation, pre[-1], order)
+            derivs.append(d)
+    return layers, pre, ins, derivs
 
 
 def _head(head, z, t) -> tuple:
@@ -80,8 +85,9 @@ def _head(head, z, t) -> tuple:
         return np.sum((z - t) ** 2) / (2 * n), (z - t) / n, lambda v: v / n
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    loss = np.sum(np.log(e.sum(axis=-1)) + m[..., 0] - np.sum(z * t, axis=-1)) / n
+    se = e.sum(axis=-1, keepdims=True)
+    p = e / se
+    loss = np.sum(np.log(se) + m - np.sum(z * t, axis=-1, keepdims=True)) / n
     return (loss, (p - t) / n,
             lambda v: p * (v - np.sum(p * v, axis=-1, keepdims=True)) / n)
 
@@ -96,13 +102,13 @@ def _flat(widths, grads: list) -> np.ndarray:
 def loss_and_grad(widths, activation, head, params, inputs, labels) -> tuple:
     """(loss, gradient) by the hand-written backward pass."""
     params = np.asarray(params, dtype=float)
-    layers, pre, ins = _forward(widths, activation, params, inputs)
+    layers, pre, ins, derivs = _forward(widths, activation, params, inputs, 1)
     loss, da, _ = _head(head, pre[-1], _targets(head, labels, widths[-1]))
     grads = []
     for i in range(len(layers) - 1, -1, -1):
         grads.append((ins[i].swapaxes(-1, -2) @ da, da.sum(axis=-2)))
         if i:
-            da = (da @ layers[i][0].swapaxes(-1, -2)) * _act(activation, pre[i - 1])[1]
+            da = (da @ layers[i][0].swapaxes(-1, -2)) * derivs[i - 1][0]
     return float(loss), _flat(widths, grads[::-1])
 
 
@@ -110,23 +116,27 @@ def hvp(widths, activation, head, params, inputs, labels, v) -> np.ndarray:
     """H v by a hand-written forward-over-reverse pass: the directional
     derivative along v of every quantity of :func:`loss_and_grad`."""
     params = np.asarray(params, dtype=float)
-    layers, pre, ins = _forward(widths, activation, params, inputs)
+    layers, pre, ins, derivs = _forward(widths, activation, params, inputs, 2)
     dlayers = _layers(widths, np.asarray(v, dtype=float))
-    # tangents of the layer inputs and pre-activations
-    dins, dpre = [np.zeros_like(ins[0])], []
+    # tangents of the layer inputs (the data's is zero) and pre-activations
+    dins, dpre = [None], []
     for i, ((w, _), (dw, db)) in enumerate(zip(layers, dlayers)):
-        dpre.append(dins[i] @ w + ins[i] @ dw + db[..., None, :])
+        dpre.append(ins[i] @ dw + db[..., None, :])
+        if i:
+            dpre[i] += dins[i] @ w
         if i < len(layers) - 1:
-            dins.append(_act(activation, pre[i])[1] * dpre[i])
+            dins.append(derivs[i][0] * dpre[i])
     _, da, dhead = _head(head, pre[-1], _targets(head, labels, widths[-1]))
     dda = dhead(dpre[-1])
     grads = []
     for i in range(len(layers) - 1, -1, -1):
-        grads.append((dins[i].swapaxes(-1, -2) @ da + ins[i].swapaxes(-1, -2) @ dda,
-                      dda.sum(axis=-2)))
+        dw = ins[i].swapaxes(-1, -2) @ dda
+        if i:
+            dw += dins[i].swapaxes(-1, -2) @ da
+        grads.append((dw, dda.sum(axis=-2)))
         if i:
             w, dw = layers[i][0].swapaxes(-1, -2), dlayers[i][0].swapaxes(-1, -2)
-            _, f1, f2 = _act(activation, pre[i - 1])
+            f1, f2 = derivs[i - 1]
             dh = da @ w
             dda = (dda @ w + da @ dw) * f1 + dh * f2 * dpre[i - 1]
             da = dh * f1
