@@ -161,10 +161,6 @@ def jlog(a: Jet, log0=None) -> Jet:
     return tuple(out)
 
 
-def _transposed(a: Jet) -> list:
-    return [c.swapaxes(-1, -2) for c in a]
-
-
 def _reduce_to(arr: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast result back down to the given operand shape."""
     if arr.shape == shape:
@@ -180,6 +176,10 @@ def _reduce_to(arr: np.ndarray, shape: tuple) -> np.ndarray:
 
 def jreduce_to(a: Jet, shape: tuple) -> Jet:
     return tuple(_reduce_to(x, shape) for x in a)
+
+
+def _transposed(a: Jet) -> list:
+    return [c.swapaxes(-1, -2) for c in a]
 
 
 # backward's adjoint of its scalar output per degree, (1, 0, ..), read-only
