@@ -93,6 +93,13 @@ PINNED = {
     "sde-sam-seeds": ("simulate-sde", (
         "model_layers=2,16,2", "data_n=100", "processes=discrete-sam,sde2",
         "steps=20", "eval_every=5", "probe_q=10"), "0,1,2"),
+    # A wide 64,256,2 model (d = 17 154) on three 32-row batches: two sets
+    # fill one tape's STACK_ELEMENTS, so each step's three equal-size
+    # discrete-SAM picks take 2 + 1 tapes and the nine SDE sets five.
+    "sde-wide": ("simulate-sde", (
+        "model_layers=64,256,2", "data_dim=64", "data_n=96", "test_n=32",
+        "processes=discrete-sam,sde2", "steps=4", "eval_every=2",
+        "probe_q=5"), "0,1,2"),
     # Three Euler-Maruyama substeps per step, so each row's hvp_count sums
     # the HVPs of several drifts.
     "sde-substeps": ("simulate-sde", _SDE + (
