@@ -22,13 +22,15 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _at_least(conv, low, strict: bool = False):
+def _at_least(conv, low, strict: bool = False, below: float = math.inf):
     """Converter through ``conv`` that rejects values under ``low``, ``low``
-    itself if ``strict``, and NaN or infinite values."""
+    itself if ``strict``, from ``below`` up, and NaN or infinite values."""
     def convert(text: str):
         value = conv(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise ValueError(f"must be finite and {'>' if strict else '>='} {low}")
+        # below <= inf, so an infinite or NaN value fails one of the two
+        if not ((value > low if strict else value >= low) and value < below):
+            raise ValueError(f"must be finite and {'>' if strict else '>='} {low}"
+                             + (f" and < {below}" if below < math.inf else ""))
         return value
     return convert
 
@@ -45,6 +47,7 @@ _positive_int = _at_least(int, 1)
 _nonnegative_int = _at_least(int, 0)
 _positive_float = _at_least(float, 0, strict=True)
 _nonnegative_float = _at_least(float, 0)
+_open_unit = _at_least(float, 0, strict=True, below=1)
 
 
 def _list_of(conv):
@@ -137,12 +140,12 @@ SCHEMAS = {
               "x_norm": (_finite_float, REQUIRED),
               "d": (_positive_int, REQUIRED),
               "n": (_positive_int, REQUIRED),
-              "sigma": (_finite_float, REQUIRED),
-              "loss_bound": (_finite_float, REQUIRED),
-              "third_bound": (_finite_float, REQUIRED),
-              "delta": (_finite_float, REQUIRED)},
+              "sigma": (_positive_float, REQUIRED),
+              "loss_bound": (_positive_float, REQUIRED),
+              "third_bound": (_nonnegative_float, REQUIRED),
+              "delta": (_open_unit, REQUIRED)},
     "align-range": {"out": (str, "runs"),
-                    "omega": (_finite_float, REQUIRED)},
+                    "omega": (_open_unit, REQUIRED)},
 }
 
 

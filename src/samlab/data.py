@@ -18,6 +18,7 @@ import numpy as np
 from . import engine as eng
 from .errors import BadMagic, CountMismatch, EmptyDataset, TruncatedFile
 from .models import MlpSpec, mlp_builder, mlp_oracle
+from .oracle import LossOracle
 from .rng import STREAM_BATCH, STREAM_DATA_TEST, STREAM_DATA_TRAIN, stream
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -163,18 +164,17 @@ class OracleFamily:
     Expectations weight each batch by its share of the dataset, so linear
     per-batch statistics average exactly to the full-dataset statistic.
 
-    ``stacks(rows=1)`` yields ``(positions, builder)`` pairs covering each
-    of ``rows`` copies of the batches once, position r B + b being batch b
-    of copy r; a builder takes a ``(len(positions), dim)`` leaf and returns
-    the sum of those batches' losses (:func:`samlab.oracle.jet_pass`). A
-    family over a dataset (:func:`mlp_family`) stacks its batches as
-    :func:`stack_plan` decides, and ``parts`` lists each batch's data row
-    indices. By default each oracle is a stack of its own. A stack is one
+    The family owns which batches share a tape. ``stacks(picks)`` yields
+    ``(positions, builder)`` pairs covering each position of ``picks`` once,
+    position i being batch ``picks[i]`` and each batch once by default; a
+    builder takes a ``(len(positions), dim)`` leaf and returns the sum of
+    those batches' losses (:func:`samlab.oracle.jet_pass`). A family over a
+    dataset (:func:`mlp_family`) stacks its batches as :func:`stack_plan`
+    decides; by default each position is a stack of its own. A stack is one
     exact tape pass, so every oracle must be in exact mode.
     """
 
-    def __init__(self, oracles: list, weights: np.ndarray, stacks=None,
-                 parts=None):
+    def __init__(self, oracles: list, weights: np.ndarray, stacks=None):
         if len(oracles) != len(weights):
             raise ValueError("one weight per oracle required")
         if any(o.mode != "exact" for o in oracles):
@@ -183,10 +183,9 @@ class OracleFamily:
         self.weights = np.asarray(weights, dtype=np.float64)
         self.weights = self.weights / self.weights.sum()
         self.dim = oracles[0].dim
-        self.parts = parts
-        self.stacks = stacks or (lambda rows=1: (
-            (np.array([r * len(self) + b]), unstacked(o))
-            for r in range(rows) for b, o in enumerate(self.oracles)))
+        self.stacks = stacks or (lambda picks=range(len(oracles)): (
+            (np.array([i]), unstacked(self.oracles[b]))
+            for i, b in enumerate(picks)))
 
     def __len__(self) -> int:
         return len(self.oracles)
@@ -198,6 +197,23 @@ class OracleFamily:
         idx = int(np.searchsorted(np.cumsum(self.weights), u, side="right"))
         return min(idx, len(self.weights) - 1)
 
+    def picked(self, picks) -> LossOracle:
+        """Stacked oracle whose row s is the loss on batch ``picks[s]``, its
+        tapes those of ``stacks(picks)``. A plan of one stack is that
+        stack's builder. A plan of more reads each stack's rows of the
+        ``(S, d)`` leaf through a constant 0/1 selection matrix, which
+        copies them exactly, and sums the stacks' losses."""
+        plan = list(self.stacks(picks))
+        if len(plan) == 1:
+            return LossOracle(plan[0][1], self.dim)
+        tapes = [(np.eye(len(picks))[ids], builder) for ids, builder in plan]
+
+        def build(tape, leaf):
+            losses = [builder(tape, eng.matmul(tape.const(rows), leaf))
+                      for rows, builder in tapes]
+            return functools.reduce(eng.add, losses)
+        return LossOracle(build, self.dim)
+
     def mean(self, rows: np.ndarray) -> np.ndarray:
         """The weighted mean of per-batch rows ``(B, d)``."""
         return (self.weights[:, None] * rows).sum(axis=0)
@@ -206,16 +222,21 @@ class OracleFamily:
 def mlp_family(spec: MlpSpec, dataset: Dataset, batch_size: int) -> OracleFamily:
     """Oracles over the enumeration partition, stacked by
     :func:`stack_plan`. Each part is a contiguous range, so its oracle
-    holds a view of the data; a row count's plan is made once and each
-    stack's builder on demand, so a family holds no second copy of its data."""
+    holds a view of the data. Whole copies of the partition (the SDE
+    terms' tiling) are planned once per copy count, other picks per call,
+    and each stack's builder on demand: a family holds no copy of its data."""
     parts = enumeration_batches(dataset.n, batch_size)
     oracles = [mlp_oracle(spec, *dataset.take(slice(idx[0], idx[-1] + 1)))
                for idx in parts]
-    plan = functools.lru_cache(maxsize=2)(lambda rows: stack_plan(spec, parts * rows))
+    tiling = functools.lru_cache(maxsize=2)(lambda rows: stack_plan(spec, parts * rows))
+
+    def stacks(picks=range(len(parts))):
+        rows = len(picks) // len(parts)
+        tiled = list(picks) == [*range(len(parts))] * rows
+        plan = tiling(rows) if tiled else stack_plan(spec, [parts[b] for b in picks])
+        return ((ids, mlp_builder(spec, *dataset.take(at))) for ids, at in plan)
     return OracleFamily(oracles, np.array([len(p) for p in parts], dtype=np.float64),
-                        stacks=lambda rows=1: ((ids, mlp_builder(spec, *dataset.take(at)))
-                                               for ids, at in plan(rows)),
-                        parts=parts)
+                        stacks=stacks)
 
 
 def stack_plan(spec: MlpSpec, index_sets) -> list:

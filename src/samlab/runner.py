@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine as eng
 from . import sde as sde_mod
 from .bounds import (PINNED_CONSTANT, BoundInputs, alpha_admissible_range,
                      pac_bayes_bound)
@@ -48,10 +47,8 @@ from .errors import ConfigError, SamlabError
 from .hessian import (ALIGN_FLOOR, align, hutchinson_trace, power_iterates,
                       power_iteration, spectrum_deflated)
 from .metrics import MetricRow, sort_rows, write_csv
-from .models import (MlpSpec, init_params, loss_and_accuracy, mlp_builder,
-                     mlp_oracle)
+from .models import MlpSpec, init_params, loss_and_accuracy, mlp_oracle
 from .optim import OptimizerConfig, init_state, step as optimizer_step
-from .oracle import LossOracle
 from .rng import STREAM_BATCH, STREAM_EVAL_BATCH, STREAM_PROBE, stream
 from .toys import TOYS
 
@@ -276,28 +273,6 @@ def run_train(config: dict, out_name: str = "train.csv") -> Path:
 # simulate-sde
 # ---------------------------------------------------------------------------
 
-def _picked_oracle(spec: MlpSpec, train: Dataset, family,
-                   picks: list) -> LossOracle:
-    """Stacked oracle whose row s is the loss on batch ``picks[s]`` of the
-    family, its tapes as :func:`data.stack_plan` decides. A plan of one
-    tape, such as a single pick or picks of one row count, is the plain
-    stacked oracle over those batches. A plan of more tapes reads each
-    tape's rows of the ``(S, d)`` leaf through a constant 0/1 selection
-    matrix, which copies them exactly, and sums the tapes' losses."""
-    plan = stack_plan(spec, [family.parts[b] for b in picks])
-    if len(plan) == 1:
-        return mlp_oracle(spec, *train.take(plan[0][1]))
-    select = np.eye(len(picks))
-    tapes = [(select[at], mlp_builder(spec, *train.take(rows)))
-             for at, rows in plan]
-
-    def build(tape, leaf):
-        losses = [builder(tape, eng.matmul(tape.const(rows), leaf))
-                  for rows, builder in tapes]
-        return functools.reduce(eng.add, losses)
-    return LossOracle(build, spec.dim)
-
-
 def _sde_rows(config: dict, family, labels: list, x: np.ndarray,
               t: int) -> tuple:
     """The ``substeps`` Euler-Maruyama steps, each of dt = eta / substeps, of
@@ -349,8 +324,7 @@ def run_simulate_sde(config: dict, out_name: str = "sde.csv") -> Path:
                 schedule="constant", total_steps=config["steps"],
                 grad_floor=config["grad_floor"])
             groups.append((sam, _optimizer_rows(
-                sam_cfg, seeds, spec.dim, lambda t: _picked_oracle(
-                    spec, train, family,
+                sam_cfg, seeds, spec.dim, lambda t: family.picked(
                     [family.pick(seed, STREAM_BATCH, t) for seed in seeds]))))
         sde = [r for r, (process, _) in enumerate(labels)
                if process != "discrete-sam"]

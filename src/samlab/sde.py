@@ -136,7 +136,7 @@ def _per_batch_terms(family: OracleFamily, x: np.ndarray, need_third,
     n, thirds = len(family), np.asarray(need_third)
     t1s, t2s, t3s = (np.zeros((len(x) * n, family.dim)) for _ in range(3))
     live = np.zeros(len(x) * n, dtype=bool)
-    for ids, builder in family.stacks(len(x)):
+    for ids, builder in family.stacks([*range(n)] * len(x)):
         at, third = x[ids // n], thirds[ids // n]
         g = jet_pass(builder, at)[0]
         units = sam_perturbation(g, tau)

@@ -64,6 +64,10 @@ class TestPacBayesBound:
             pac_bayes_bound(BoundInputs(0.1, 1.0, 1.0, 10, 10, 0.0, 1.0, 0.0, 0.05))
         with pytest.raises(DomainError):
             pac_bayes_bound(BoundInputs(0.1, 1.0, 1.0, 10, 10, 0.1, 1.0, 0.0, 1.5))
+        with pytest.raises(DomainError):
+            pac_bayes_bound(BoundInputs(0.1, 1.0, 1.0, 10, 10, 0.1, 0.0, 0.0, 0.05))
+        with pytest.raises(DomainError):
+            pac_bayes_bound(BoundInputs(0.1, 1.0, 1.0, 10, 10, 0.1, 1.0, -1.0, 0.05))
 
 
 class TestAlphaAdmissibleRange:

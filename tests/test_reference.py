@@ -91,6 +91,45 @@ def test_hvp_matches_the_reference(spec, stack):
         assert_close(oracle.hvp(x, v), want)
 
 
+# third(u, u) against the reference's central difference D(h) of H u along a
+# unit u. D(h) = third(u, u) + h^2 p / 6 + O(h^4), p being the fifth
+# derivative of the loss along u, so at h = 1e-4 the truncation is
+# 1.7e-9 |p|. Rounding adds about eps |H u| / h = 2.2e-12 |H u| per unit of
+# the HVP's own relative rounding, which is a few hundred eps at most for
+# these sums of a few hundred terms: under 1e-9 |H u| in all. On these nets
+# |p| and |H u| are below 100 times the largest entry of third (measured: 11
+# and 3), so D(h) is within 3e-7 of it; the bound is 1e-6 (measured: at most
+# 2e-8). A wrong or missing term is O(1).
+THIRD_H = 1e-4
+THIRD_RTOL = 1e-6
+
+
+def unit_rows(shape, seed):
+    u = np.random.default_rng(seed).standard_normal(shape)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("stack", [0, 3], ids=["flat", "stacked"])
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_third_matches_the_reference(spec, stack, monkeypatch):
+    # A fresh degree-2 pass, then a push of its tape at the same point
+    # along another tangent: one recorded tape for both.
+    import samlab.oracle
+
+    real, passes = samlab.oracle._tape_pass, []
+    monkeypatch.setattr(samlab.oracle, "_tape_pass",
+                        lambda *a: passes.append(1) or real(*a))
+    inputs, labels, x = batch(spec, stack)
+    oracle = mlp_oracle(spec, inputs, labels)
+    for seed in (11, 12):
+        u = unit_rows(x.shape, seed)
+        want = reference.third(spec.layers, spec.activation, spec.head, x,
+                               inputs, labels, u, THIRD_H)
+        np.testing.assert_allclose(2.0 * oracle.jet(x, u, 2)[2], want, rtol=0,
+                                   atol=THIRD_RTOL * np.abs(want).max())
+    assert len(passes) == 1
+
+
 def test_integer_mse_labels_are_one_hot_targets():
     spec = MlpSpec((3, 5, 3), "gelu", "mse")
     ds = gen_synthetic(12, 3, 3, 2.0, 1)
@@ -127,3 +166,15 @@ def test_reference_hvp_is_its_gradient_derivative():
                          labels, v)
     np.testing.assert_allclose(want, fd, rtol=0,
                                atol=1e-7 * np.abs(want).max())
+
+
+def test_reference_third_is_second_order():
+    # D(h) - third(u, u) = c h^2 + O(h^4), so halving h divides the change
+    # in D by four.
+    spec = MlpSpec((3, 5, 4, 2))
+    inputs, labels, x = batch(spec, 0, n=8)
+    u = unit_rows(x.shape, 2)
+    d = [reference.third(spec.layers, spec.activation, spec.head, x, inputs,
+                         labels, u, h) for h in (4e-3, 2e-3, 1e-3)]
+    ratio = np.abs(d[0] - d[1]).max() / np.abs(d[1] - d[2]).max()
+    assert ratio == pytest.approx(4.0, rel=0.05)

@@ -9,12 +9,14 @@ from samlab import engine as eng
 from samlab import runner
 from samlab.cli import main
 from samlab.config import SCHEMAS, parse_config_file, render, resolve
-from samlab.data import gen_synthetic, mlp_family
+from samlab.data import enumeration_batches, gen_synthetic, mlp_family
 from samlab.errors import ConfigError, NonFiniteLoss, ZeroIterate
 from samlab.metrics import COLUMNS, canonical_bytes, read_csv
 from samlab.models import MlpSpec, init_params, mlp_builder
+from samlab.oracle import jet_pass
 from samlab.runner import (run_probe_moments, run_simulate_sde, run_spectrum,
                            run_train)
+from samlab.toys import TOYS
 
 
 # A small model and data set for the MLP runners.
@@ -446,8 +448,9 @@ class TestTrajectory:
 
 
 class TestPickedOracle:
-    """The discrete-SAM oracle of one lockstep step, on the 32, 32, 32 and 4
-    row batches of 100 rows."""
+    """``family.picked``, the discrete-SAM oracle of one lockstep step, on
+    the 32, 32, 32 and 4 row batches of 100 rows, and ``family.stacks``
+    over the same picks."""
 
     SPEC = MlpSpec((2, 16, 2))
 
@@ -455,12 +458,25 @@ class TestPickedOracle:
         train = gen_synthetic(100, 2, 2, 1.0, 0)
         return train, mlp_family(self.SPEC, train, 32)
 
+    def plan(self, name, monkeypatch):
+        """(family, picks, stacks in the plan) of a named plan shape."""
+        if name == "twobatch2d":
+            return TOYS["twobatch2d"]()[0], [1, 0, 1], 3
+        if name == "budget-split":
+            # 82 + 32 * 20 = 722 elements per 32-row set: two sets a tape.
+            import samlab.data
+            monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", 2 * 722)
+        picks, stacks = {"one-tape": ([0, 2, 0], 1), "mixed": ([3, 3, 0, 3], 2),
+                         "budget-split": ([0, 1, 2, 0], 2)}[name]
+        return self.family()[1], picks, stacks
+
     @pytest.mark.parametrize("picks", [[1], [3], [0, 2, 0]])
     def test_one_tape_plan_is_the_plain_stacked_oracle(self, picks):
         train, family = self.family()
-        oracle = runner._picked_oracle(self.SPEC, train, family, picks)
+        oracle = family.picked(picks)
+        parts = enumeration_batches(100, 32)
         plain = mlp_builder(self.SPEC, *train.take(
-            np.stack([family.parts[b] for b in picks])))
+            np.stack([parts[b] for b in picks])))
         xs = np.zeros((len(picks), self.SPEC.dim))
         ops = tape_ops(oracle.builder, xs)
         assert ops == tape_ops(plain, xs)
@@ -469,7 +485,7 @@ class TestPickedOracle:
     def test_mixed_plan_rows_are_each_batchs_own(self):
         train, family = self.family()
         picks = [3, 3, 0, 3]
-        oracle = runner._picked_oracle(self.SPEC, train, family, picks)
+        oracle = family.picked(picks)
         xs = np.stack([init_params(self.SPEC, s).values for s in range(4)])
         loss, grads = oracle.grad(xs, with_loss=True)
         assert "matmul" in tape_ops(oracle.builder, xs)
@@ -478,6 +494,33 @@ class TestPickedOracle:
         for g, (_, want) in zip(grads, own):
             np.testing.assert_array_equal(g, want)
         assert loss == pytest.approx(sum(l for l, _ in own), rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["one-tape", "budget-split",
+                                      "twobatch2d"])
+    def test_rows_are_each_batchs_own_gradient(self, monkeypatch, name):
+        # The mixed plan is the test above. The analytic family has no data
+        # to stack: each pick is a tape of its own, read through its
+        # selection row.
+        family, picks, stacks = self.plan(name, monkeypatch)
+        assert len(list(family.stacks(picks))) == stacks
+        xs = np.random.default_rng(3).standard_normal((len(picks), family.dim))
+        grads = family.picked(picks).grad(xs)
+        for b, x, g in zip(picks, xs, grads):
+            np.testing.assert_array_equal(g, family.oracles[b].grad(x))
+
+    @pytest.mark.parametrize("name", ["one-tape", "mixed", "budget-split",
+                                      "twobatch2d"])
+    def test_stacks_cover_each_position_once_with_its_batch(self, monkeypatch,
+                                                            name):
+        family, picks, _ = self.plan(name, monkeypatch)
+        xs = np.random.default_rng(4).standard_normal((len(picks), family.dim))
+        covered = []
+        for ids, builder in family.stacks(picks):
+            covered += ids.tolist()
+            for i, g in zip(ids, jet_pass(builder, xs[ids])[0]):
+                np.testing.assert_array_equal(
+                    g, family.oracles[picks[i]].grad(xs[i]))
+        assert sorted(covered) == list(range(len(picks)))
 
 
 def tape_ops(build, xs):
@@ -532,7 +575,8 @@ class TestLockstepSde:
         if stack_sets:
             monkeypatch.setattr(samlab.data, "STACK_ELEMENTS", stack_sets * 86)
             spec, train, _ = runner._datasets(sde_cfg(tmp_path))
-            assert len(list(mlp_family(spec, train, 8).stacks(6))) == 5
+            assert len(list(mlp_family(spec, train, 8).stacks(
+                [*range(4)] * 6))) == 5
         run_simulate_sde(sde_cfg(tmp_path / "all", seeds="0,1",
                                  processes=",".join(processes), **cfg))
         for process in processes:
@@ -548,6 +592,22 @@ class TestLockstepSde:
             _, rows, _ = read_csv(tmp_path / "all" / "sde.csv")
             assert any(r.hvp_count < 4 * 2 * r.step for r in rows
                        if r.process == "sde2")
+
+    def test_tiling_is_planned_once_per_run(self, tmp_path, monkeypatch):
+        # Two seeds of discrete SAM and sde2 on four batches of 8 rows, three
+        # substeps a step: the 2 x 4 SDE sets are planned once in the run,
+        # and each step's two discrete-SAM picks once, in that step.
+        import samlab.data
+
+        real, sizes = samlab.data.stack_plan, []
+
+        def counted(spec, index_sets):
+            sizes.append(len(index_sets))
+            return real(spec, index_sets)
+        monkeypatch.setattr(samlab.data, "stack_plan", counted)
+        run_simulate_sde(sde_cfg(tmp_path, seeds="0,1", steps=4, eval_every=4,
+                                 substeps=3, processes="discrete-sam,sde2"))
+        assert (sizes.count(8), sizes.count(2)) == (1, 4)
 
     def test_one_pass_and_push_per_substep(self, tmp_path, monkeypatch):
         # Two seeds of sde2 and sde3 on four batches of 8 rows: 16 sets on
@@ -862,7 +922,12 @@ class TestCli:
         f"bound {BOUND} f_s=nan", f"bound {BOUND} lambda1=inf",
         f"bound {BOUND} sigma=nan", f"bound {BOUND} x_norm=nan",
         f"bound {BOUND} d=0", f"bound {BOUND} n=0",
-        "align-range omega=nan",
+        f"bound {BOUND} sigma=-1", f"bound {BOUND} sigma=0",
+        f"bound {BOUND} loss_bound=0", f"bound {BOUND} loss_bound=-1",
+        f"bound {BOUND} third_bound=-1", f"bound {BOUND} delta=0",
+        f"bound {BOUND} delta=1", f"bound {BOUND} delta=1.5",
+        "align-range omega=nan", "align-range omega=0",
+        "align-range omega=1", "align-range omega=1.5",
         "spectrum lr=inf", "probe-moments rho_grid=0.02,inf",
         "probe-moments x0=nan", "train lr=inf steps=2",
         "simulate-sde eta=inf steps=2 data_n=16 test_n=16",
@@ -874,9 +939,10 @@ class TestCli:
         # slope to fit), a negative or NaN weight decay or data margin, an
         # optimizer or sampler value that the training run (or the
         # training prefix of spectrum and probe-power) rejects, a
-        # non-finite float value of any subcommand, a repeated process and
-        # a bound count d or n below 1 are config errors before any
-        # artifact is written.
+        # non-finite float value of any subcommand, a repeated process, a
+        # bound count d or n below 1, bound inputs outside the domain of
+        # BoundInputs.validate and an omega outside (0, 1) are config
+        # errors before any artifact is written.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 2
@@ -916,15 +982,12 @@ class TestCli:
          "NonFiniteLoss"),
         ("probe-moments toy=quartic1d eta=1e200", "moments.json", {},
          "NonFiniteState"),
-        (f"bound {BOUND} sigma=-1", "bound.json", {}, "DomainError"),
-    ], ids=["spectrum", "probe-power", "probe-moments", "probe-moments-eta",
-            "bound"])
+    ], ids=["spectrum", "probe-power", "probe-moments", "probe-moments-eta"])
     def test_numeric_error_leaves_a_json_report(self, tmp_path, capsys, case,
                                                 name, results, error):
-        # A training prefix that diverges, a toy point whose loss overflows,
-        # a step size whose square overflows, or bound inputs outside its
-        # domain: exit 3, and the report holds the results so far and the
-        # error.
+        # A training prefix that diverges, a toy point whose loss overflows
+        # or a step size whose square overflows: exit 3, and the report
+        # holds the results so far and the error.
         subcommand, *sets = case.split()
         args = [item for kv in sets for item in ("--set", kv)]
         assert main([subcommand, "--out", str(tmp_path), *args]) == 3
@@ -966,6 +1029,9 @@ class TestCli:
         assert main(["bound", "--out", str(tmp_path), *sets]) == 0
         payload = json.loads((tmp_path / "bound.json").read_text())
         assert payload["results"]["bound"] == pytest.approx(0.4720622960020037)
+        # C = 0 is inside the domain: the cubic term vanishes.
+        assert main(["bound", "--out", str(tmp_path / "c0"), *sets,
+                     "--set", "third_bound=0"]) == 0
         assert main(["align-range", "--out", str(tmp_path),
                      "--set", "omega=0.8"]) == 0
         rng = json.loads((tmp_path / "align_range.json").read_text())
